@@ -28,7 +28,7 @@ const (
 	fleetRing  = 1024   // distinct sweeps per room walk
 	fleetStep  = 0.02   // metres per sweep
 	fleetDetDB = 0.25   // presence threshold for 6-link rooms
-	fleetQueue = 64     // batches per zone
+	fleetQueue = 1024   // batches per zone; absorbs a ~1.4 s stall of the most popular zone
 	producers  = 2
 )
 
@@ -194,7 +194,7 @@ func runFleet(o options, tr *tracer) (*result, error) {
 			for i, a := range sched[p] {
 				due[i] = a.due
 			}
-			ty.lag = pace(t0, due, nil, func(i int, at time.Time) {
+			ty.lag = pace(t0, due, 0, nil, func(i int, at time.Time) {
 				z := sched[p][i].zone
 				path := &paths[z%fleetRooms]
 				k := (start[z] + sent[z]) % fleetRing

@@ -110,11 +110,28 @@ func poisson(r *rand.Rand, rate float64, d time.Duration) []time.Duration {
 // only at millisecond granularity, so a generator that sleeps between
 // batches runs up to a millisecond late; that lateness is part of every
 // latency measured from the due time, and gen.lag_* reports it.
-func pace(start time.Time, due []time.Duration, stop <-chan struct{}, send func(i int, dueAt time.Time)) []time.Duration {
+//
+// With catchUp > 0, a generator that fell behind (the process was frozen
+// for a while) drains its backlog at no more than catchUp sends per
+// second, in bursts of at most paceBurst, the way a sensor's radio drains
+// its buffer; with catchUp 0 it sends the whole backlog at once. Either
+// way every send keeps its scheduled due time.
+func pace(start time.Time, due []time.Duration, catchUp float64, stop <-chan struct{}, send func(i int, dueAt time.Time)) []time.Duration {
 	lag := make([]time.Duration, 0, len(due))
+	var gap time.Duration
+	if catchUp > 0 {
+		gap = time.Duration(float64(time.Second) / catchUp)
+	}
+	var tat time.Time // theoretical arrival time of the catch-up rate
 	for i, off := range due {
 		at := start.Add(off)
-		if d := time.Until(at); d > 0 {
+		wake := at
+		if gap > 0 {
+			if w := tat.Add(-paceBurst * gap); w.After(wake) {
+				wake = w
+			}
+		}
+		if d := time.Until(wake); d > 0 {
 			time.Sleep(d)
 		}
 		select {
@@ -122,8 +139,18 @@ func pace(start time.Time, due []time.Duration, stop <-chan struct{}, send func(
 			return lag
 		default:
 		}
-		lag = append(lag, time.Since(at))
+		now := time.Now()
+		lag = append(lag, now.Sub(at))
 		send(i, at)
+		if gap > 0 {
+			if tat.Before(now) {
+				tat = now
+			}
+			tat = tat.Add(gap)
+		}
 	}
 	return lag
 }
+
+// paceBurst is the most sends a catching-up generator makes back to back.
+const paceBurst = 32

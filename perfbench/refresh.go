@@ -23,10 +23,14 @@ import (
 // to back. Model swaps and internal/mat-heavy reconstruction (writes) run
 // beside lock-free locates (reads) through the whole window, so every
 // second of it sees the same contention. The report rate is moderate and
-// does not saturate the zone.
+// does not saturate the zone. A stalled process must not lose reports:
+// the deep queue absorbs the backlog, and the generator drains it at a
+// rate the collector's socket buffer and read loop keep up with.
 const (
-	refreshRate = 2000.0 // sweeps per second
-	refreshDays = 45.0   // age of the environment the walker is sensed in
+	refreshRate    = 2000.0 // sweeps per second
+	refreshCatchUp = 8000.0 // datagrams per second while behind schedule
+	refreshQueue   = 4096   // batches; absorbs a ~2 s stall
+	refreshDays    = 45.0   // age of the environment the walker is sensed in
 )
 
 // sinkLog records what the collector's batch sink handed to the service,
@@ -76,7 +80,7 @@ func setupRefresh(tr *tracer) (*refreshEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := serve.NewService(serve.Config{Detector: detector})
+	svc, err := serve.NewService(serve.Config{QueueDepth: refreshQueue, Detector: detector})
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +171,7 @@ func runRefresh(o options, tr *tracer) (*result, error) {
 	startWG(&gen, func() {
 		frames := make([]wire.RSSReport, m)
 		var buf []byte
-		rg.lag = pace(t0, due, nil, func(i int, at time.Time) {
+		rg.lag = pace(t0, due, refreshCatchUp, nil, func(i int, at time.Time) {
 			now := time.Now()
 			for l, v := range p.ys[i%len(p.ys)] {
 				frames[l] = wire.RSSReport{LinkID: uint16(l), Seq: uint32(i), Time: now}

@@ -26,7 +26,7 @@ import (
 // queue keeps ingest from shedding.
 const (
 	walkRate  = 7000.0 // sweeps per second
-	walkQueue = 4096   // batches; absorbs scheduling stalls of ~0.6 s
+	walkQueue = 16384  // batches; absorbs a ~2.3 s stall
 	walkRing  = 16384  // distinct sweeps before the walk repeats
 	walkStep  = 0.02   // metres per sweep: the ring covers the room many times
 )
@@ -157,7 +157,7 @@ func runWalk(o options, tr *tracer) (*result, error) {
 	t0 := time.Now().Add(20 * time.Millisecond)
 	var gen sync.WaitGroup
 	startWG(&gen, func() {
-		rg.lag = pace(t0, due, stop, func(i int, at time.Time) {
+		rg.lag = pace(t0, due, 0, stop, func(i int, at time.Time) {
 			k := i % len(p.ys)
 			for l, v := range p.ys[k] {
 				batch[l] = client.Report{Link: l, RSS: v}
