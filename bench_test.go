@@ -527,7 +527,7 @@ func BenchmarkManyZones(b *testing.B) {
 		for pb.Next() {
 			id := ids[i%zones]
 			batch := append([]tafloc.ZoneReport(nil), batches[i%preparedBatches]...)
-			for svc.Report(id, batch) != nil {
+			for svc.Ingest(id, batch) != nil {
 				time.Sleep(10 * time.Microsecond)
 			}
 			i++
@@ -604,7 +604,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			z := i % zones
 			// The service takes ownership of the slice, so hand it a copy.
 			batch := append([]tafloc.ZoneReport(nil), batches[z][i%preparedBatches]...)
-			for svc.Report(ids[z], batch) != nil {
+			for svc.Ingest(ids[z], batch) != nil {
 				time.Sleep(10 * time.Microsecond) // queue full: backpressure
 			}
 			i++
@@ -728,7 +728,7 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 		for pb.Next() {
 			id := ids[i%zones]
 			batch := append([]tafloc.ZoneReport(nil), batches[i%preparedBatches]...)
-			for svc.Report(id, batch) != nil {
+			for svc.Ingest(id, batch) != nil {
 				time.Sleep(10 * time.Microsecond)
 			}
 			i++

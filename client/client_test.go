@@ -35,7 +35,7 @@ func newFixture(t *testing.T) (*fixture, context.CancelFunc) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(serve.Config{
+	svc := newTestService(t, serve.Config{
 		Window:            2,
 		BatchSize:         8,
 		DetectThresholdDB: 0.25,
@@ -62,6 +62,17 @@ func newFixture(t *testing.T) (*fixture, context.CancelFunc) {
 		svc.Wait()
 	})
 	return f, cancel
+}
+
+// newTestService builds a service from cfg, failing the test on a
+// configuration error.
+func newTestService(t *testing.T, cfg serve.Config) *serve.Service {
+	t.Helper()
+	svc, err := serve.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }
 
 func newTestSystem(t *testing.T, dep *testbed.Deployment) *core.System {
@@ -323,7 +334,7 @@ func TestWatchSkipsHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(serve.Config{
+	svc := newTestService(t, serve.Config{
 		Window:            2,
 		DetectThresholdDB: 0.25,
 		WatchHeartbeat:    10 * time.Millisecond,

@@ -249,6 +249,13 @@ func run(cfg *config) error {
 	}
 
 	factory := &zoneFactory{matcher: cfg.matcher, days: cfg.days, deps: make(map[string]*tafloc.Deployment)}
+	// One handle on the state directory serves restore, eviction, and the
+	// checkpointer: checkpointing into the residency store's own handle
+	// is what lets a checkpoint leave cold zones' files alone.
+	var state tafloc.SnapshotStore
+	if cfg.stateDir != "" {
+		state = tafloc.NewDirStore(cfg.stateDir)
+	}
 	opts := []tafloc.ServiceOption{
 		tafloc.WithWindow(cfg.window),
 		tafloc.WithDetectThreshold(cfg.threshold),
@@ -260,11 +267,11 @@ func run(cfg *config) error {
 	}
 	if cfg.maxHotZones > 0 {
 		opts = append(opts, tafloc.WithMaxHotZones(cfg.maxHotZones))
-		if cfg.stateDir != "" {
+		if state != nil {
 			// Evicted zones checkpoint into the same directory the
 			// periodic checkpointer uses, so cold state doubles as
 			// crash-recovery state.
-			opts = append(opts, tafloc.WithSnapshotStore(tafloc.NewDirStore(cfg.stateDir)))
+			opts = append(opts, tafloc.WithSnapshotStore(state))
 		}
 	}
 	svc, err := tafloc.NewService(opts...)
@@ -280,8 +287,8 @@ func run(cfg *config) error {
 	// without recalibration — the calibrated radio map, mask, references,
 	// and per-zone serve config come straight off disk.
 	restored := make(map[string]bool)
-	if cfg.stateDir != "" {
-		ids, err := svc.RestoreDir(cfg.stateDir)
+	if state != nil {
+		ids, err := svc.RestoreStore(state)
 		if err != nil {
 			// Damaged snapshots are reported and skipped; the healthy
 			// zones (and freshly surveyed ones) still serve.
@@ -316,10 +323,10 @@ func run(cfg *config) error {
 	if err := svc.Start(ctx); err != nil {
 		return err
 	}
-	if cfg.stateDir != "" {
+	if state != nil {
 		// Interval checkpoints plus a final one when ctx is cancelled
 		// (SIGINT/SIGTERM), so a clean stop persists fully current state.
-		if err := svc.StartCheckpointer(ctx, cfg.stateDir, cfg.checkpoint, func(err error) {
+		if err := svc.StartCheckpointer(ctx, state, cfg.checkpoint, func(err error) {
 			log.Printf("checkpoint: %v", err)
 		}); err != nil {
 			return err

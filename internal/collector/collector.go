@@ -18,7 +18,6 @@ type Collector struct {
 	Store *Store
 
 	log       *slog.Logger
-	sink      func(wire.RSSReport)
 	batchSink func([]wire.RSSReport)
 	udpConn   *net.UDPConn
 	tcpLis    net.Listener
@@ -39,21 +38,14 @@ func New(m, window int, log *slog.Logger) (*Collector, error) {
 	return &Collector{Store: store, log: log}, nil
 }
 
-// SetSink registers fn to receive a copy of every successfully decoded
-// data-plane report, in addition to the store — the hook that forwards
-// measurements into the multi-zone serving layer. It must be called
-// before Start. The callback runs on the UDP read loop, so it must be
-// fast and non-blocking (e.g. enqueue into a bounded queue and shed on
-// overflow).
-func (c *Collector) SetSink(fn func(wire.RSSReport)) { c.sink = fn }
-
-// SetBatchSink registers fn to receive each datagram's successfully
-// decoded frames as one slice — the batch-preserving counterpart of
-// SetSink, made to pair with serve.IngestSink so a whole UDP batch
-// datagram travels the serving layer's shared ingest path as one batch.
-// It must be called before Start. The slice is reused between
-// datagrams: fn must not retain it past the call. Like SetSink, fn runs
-// on the UDP read loop and must be fast and non-blocking.
+// SetBatchSink registers fn to receive, in addition to the store, each
+// datagram's kept frames as one slice: the frames that decoded and
+// that the store accepted. It is the hook that forwards measurements
+// into the multi-zone serving layer, made to pair with serve.IngestSink
+// so a whole UDP batch datagram travels the serving layer's shared
+// ingest path as one batch. It must be called before Start. The slice
+// is reused between datagrams: fn must not retain it past the call. fn
+// runs on the UDP read loop, so it must be fast and non-blocking.
 func (c *Collector) SetBatchSink(fn func([]wire.RSSReport)) { c.batchSink = fn }
 
 // Start binds the UDP data plane and TCP control plane on the given
@@ -105,7 +97,6 @@ func (c *Collector) Wait() { c.wg.Wait() }
 func (c *Collector) serveUDP() {
 	defer c.wg.Done()
 	buf := make([]byte, 65536)
-	var report wire.RSSReport
 	var frames []wire.RSSReport // per-datagram batch, reused across reads
 	for {
 		n, _, err := c.udpConn.ReadFromUDP(buf)
@@ -116,33 +107,22 @@ func (c *Collector) serveUDP() {
 			return
 		}
 		// A datagram carries one frame or a whole concatenated batch
-		// (wire.EncodeBatch); legal datagrams are exact multiples of
-		// FrameSize, and a short tail counts as a dropped runt frame.
-		// Frames are fixed-size with per-frame magic and CRC, so a
-		// corrupt frame costs exactly one frame: resync at the next
-		// boundary and salvage the rest of the batch.
-		data := buf[:n]
-		frames = frames[:0]
-		for len(data) > 0 {
-			if len(data) < wire.FrameSize {
-				c.Store.MarkDropped() // runt datagram or trailing partial frame
-				break
-			}
-			if err := report.DecodeFromBytes(data); err != nil {
-				c.Store.MarkDropped()
-			} else {
-				c.Store.AddReport(&report)
-				if c.sink != nil {
-					c.sink(report)
-				}
-				if c.batchSink != nil {
-					frames = append(frames, report)
-				}
-			}
-			data = data[wire.FrameSize:]
+		// (wire.EncodeBatch); a corrupt frame costs exactly one frame,
+		// and so does a frame the store drops (an unknown link): only
+		// kept frames reach the sink.
+		var bad int
+		frames, bad = wire.DecodeBatch(frames[:0], buf[:n])
+		for ; bad > 0; bad-- {
+			c.Store.MarkDropped()
 		}
-		if c.batchSink != nil && len(frames) > 0 {
-			c.batchSink(frames)
+		kept := frames[:0]
+		for i := range frames {
+			if c.Store.AddReport(&frames[i]) {
+				kept = append(kept, frames[i])
+			}
+		}
+		if c.batchSink != nil && len(kept) > 0 {
+			c.batchSink(kept)
 		}
 	}
 }

@@ -10,8 +10,10 @@ import (
 	"tafloc/internal/wire"
 )
 
-// TestCollectorBatchDatagramAndSink sends one concatenated-batch datagram
-// and checks every frame reaches both the store and the registered sink.
+// TestCollectorBatchDatagramAndSink sends concatenated-batch datagrams
+// and checks every kept frame reaches both the store and the registered
+// batch sink, while corrupt frames and frames for unknown links are
+// dropped one frame at a time and never forwarded.
 func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	const links = 3
 	c, err := New(links, 8, nil)
@@ -20,9 +22,9 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var sunk []wire.RSSReport
-	c.SetSink(func(r wire.RSSReport) {
+	c.SetBatchSink(func(frames []wire.RSSReport) {
 		mu.Lock()
-		sunk = append(sunk, r)
+		sunk = append(sunk, frames...) // copy: the slice is reused
 		mu.Unlock()
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -89,8 +91,36 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 		t.Fatalf("stats after corrupt batch: %+v, want received=%d dropped=1", st, 2*links)
 	}
 	mu.Lock()
-	defer mu.Unlock()
 	if len(sunk) != 2*links-1 {
 		t.Errorf("sink saw %d reports after corrupt batch, want %d", len(sunk), 2*links-1)
+	}
+	mu.Unlock()
+
+	// A CRC-valid frame naming a link the collector does not have: the
+	// store drops it and the sink never sees it, so the good frames
+	// around it still travel as one batch.
+	unknown := append([]wire.RSSReport{{LinkID: links, Seq: 2, Time: time.Now()}}, reports...)
+	if _, err := conn.Write(wire.EncodeBatch(unknown)); err != nil {
+		t.Fatal(err)
+	}
+	for time.Now().Before(deadline) {
+		if st := c.Store.Stats(); st.FramesReceived == 3*links+1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := c.Store.Stats()
+	if st.FramesReceived != 3*links+1 || st.FramesDropped != 2 {
+		t.Fatalf("stats after unknown-link batch: %+v, want received=%d dropped=2", st, 3*links+1)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := int(st.FramesReceived - st.FramesDropped); len(sunk) != want {
+		t.Errorf("sink saw %d reports, want received-dropped = %d", len(sunk), want)
+	}
+	for _, r := range sunk {
+		if int(r.LinkID) >= links {
+			t.Errorf("sink saw a frame for unknown link %d", r.LinkID)
+		}
 	}
 }

@@ -84,17 +84,18 @@ func NewStore(m, window int) (*Store, error) {
 // Links returns the link count.
 func (s *Store) Links() int { return s.m }
 
-// AddReport ingests one decoded report. Reports with out-of-range link
-// IDs are dropped. Duplicate or reordered frames (sequence not newer than
-// the last seen) only feed the live window, never the pass accumulators,
-// so a retransmitted survey frame cannot bias the average.
-func (s *Store) AddReport(r *wire.RSSReport) {
+// AddReport ingests one decoded report and reports whether it was kept.
+// Reports with out-of-range link IDs are dropped. Duplicate or reordered
+// frames (sequence not newer than the last seen) are kept but only feed
+// the live window, never the pass accumulators, so a retransmitted
+// survey frame cannot bias the average.
+func (s *Store) AddReport(r *wire.RSSReport) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.FramesReceived++
 	if int(r.LinkID) >= s.m {
 		s.stats.FramesDropped++
-		return
+		return false
 	}
 	i := int(r.LinkID)
 	fresh := !s.lastSeqSet[i] || r.Seq > s.lastSeq[i]
@@ -108,7 +109,7 @@ func (s *Store) AddReport(r *wire.RSSReport) {
 		s.live[i] = s.live[i][len(s.live[i])-s.window:]
 	}
 	if !fresh {
-		return
+		return true
 	}
 	switch s.mode {
 	case ModeSurvey:
@@ -120,6 +121,7 @@ func (s *Store) AddReport(r *wire.RSSReport) {
 			s.accCount[i]++
 		}
 	}
+	return true
 }
 
 // MarkDropped records an undecodable frame.

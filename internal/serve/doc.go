@@ -88,11 +88,11 @@
 //
 // Zones persist across restarts: SnapshotZone/RestoreZone round-trip a
 // zone's calibrated deployment (and its per-zone serve config) through
-// the versioned, CRC-checked binary codec in internal/snap, Checkpoint
-// and RestoreDir do it for whole state directories with atomic file
-// replacement, and StartCheckpointer runs the background loop
-// cmd/tafloc-serve exposes as -state-dir — interval checkpoints plus a
-// final one on shutdown. A restored zone publishes estimates identical
+// the versioned, CRC-checked binary codec in internal/snap,
+// CheckpointStore and RestoreStore do it for every zone through an
+// internal/store.Store (store.Dir for a state directory), and
+// StartCheckpointer runs the background loop cmd/tafloc-serve exposes
+// as -state-dir — interval checkpoints plus a final one on shutdown. A restored zone publishes estimates identical
 // to the never-restarted one; see docs/PERSISTENCE.md.
 //
 // Package client is the typed SDK for the /v2 surface; the wire types

@@ -25,7 +25,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 	sys := testSystem(t, dep)
 	cfg := Config{Window: 4, DetectThresholdDB: 0.25}
 
-	control := New(cfg)
+	control := newTestService(t, cfg)
 	if err := control.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hammered := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: store.NewMem()})
+	hammered := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: store.NewMem()})
 	if _, err := hammered.RestoreZone(data); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 // cap.
 func TestManyZonesOverCapServeAll(t *testing.T) {
 	const zones, hotCap = 8, 2
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
 	batches := make([][][]Report, zones)
 	for zi := 0; zi < zones; zi++ {
 		dep := testDeployment(t)
@@ -204,7 +204,7 @@ func TestManyZonesOverCapServeAll(t *testing.T) {
 			id := fmt.Sprintf("zone-%d", zi)
 			for _, batch := range batches[zi] {
 				for {
-					err := svc.Report(id, append([]Report(nil), batch...))
+					err := svc.Ingest(id, append([]Report(nil), batch...))
 					if err == nil {
 						break
 					}

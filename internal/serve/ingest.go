@@ -64,9 +64,6 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		return err
 	}
 	running := s.started.Load() && ctx != nil && ctx.Err() == nil
-	if z.unbuffered {
-		return s.ingestUnbuffered(z, reports, running)
-	}
 	select {
 	case z.queue <- reports:
 		z.received.Add(uint64(len(reports)))
@@ -91,51 +88,6 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		z.dropped.Add(uint64(len(reports)))
 		return ErrQueueFull
 	}
-}
-
-// ingestUnbuffered implements the explicit-zero queue depth semantics:
-// a batch is accepted only when it can rendezvous with an immediate fold
-// round — the zone is idle and nothing else is pending — and shed
-// whenever the zone is busy. Without a running executor (before Start,
-// after Stop) every batch sheds, exactly as the worker-per-zone design
-// shed when no worker was receiving.
-func (s *Service) ingestUnbuffered(z *zone, reports []Report, running bool) error {
-	n := uint64(len(reports))
-	if !running {
-		z.dropped.Add(n)
-		return ErrQueueFull
-	}
-	z.schedMu.Lock()
-	if z.stopped || z.foldBusy || len(z.queue) > 0 {
-		z.schedMu.Unlock()
-		z.dropped.Add(n)
-		return ErrQueueFull
-	}
-	// The slot (capacity 1) is verifiably empty and only filled under
-	// schedMu, so this send cannot block.
-	z.queue <- reports
-	z.foldBusy = true
-	z.tasks.Add(1)
-	if !s.exec.submit(task{z: z, kind: foldTask}) {
-		// Executor closed (service stopping): take the slot back and
-		// shed, exactly as an unbuffered zone sheds without a receiver.
-		<-z.queue
-		z.foldBusy = false
-		z.tasks.Done()
-		z.schedMu.Unlock()
-		z.dropped.Add(n)
-		return ErrQueueFull
-	}
-	z.schedMu.Unlock()
-	z.received.Add(n)
-	return nil
-}
-
-// Report enqueues a batch of reports for a zone. It is the pre-v2.1
-// name of Ingest and forwards to it unchanged; both share the one
-// validation/shedding/metrics path.
-func (s *Service) Report(id string, reports []Report) error {
-	return s.Ingest(id, reports)
 }
 
 // IngestSink adapts an Ingestor into a collector batch sink for one

@@ -8,16 +8,15 @@ import (
 
 	"tafloc/internal/collector"
 	"tafloc/internal/geom"
-	"tafloc/internal/wire"
 )
 
 // TestCollectorToService wires the full ingest path over real sockets:
 // a simulated link-agent fleet streams UDP frames to a collector whose
-// sink forwards every decoded report into the multi-zone service, which
-// must converge to a present estimate near the target.
+// batch sink (IngestSink) forwards every kept frame into the multi-zone
+// service, which must converge to a present estimate near the target.
 func TestCollectorToService(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +30,7 @@ func TestCollectorToService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col.SetSink(func(r wire.RSSReport) {
-		_ = svc.Report("z", []Report{FromWire(&r)})
-	})
+	col.SetBatchSink(IngestSink(svc, "z"))
 	dataAddr, _, err := col.Start(ctx, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

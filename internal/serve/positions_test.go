@@ -50,7 +50,7 @@ func TestPositionsShards(t *testing.T) {
 func BenchmarkPublishFanout(b *testing.B) {
 	for _, zones := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("zones=%d", zones), func(b *testing.B) {
-			svc := New(Config{})
+			svc := newTestService(b, Config{})
 			ids := make([]string, zones)
 			for i := range ids {
 				ids[i] = fmt.Sprintf("zone-%05d", i)

@@ -17,7 +17,7 @@ import (
 // that state from a zone with no traffic at all.
 func TestStarvedCounter(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 4, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestStarvedCounter(t *testing.T) {
 
 	// Reports for link 0 only: every fold round is starved.
 	for i := 0; i < 5; i++ {
-		if err := svc.Report("z", []Report{{Link: 0, RSS: -40}}); err != nil {
+		if err := svc.Ingest("z", []Report{{Link: 0, RSS: -40}}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -52,14 +52,14 @@ func TestStarvedCounter(t *testing.T) {
 	// Once every link reports, estimates flow and Starved stops advancing.
 	target := geom.Point{X: 1.2, Y: 0.9}
 	for i := 0; i < 10; i++ {
-		if err := svc.Report("z", targetBatch(dep, target)); err != nil {
+		if err := svc.Ingest("z", targetBatch(dep, target)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Present })
 	before := svc.Stats()["z"].Starved
 	for i := 0; i < 5; i++ {
-		_ = svc.Report("z", targetBatch(dep, target))
+		_ = svc.Ingest("z", targetBatch(dep, target))
 	}
 	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Reports > 10*6 })
 	if after := svc.Stats()["z"].Starved; after != before {
@@ -76,7 +76,7 @@ func TestStarvedCounter(t *testing.T) {
 func TestZoneCountDoesNotScaleGoroutines(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 4})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := svc.Start(ctx); err != nil {
@@ -100,7 +100,7 @@ func TestZoneCountDoesNotScaleGoroutines(t *testing.T) {
 	target := geom.Point{X: 1.1, Y: 0.8}
 	for i := 0; i < 8; i++ {
 		for _, id := range []string{"z000", "z137", "z299"} {
-			if err := svc.Report(id, targetBatch(dep, target)); err != nil {
+			if err := svc.Ingest(id, targetBatch(dep, target)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 	dep := testDeployment(t)
 	target := geom.Point{X: 1.2, Y: 0.9}
 	for round := 0; round < 20; round++ {
-		svc := New(Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
+		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
 		if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := svc.Report("z", append([]Report(nil), batch...)); err != nil {
+			if err := svc.Ingest("z", append([]Report(nil), batch...)); err != nil {
 				t.Errorf("round %d: %v", round, err)
 			}
 		}()
@@ -190,7 +190,7 @@ func TestLocateWorkersNormalization(t *testing.T) {
 // (run with -race; the assertion is liveness plus monotonic freshness).
 func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 1, DetectThresholdDB: 0.25, LocateWorkers: 2})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 1, DetectThresholdDB: 0.25, LocateWorkers: 2})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		b := append([]Report(nil), batches[i%len(batches)]...)
-		for svc.Report("z", b) == ErrQueueFull {
+		for svc.Ingest("z", b) == ErrQueueFull {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -220,7 +220,7 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	last := e.Reports
 	for i := 0; i < 50; i++ {
 		b := append([]Report(nil), batches[i%len(batches)]...)
-		for svc.Report("z", b) == ErrQueueFull {
+		for svc.Ingest("z", b) == ErrQueueFull {
 			time.Sleep(100 * time.Microsecond)
 		}
 		if cur, ok := svc.Position("z"); ok {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,18 +39,17 @@ type ZoneFactory func(ctx context.Context, id string, spec api.ZoneSpec) (*core.
 
 // Config tunes the service. A zero field means "unset" and selects the
 // default noted on it; a negative value means "explicitly the minimum" —
-// zero for fields where zero is meaningful (an unbuffered queue, a
-// disabled detection gate, no heartbeat), the smallest legal value
-// otherwise. The two cannot be conflated: Config{} keeps every default,
-// while Config{DetectThresholdDB: -1} genuinely disables presence
-// gating. The functional options in the root package translate explicit
-// zero arguments into the negative sentinels, so
-// tafloc.WithDetectThreshold(0) does what it says.
+// zero for fields where zero is meaningful (a disabled detection gate,
+// no heartbeat, no history), the smallest legal value otherwise. The two
+// cannot be conflated: Config{} keeps every default, while
+// Config{DetectThresholdDB: -1} genuinely disables presence gating. The
+// functional options in the root package translate explicit zero
+// arguments into the negative sentinels, so tafloc.WithDetectThreshold(0)
+// does what it says.
 type Config struct {
 	// QueueDepth is the number of pending report batches each zone's
-	// bounded queue holds before Report sheds load (default 256;
-	// negative = 0, an unbuffered queue that rendezvouses with the
-	// zone's fold round and sheds whenever one is in flight).
+	// bounded queue holds before Ingest sheds load (default 256;
+	// negative = 1).
 	QueueDepth int
 	// BatchSize is the maximum number of reports a zone's fold round
 	// consumes before answering one batched match query (default 64;
@@ -68,7 +66,7 @@ type Config struct {
 	DetectThresholdDB float64
 	// Detector names the presence-detection strategy from the core
 	// registry (default core.DetectorMAD). Unknown names fail NewService
-	// with a taflocerr error and panic the legacy New.
+	// with a taflocerr error.
 	Detector string
 	// LocateWorkers is the size of the shared locate-executor pool that
 	// runs every zone's fold and match rounds. Zones are goroutine-free
@@ -122,7 +120,7 @@ func (c Config) withDefaults() Config {
 	case c.QueueDepth == 0:
 		c.QueueDepth = 256
 	case c.QueueDepth < 0:
-		c.QueueDepth = 0
+		c.QueueDepth = 1
 	}
 	switch {
 	case c.BatchSize == 0:
@@ -230,10 +228,9 @@ type zone struct {
 	// serialized by resMu; see residency.go.
 	//
 	//tafloc:atomic
-	sys        atomic.Pointer[core.System]
-	zc         zoneConfig
-	queue      chan []Report
-	unbuffered bool // QueueDepth 0: rendezvous semantics over a cap-1 queue
+	sys   atomic.Pointer[core.System]
+	zc    zoneConfig
+	queue chan []Report
 
 	// Residency machinery: resMu serializes evict/rehydrate transitions
 	// (never held on the steady-state hot path); lastTouch is the zone's
@@ -301,7 +298,7 @@ type zone struct {
 
 // Service is the sharded multi-zone localization frontend. Register zones
 // with AddZone (before or after Start), launch the executor pool with
-// Start, ingest with Report, read positions lock-free with Position, and
+// Start, ingest with Ingest, read positions lock-free with Position, and
 // stream them with Watch. Zones can be added, removed, and swapped at
 // runtime. Folding is cheap and runs as soon as a zone has pending
 // reports; localization is dispatched to the shared executor pool, so
@@ -357,19 +354,6 @@ func NewService(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// New builds an empty service with the given configuration. An unknown
-// Config.Detector name panics: it is a programming error on the same
-// level as an invalid literal, and New has no error return for
-// compatibility. Builder-style callers should use NewService, which
-// returns the error instead.
-func New(cfg Config) *Service {
-	s, err := NewService(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("serve: %v", err))
-	}
-	return s
-}
-
 // newZoneConfig validates and assembles a per-zone configuration.
 // window, thrDB, and history must already be normalized (window >= 1,
 // thrDB >= 0 with 0 meaning the gate is off, history >= 0 with 0
@@ -414,25 +398,16 @@ func newZoneConfig(window int, thrDB float64, detector string, history int, trk 
 // zone's history is enabled.
 func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) *zone {
 	m := sys.Layout().M()
-	depth := s.cfg.QueueDepth
-	unbuffered := depth == 0
-	if unbuffered {
-		// Rendezvous semantics live in the ingest path (see
-		// ingestUnbuffered); the slot itself must hold the one batch a
-		// fold round is about to consume.
-		depth = 1
-	}
 	z := &zone{
-		id:         id,
-		zc:         zc,
-		queue:      make(chan []Report, depth),
-		unbuffered: unbuffered,
-		win:        make([][]float64, m),
-		widx:       make([]int, m),
-		wfill:      make([]int, m),
-		vwin:       make([][]float64, m),
-		vidx:       make([]int, m),
-		vfill:      make([]int, m),
+		id:    id,
+		zc:    zc,
+		queue: make(chan []Report, s.cfg.QueueDepth),
+		win:   make([][]float64, m),
+		widx:  make([]int, m),
+		wfill: make([]int, m),
+		vwin:  make([][]float64, m),
+		vidx:  make([]int, m),
+		vfill: make([]int, m),
 	}
 	z.sys.Store(sys)
 	for i := range z.win {

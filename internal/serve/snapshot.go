@@ -20,13 +20,12 @@ import (
 // (window, detector, threshold) it was captured under even when the
 // restoring service was built with different defaults.
 //
-// Snapshots move through the internal/store.Store interface: Checkpoint
-// and RestoreDir are thin wrappers binding the historical directory
-// layout (store.Dir) to the store-generic CheckpointStore and
-// RestoreStore, and the residency tier (residency.go) moves the same
-// artifact through the same interface when it evicts and rehydrates
-// zones — tiered storage and crash recovery share one format, one
-// integrity check, and one store abstraction.
+// Snapshots move through the internal/store.Store interface:
+// CheckpointStore and RestoreStore persist and warm-start every zone,
+// and the residency tier (residency.go) moves the same artifact through
+// the same interface when it evicts and rehydrates zones — tiered
+// storage and crash recovery share one format, one integrity check, and
+// one store abstraction.
 
 // SnapshotZone exports a zone's calibrated deployment as an encoded
 // snapshot. The export is a consistent deep copy — the zone keeps
@@ -238,14 +237,6 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 	return nil
 }
 
-// Checkpoint snapshots every registered zone into dir, one
-// atomically-replaced "<escaped-id>.snap" file per zone — the
-// directory-store binding of CheckpointStore, byte-compatible with
-// every state directory previous releases wrote.
-func (s *Service) Checkpoint(dir string) error {
-	return s.CheckpointStore(store.NewDir(dir))
-}
-
 // RestoreStore warm-starts every zone stored in src, in sorted order,
 // and returns the IDs restored. Entries that fail to read, decode, or
 // restore do not stop the others; their errors are joined into the
@@ -277,20 +268,16 @@ func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 	return restored, errors.Join(errs...)
 }
 
-// RestoreDir warm-starts every "*.snap" file in dir — the
-// directory-store binding of RestoreStore. A missing directory restores
-// nothing.
-func (s *Service) RestoreDir(dir string) ([]string, error) {
-	return s.RestoreStore(store.NewDir(dir))
-}
-
 // StartCheckpointer runs a background checkpoint loop: every interval
-// it writes all zones to dir, and when ctx is cancelled (service
-// shutdown, SIGTERM) it writes one final checkpoint before exiting, so
-// the state on disk is at most one interval old in a crash and fully
-// current on a clean stop. Checkpoint errors are reported to onErr (may
-// be nil) and do not stop the loop. The goroutine is counted in Wait.
-func (s *Service) StartCheckpointer(ctx context.Context, dir string, interval time.Duration, onErr func(error)) error {
+// it writes all zones to dst (see CheckpointStore), and when ctx is
+// cancelled (service shutdown, SIGTERM) it writes one final checkpoint
+// before exiting, so the stored state is at most one interval old in a
+// crash and fully current on a clean stop. Pass the residency store
+// itself (Config.Store) to checkpoint into it: cold zones are then left
+// as eviction wrote them instead of being rewritten every interval.
+// Checkpoint errors are reported to onErr (may be nil) and do not stop
+// the loop. The goroutine is counted in Wait.
+func (s *Service) StartCheckpointer(ctx context.Context, dst store.Store, interval time.Duration, onErr func(error)) error {
 	if interval <= 0 {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"serve: checkpoint interval must be positive, got %v", interval)
@@ -308,10 +295,10 @@ func (s *Service) StartCheckpointer(ctx context.Context, dir string, interval ti
 		for {
 			select {
 			case <-ctx.Done():
-				report(s.Checkpoint(dir))
+				report(s.CheckpointStore(dst))
 				return
 			case <-ticker.C:
-				report(s.Checkpoint(dir))
+				report(s.CheckpointStore(dst))
 			}
 		}
 	}()

@@ -18,6 +18,7 @@ import (
 	"tafloc/internal/core"
 	"tafloc/internal/geom"
 	"tafloc/internal/snap"
+	"tafloc/internal/store"
 	"tafloc/taflocerr"
 )
 
@@ -30,7 +31,7 @@ func feedAndCollect(t *testing.T, s *Service, id string, batches [][]Report) []E
 	var out []Estimate
 	for bi, b := range batches {
 		prev := s.Stats()[id].Estimates
-		for s.Report(id, append([]Report(nil), b...)) == ErrQueueFull {
+		for s.Ingest(id, append([]Report(nil), b...)) == ErrQueueFull {
 			time.Sleep(time.Millisecond)
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -70,7 +71,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	sys := testSystem(t, dep)
 	cfg := Config{Window: 4, DetectThresholdDB: 0.25}
 
-	original := New(cfg)
+	original := newTestService(t, cfg)
 	if err := original.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	// The restoring service is configured differently on purpose: the
 	// snapshot's per-zone config (window 4, threshold 0.25, detector mad)
 	// must win over these defaults for the restored zone.
-	restoredSvc := New(Config{Window: 16, DetectThresholdDB: 5, Detector: core.DetectorRMS})
+	restoredSvc := newTestService(t, Config{Window: 16, DetectThresholdDB: 5, Detector: core.DetectorRMS})
 	id, err := restoredSvc.RestoreZone(data)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 // typed snapshot errors and leave the service untouched.
 func TestRestoreZoneRejectsDamage(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRestoreZoneRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data[:len(data)/2]); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
 		t.Errorf("truncated: %v", err)
 	}
@@ -151,17 +152,17 @@ func TestRestoreZoneRejectsDamage(t *testing.T) {
 }
 
 // TestCheckpointRestoreDir round-trips a whole service through a state
-// directory and checks the per-zone config survives.
+// directory (store.Dir) and checks the per-zone config survives.
 func TestCheckpointRestoreDir(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
 	for _, id := range []string{"a", "b", "zone/with slash"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := t.TempDir()
-	if err := svc.Checkpoint(dir); err != nil {
+	if err := svc.CheckpointStore(store.NewDir(dir)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,10 +171,10 @@ func TestCheckpointRestoreDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := New(Config{Window: 16})
-	ids, err := fresh.RestoreDir(dir)
+	fresh := newTestService(t, Config{Window: 16})
+	ids, err := fresh.RestoreStore(store.NewDir(dir))
 	if err == nil {
-		t.Error("RestoreDir swallowed the corrupt file")
+		t.Error("RestoreStore swallowed the corrupt file")
 	}
 	if len(ids) != 3 {
 		t.Fatalf("restored %v, want 3 zones", ids)
@@ -201,7 +202,7 @@ func TestCheckpointRestoreDir(t *testing.T) {
 	}
 
 	// Missing directory: restores nothing, no error.
-	ids, err = fresh.RestoreDir(filepath.Join(dir, "missing"))
+	ids, err = fresh.RestoreStore(store.NewDir(filepath.Join(dir, "missing")))
 	if err != nil || len(ids) != 0 {
 		t.Errorf("missing dir: %v, %v", ids, err)
 	}
@@ -211,14 +212,15 @@ func TestCheckpointRestoreDir(t *testing.T) {
 // resurrect from its stale snapshot file on the next boot.
 func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	for _, id := range []string{"keep", "doomed"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := t.TempDir()
-	if err := svc.Checkpoint(dir); err != nil {
+	st := store.NewDir(dir)
+	if err := svc.CheckpointStore(st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); err != nil {
@@ -227,14 +229,14 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	if err := svc.RemoveZone("doomed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Checkpoint(dir); err != nil {
+	if err := svc.CheckpointStore(st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("stale snapshot of removed zone survived the checkpoint: %v", err)
 	}
-	fresh := New(Config{})
-	ids, err := fresh.RestoreDir(dir)
+	fresh := newTestService(t, Config{})
+	ids, err := fresh.RestoreStore(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("ours"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Checkpoint(dir); err != nil {
+	if err := svc.CheckpointStore(st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(foreign); err != nil {
@@ -259,7 +261,7 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 // driving the per-link allocations into a panic or OOM.
 func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +274,7 @@ func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
 		t.Errorf("implausible window: %v", err)
 	}
@@ -285,20 +287,21 @@ func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 // produces files at the interval and once more on shutdown.
 func TestCheckpointerWritesAndFinalizes(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	st := store.NewDir(dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := svc.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var cpErr error
-	if err := svc.StartCheckpointer(ctx, dir, 20*time.Millisecond, func(err error) { cpErr = err }); err != nil {
+	if err := svc.StartCheckpointer(ctx, st, 20*time.Millisecond, func(err error) { cpErr = err }); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.StartCheckpointer(ctx, dir, 0, nil); err == nil {
+	if err := svc.StartCheckpointer(ctx, st, 0, nil); err == nil {
 		t.Error("zero interval accepted")
 	}
 
@@ -318,7 +321,7 @@ func TestCheckpointerWritesAndFinalizes(t *testing.T) {
 	if cpErr != nil {
 		t.Fatalf("checkpoint error: %v", cpErr)
 	}
-	sn, err := snap.ReadFile(path)
+	sn, err := snap.ReadStore(st, "z")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +336,7 @@ func TestSnapshotHTTP(t *testing.T) {
 	dep := testDeployment(t)
 
 	// Without a ZoneFactory the routes are gated off.
-	gated := New(Config{})
+	gated := newTestService(t, Config{})
 	if err := gated.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +351,7 @@ func TestSnapshotHTTP(t *testing.T) {
 		t.Errorf("ungated snapshot GET: %d, want 501", resp.StatusCode)
 	}
 
-	svc := New(Config{
+	svc := newTestService(t, Config{
 		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
 			return testSystem(t, dep), nil
 		},
@@ -418,7 +421,7 @@ func TestSnapshotHTTP(t *testing.T) {
 // requires periodic comment heartbeats between estimates.
 func TestWatchHeartbeat(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{WatchHeartbeat: 20 * time.Millisecond})
+	svc := newTestService(t, Config{WatchHeartbeat: 20 * time.Millisecond})
 	if err := svc.AddZone("quiet", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func TestDisabledDetectionGate(t *testing.T) {
 		return b
 	}
 
-	gateless := New(Config{Window: 2, DetectThresholdDB: -1})
+	gateless := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})
 	if err := gateless.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -510,10 +513,7 @@ func TestConfigNormalization(t *testing.T) {
 		WatchBuffer:       -1,
 		WatchHeartbeat:    -1,
 	}.withDefaults()
-	if exp.QueueDepth != 0 {
-		t.Errorf("explicit zero queue depth: %d", exp.QueueDepth)
-	}
-	if exp.BatchSize != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
+	if exp.QueueDepth != 1 || exp.BatchSize != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
 		t.Errorf("explicit minimums: %+v", exp)
 	}
 	if exp.DetectThresholdDB != 0 {
@@ -524,41 +524,12 @@ func TestConfigNormalization(t *testing.T) {
 	}
 }
 
-// TestNewServiceErrorNotPanic: the builder surfaces configuration errors
-// as taflocerr values; only the legacy New panics.
+// TestNewServiceErrorNotPanic: the constructor surfaces configuration
+// errors as taflocerr values.
 func TestNewServiceErrorNotPanic(t *testing.T) {
 	if _, err := NewService(Config{Detector: "no-such"}); !errors.Is(err, taflocerr.ErrBadRequest) {
 		t.Errorf("NewService unknown detector: %v", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("legacy New did not panic on an unknown detector")
-		}
-	}()
-	New(Config{Detector: "no-such"})
-}
-
-// An unbuffered queue (explicit zero depth) still serves: Report
-// rendezvouses with the worker and sheds only when it is busy.
-func TestUnbufferedQueueServes(t *testing.T) {
-	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: -1, Window: 2, DetectThresholdDB: 0.25})
-	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := svc.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	target := geom.Point{X: 1.0, Y: 0.9}
-	for i := 0; i < 200; i++ {
-		b := targetBatch(dep, target)
-		for svc.Report("z", b) == ErrQueueFull {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Present })
 }
 
 // TestRestorePreRedesignSnapshot is the compatibility acceptance pin:
@@ -567,7 +538,7 @@ func TestUnbufferedQueueServes(t *testing.T) {
 // service's own history/track defaults filling the unrecorded fields.
 func TestRestorePreRedesignSnapshot(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +551,7 @@ func TestRestorePreRedesignSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := New(Config{Window: 2, DetectThresholdDB: 0.25, History: 64})
+	other := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, History: 64})
 	id, err := other.RestoreZone(legacy)
 	if err != nil {
 		t.Fatalf("restoring a v%d snapshot failed: %v", snap.VersionPrev, err)
@@ -615,7 +586,7 @@ func TestRestorePreRedesignSnapshot(t *testing.T) {
 // original's state.
 func TestSnapshotCarriesTracker(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +619,7 @@ func TestSnapshotCarriesTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data); err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func streamAcks(t *testing.T, srv *httptest.Server, zone, body string) []api.Str
 // the trailer's accounting adds up.
 func TestReportStreamProtocol(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +113,16 @@ func TestReportStreamProtocol(t *testing.T) {
 	}
 }
 
-// TestReportStreamBackpressure checks shed accounting: on a stopped
-// service with an unbuffered queue every batch sheds, acked queue_full,
-// and the stream stays up.
+// TestReportStreamBackpressure checks shed accounting: on an unstarted
+// service whose one-batch queue is already full every batch sheds,
+// acked queue_full, and the stream stays up.
 func TestReportStreamBackpressure(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: -1}) // unbuffered; no worker running
+	svc := newTestService(t, Config{QueueDepth: 1}) // no worker running
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Ingest("z", targetBatch(dep, streamTestPoint)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())
@@ -145,7 +148,7 @@ func TestReportStreamBackpressure(t *testing.T) {
 // TestReportStreamUnknownZone checks the stream is refused up front
 // with the taxonomy error for a zone that does not exist.
 func TestReportStreamUnknownZone(t *testing.T) {
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v2/zones/nope/reports:stream",
@@ -167,7 +170,7 @@ func TestReportStreamUnknownZone(t *testing.T) {
 // stream after an unknown_zone ack, with the trailer still delivered.
 func TestReportStreamZoneRemovedMidStream(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2})
+	svc := newTestService(t, Config{Window: 2})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}

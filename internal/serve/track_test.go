@@ -64,7 +64,7 @@ func feedZone(t *testing.T, svc *Service, id string, batches [][]Report, minEsti
 // track.MinDT).
 func TestTrackMatchesFilterExactly(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTrackMatchesFilterExactly(t *testing.T) {
 // serves neither route and says so with the taxonomy.
 func TestTrackHistoryDisabled(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{History: -1})
+	svc := newTestService(t, Config{History: -1})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTrackHistoryDisabled(t *testing.T) {
 // trajectory state, like the counters.
 func TestTrackSurvivesUpdateZone(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}

@@ -35,17 +35,14 @@
 // however damaged, may panic the decoder — that invariant is pinned by
 // the package fuzz test.
 //
-// WriteFile persists atomically: the snapshot is written to a temporary
-// file in the destination directory, synced, and renamed over the final
-// path, so a crash mid-checkpoint leaves the previous snapshot intact.
+// Snapshots are persisted through a keyed byte store (WriteStore and
+// ReadStore below; internal/store.Dir writes each one atomically).
 package snap
 
 import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"tafloc/internal/core"
@@ -309,43 +306,6 @@ func Decode(data []byte) (*Snapshot, error) {
 			"snap: %d trailing payload bytes", len(d.buf)-d.pos)
 	}
 	return s, nil
-}
-
-// WriteFile atomically persists a snapshot: encode, write to a temporary
-// file in path's directory, sync, rename over path. A crash at any point
-// leaves either the previous file or the complete new one.
-func WriteFile(path string, s *Snapshot) error {
-	data, err := Encode(s)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadFile loads and validates a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }
 
 // encoder appends little-endian primitives to a growing buffer.

@@ -2,8 +2,6 @@ package snap
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -207,34 +205,6 @@ func TestDecodeVersionPrev(t *testing.T) {
 	}
 	if _, err := EncodeVersion(want, Version+1); err == nil {
 		t.Error("EncodeVersion(future) succeeded")
-	}
-}
-
-func TestWriteReadFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lobby.snap")
-	want := testSnapshot(t)
-	if err := WriteFile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.State, want.State) {
-		t.Error("file round trip lost state")
-	}
-	// Overwrite must go through the same atomic path and leave no temp
-	// files behind.
-	if err := WriteFile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory holds %d entries after overwrite, want only the snapshot", len(entries))
 	}
 }
 

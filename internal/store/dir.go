@@ -11,9 +11,9 @@ import (
 )
 
 // Dir is the local-directory backend: one "<escaped-id>.snap" file per
-// zone, written atomically via a temporary file and rename, exactly the
-// layout serve.Checkpoint has always produced — a directory written by
-// an older build restores through Dir unchanged. Zone IDs arrive over
+// zone, written atomically via a temporary file and rename — the layout
+// every earlier state directory used, so one written by an older build
+// restores through Dir unchanged. Zone IDs arrive over
 // HTTP and may contain path separators; URL path-escaping keeps every
 // zone inside the directory and the name mapping reversible.
 type Dir struct {

@@ -1,8 +1,8 @@
 // Package store is the snapshot-store abstraction behind tiered zone
 // storage: a small keyed blob interface over which the serving layer
 // checkpoints, evicts, and rehydrates zone snapshots without caring
-// where the bytes live. Two production backends ship with it — Dir, the
-// atomic-rename local directory that Checkpoint/RestoreDir always used,
+// where the bytes live. Two production backends ship with it — Dir, an
+// atomic-rename local directory (the -state-dir of cmd/tafloc-serve),
 // and Mem, an in-process map for tests and cap-only deployments — and
 // storetest adds a deterministic fault-injecting wrapper for pinning
 // the degradation contract.

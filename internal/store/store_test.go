@@ -152,6 +152,29 @@ func TestDirIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
+// TestDirOverwriteLeavesNoTempFile pins that an overwriting Put goes
+// through the same temp-file-and-rename path as the first one and
+// leaves nothing but the snapshot behind.
+func TestDirOverwriteLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	st := store.NewDir(dir)
+	for _, data := range []string{"v1", "v2"} {
+		if err := st.Put("lobby", []byte(data)); err != nil {
+			t.Fatalf("Put %s: %v", data, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "lobby.snap" {
+		t.Errorf("directory holds %v after overwrite, want only lobby.snap", entries)
+	}
+	if got, err := st.Get("lobby"); err != nil || string(got) != "v2" {
+		t.Errorf("Get after overwrite = %q, %v, want v2", got, err)
+	}
+}
+
 // TestDirEscapesOutsideRoot pins that a traversal-shaped zone ID stays
 // inside the store directory.
 func TestDirEscapesOutsideRoot(t *testing.T) {

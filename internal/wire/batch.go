@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // Frames are fixed-size, so a batch datagram is simply concatenated
 // frames: the serving layer's ingest batching applied at the protocol
 // layer. One UDP datagram can carry a whole deployment's sampling round
@@ -22,19 +20,25 @@ func EncodeBatch(reports []RSSReport) []byte {
 	return AppendBatchTo(make([]byte, 0, len(reports)*FrameSize), reports)
 }
 
-// DecodeBatch parses a datagram of concatenated frames, validating each.
-// It fails on a trailing partial frame or any invalid frame, identifying
-// the offending index.
-func DecodeBatch(data []byte) ([]RSSReport, error) {
-	if len(data)%FrameSize != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a whole number of %d-byte frames",
-			ErrShortFrame, len(data), FrameSize)
-	}
-	reports := make([]RSSReport, len(data)/FrameSize)
-	for i := range reports {
-		if err := reports[i].DecodeFromBytes(data[i*FrameSize:]); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, err)
+// DecodeBatch decodes a datagram of concatenated frames, appending each
+// valid frame to dst, and returns the extended slice with the number of
+// bad frames. Frames are fixed-size with per-frame magic and CRC, so a
+// corrupt frame costs exactly one frame: decoding resyncs at the next
+// boundary and salvages the rest of the datagram. A trailing partial
+// frame (or a runt datagram) counts as one bad frame. With enough
+// capacity in dst, decoding allocates nothing.
+func DecodeBatch(dst []RSSReport, data []byte) ([]RSSReport, int) {
+	bad := 0
+	for ; len(data) >= FrameSize; data = data[FrameSize:] {
+		var r RSSReport
+		if r.DecodeFromBytes(data) != nil {
+			bad++
+			continue
 		}
+		dst = append(dst, r)
 	}
-	return reports, nil
+	if len(data) > 0 {
+		bad++
+	}
+	return dst, bad
 }

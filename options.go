@@ -63,7 +63,7 @@ func WithWorkers(n int) Option {
 }
 
 // Open builds a System from a day-0 full survey with functional
-// options — the v2 replacement for NewSystem:
+// options:
 //
 //	sys, err := tafloc.Open(layout, survey, vacant,
 //	    tafloc.WithMatcher("wknn"),
@@ -81,8 +81,7 @@ func Open(layout *Layout, survey *Matrix, vacant []float64, opts ...Option) (*Sy
 }
 
 // OpenDeployment surveys dep at day 0 and builds a System with the
-// given options — the one-call quickstart path (v2 replacement for
-// BuildSystem).
+// given options — the one-call quickstart path.
 func OpenDeployment(dep *Deployment, opts ...Option) (*System, error) {
 	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
 	if err != nil {
@@ -97,9 +96,8 @@ func OpenDeployment(dep *Deployment, opts ...Option) (*System, error) {
 type ServiceOption func(*serve.Config)
 
 // WithZoneQueue sets the per-zone bounded ingest queue depth (pending
-// batches before Report sheds load). An explicit depth <= 0 selects an
-// unbuffered queue: Report hands batches directly to the zone worker
-// and sheds whenever it is busy.
+// batches before Ingest sheds load); depth <= 0 selects the minimum
+// queue of one batch.
 func WithZoneQueue(depth int) ServiceOption {
 	if depth <= 0 {
 		depth = -1 // explicit zero, not "use the default"
@@ -233,8 +231,7 @@ func WithSnapshotStore(st SnapshotStore) ServiceOption {
 //	    tafloc.WithZoneFactory(factory))
 //
 // Invalid configurations — an unregistered detector name, say — are
-// returned as taflocerr errors, never panics; only the deprecated
-// legacy constructor NewServiceFromConfig keeps the documented panic.
+// returned as taflocerr errors, never panics.
 func NewService(opts ...ServiceOption) (*Service, error) {
 	var cfg serve.Config
 	for _, o := range opts {

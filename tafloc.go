@@ -141,8 +141,6 @@ func NewDeployment(cfg TestbedConfig) (*Deployment, error) { return testbed.New(
 type (
 	// System is the end-to-end TafLoc pipeline.
 	System = core.System
-	// SystemOptions configures a System.
-	SystemOptions = core.SystemOptions
 	// Layout is the deployment geometry the fingerprint matrix is
 	// defined over.
 	Layout = core.Layout
@@ -191,18 +189,6 @@ func NewLayout(links []Segment, grid *Grid, ellipseExcess float64) (*Layout, err
 	return core.NewLayout(links, grid, ellipseExcess)
 }
 
-// NewSystem builds a System from a day-0 full survey.
-//
-// Deprecated: use Open, which takes functional options instead of a
-// positional options struct.
-func NewSystem(layout *Layout, survey *Matrix, vacant []float64, opts SystemOptions) (*System, error) {
-	return core.NewSystem(layout, survey, vacant, opts)
-}
-
-// DefaultSystemOptions returns the configuration used throughout the
-// reproduction.
-func DefaultSystemOptions() SystemOptions { return core.DefaultSystemOptions() }
-
 // DefaultLoLiOptions returns the LoLi-IR hyperparameters used in the
 // experiments.
 func DefaultLoLiOptions() LoLiOptions { return core.DefaultLoLiOptions() }
@@ -239,15 +225,6 @@ func NewModel(layout *Layout, x, observed *Matrix, vacant []float64, refs []int,
 // learning, reference selection) — the warm-start path. States decoded
 // from damaged snapshots fail closed with taflocerr.ErrSnapshotCorrupt.
 func RestoreSystem(st *SystemState) (*System, error) { return core.RestoreSystem(st) }
-
-// BuildSystem surveys dep at day 0 and constructs a System with default
-// options — the one-call quickstart path.
-//
-// Deprecated: use OpenDeployment, which additionally accepts functional
-// options.
-func BuildSystem(dep *Deployment) (*System, error) {
-	return OpenDeployment(dep)
-}
 
 // Baselines.
 type (
@@ -396,32 +373,23 @@ type (
 	// served by Service.Track and GET /v2/zones/{id}/track.
 	ZoneTrackPoint = serve.TrackPoint
 	// SnapshotStore is the pluggable snapshot store behind tiered zone
-	// storage: Checkpoint/Restore targets and the backing store of the
-	// hot-zone cap (WithMaxHotZones). Implement it to put zone
+	// storage: CheckpointStore/RestoreStore targets and the backing
+	// store of the hot-zone cap (WithMaxHotZones). Implement it to put zone
 	// snapshots anywhere that can round-trip opaque bytes under a zone
 	// ID; NewDirStore and NewMemStore are the built-in backends.
 	SnapshotStore = store.Store
 )
 
 // NewDirStore opens the local-directory snapshot store rooted at dir:
-// one atomically-replaced "<escaped-id>.snap" file per zone, the same
-// layout Service.Checkpoint writes — an existing state directory is
-// usable as a residency store as-is.
+// one atomically-replaced "<escaped-id>.snap" file per zone. Pass one
+// handle as both the residency store (WithSnapshotStore) and the
+// checkpoint target, so a checkpoint leaves cold zones' files alone.
 func NewDirStore(dir string) SnapshotStore { return store.NewDir(dir) }
 
 // NewMemStore returns an in-memory snapshot store: eviction with it
 // bounds resident Models without touching disk (the snapshots do not
 // survive the process).
 func NewMemStore() SnapshotStore { return store.NewMem() }
-
-// NewServiceFromConfig builds a multi-zone service from a positional
-// configuration struct. It panics on an unknown Config.Detector name —
-// the legacy contract, kept for compatibility.
-//
-// Deprecated: use NewService, which takes functional options
-// (WithZoneQueue, WithDetector, WithZoneFactory, ...) and returns
-// configuration errors instead of panicking.
-func NewServiceFromConfig(cfg ServiceConfig) *Service { return serve.New(cfg) }
 
 // ReportFromWire converts a decoded data-plane frame into a service
 // report.
