@@ -424,12 +424,8 @@ func BenchmarkLocateParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := sys.Model()
-	const probes = 16
-	var ys [][]float64
-	for k := 0; k < probes; k++ {
-		p := tafloc.Point{X: 0.5 + 11.0*float64(k)/probes, Y: 0.5 + 11.0*float64((k*5)%probes)/probes}
-		ys = append(ys, dep.Channel.MeasureLive(p, 0))
-	}
+	ys := locateProbes(dep)
+	probes := len(ys)
 	prev := tafloc.SetWorkers(1)
 	defer tafloc.SetWorkers(prev)
 	workerSet := []int{1, 4}
@@ -461,6 +457,52 @@ func BenchmarkLocateParallel(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "locates/s")
+		})
+	}
+}
+
+// locateProbes returns noise-free live vectors for 16 fixed points
+// spread over the 12 m square room of the locate benchmarks.
+func locateProbes(dep *tafloc.Deployment) [][]float64 {
+	const probes = 16
+	ys := make([][]float64, 0, probes)
+	for k := 0; k < probes; k++ {
+		p := tafloc.Point{X: 0.5 + 11.0*float64(k)/probes, Y: 0.5 + 11.0*float64((k*5)%probes)/probes}
+		ys = append(ys, dep.Channel.MeasureLive(p, 0))
+	}
+	return ys
+}
+
+// BenchmarkModelLocate is the Model.Locate stage cost per matcher on
+// the 400-cell, 17-link room the walk-http and refresh-udp workloads
+// serve: one goroutine, one reused Scratch warmed before the timer, so
+// allocs/op is the steady-state serving figure (0 for every matcher).
+func BenchmarkModelLocate(b *testing.B) {
+	dep, err := tafloc.NewDeployment(tafloc.SquareConfig(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ys := locateProbes(dep)
+	for _, name := range []string{"nn", "knn", "bayes", "wknn"} {
+		b.Run(name, func(b *testing.B) {
+			sys, err := tafloc.OpenDeployment(dep, tafloc.WithMatcher(name))
+			if err != nil {
+				b.Fatal(err)
+			}
+			model := sys.Model()
+			sc := tafloc.NewScratch()
+			for _, y := range ys {
+				if _, err := model.Locate(y, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.Locate(ys[i%len(ys)], sc); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -92,15 +92,11 @@ func (km KNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error)
 	}
 	dists := sc.distances(m.x.Cols())
 	columnDistsInto(dists, m.x, y)
-	cands := sc.candidates(m.x.Cols())
-	for j, d := range dists {
-		cands[j] = cand{j, d}
-	}
-	sortCands(cands)
+	cands := nearestCands(sc, dists, k)
 	var wsum float64
 	var px, py float64
 	const eps = 1e-6
-	for _, c := range cands[:k] {
+	for _, c := range cands {
 		w := 1 / (c.d + eps)
 		p := m.layout.Grid.Center(c.j)
 		px += w * p.X
@@ -241,14 +237,10 @@ func (wm WeightedKNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location
 	}
 	dists := sc.distances(x.Cols())
 	weightedDistsInto(dists, x, obs, y, wObs, wRec)
-	cands := sc.candidates(x.Cols())
-	for j, d := range dists {
-		cands[j] = cand{j, d}
-	}
-	sortCands(cands)
+	cands := nearestCands(sc, dists, k)
 	var wsum, px, py float64
 	const eps = 1e-6
-	for _, c := range cands[:k] {
+	for _, c := range cands {
 		w := 1 / (c.d + eps)
 		p := grid.Center(c.j)
 		px += w * p.X
@@ -382,6 +374,48 @@ func (d Detector) Present(y []float64) (bool, float64) {
 	return dev > thr, dev
 }
 
+// nearestCands returns the k (1 <= k <= len(dists)) candidates nearest
+// to the live vector, nearest first: exactly the first k of sortCands
+// over every candidate, found in one pass that keeps a sorted top-k
+// list in the first k slots of the Scratch's candidate buffer. That
+// prefix is unique — and so independent of the sort algorithm — unless
+// an exact tie touches the top k or a distance is NaN (which compares
+// equal to everything). On either, the pass stops and sorts all
+// candidates with sortCands instead, so the unstable sort's tie order,
+// which every estimate has always followed, is kept bit for bit.
+//
+//tafloc:noalloc steady state reuses the Scratch's candidate buffer; only its amortized grow allocates.
+func nearestCands(sc *Scratch, dists []float64, k int) []cand {
+	cands := sc.candidates(len(dists))
+	top := cands[:0]
+	limit := math.Inf(1) // distance of the k-th kept candidate once k are kept
+	for j, d := range dists {
+		if d > limit {
+			continue
+		}
+		p := len(top)
+		for p > 0 && d < top[p-1].d {
+			p--
+		}
+		if d != d || (p > 0 && top[p-1].d == d) {
+			for i, di := range dists {
+				cands[i] = cand{i, di}
+			}
+			sortCands(cands)
+			return cands[:k]
+		}
+		if len(top) < k {
+			top = top[:len(top)+1]
+		}
+		copy(top[p+1:], top[p:])
+		top[p] = cand{j, d}
+		if len(top) == k {
+			limit = top[k-1].d
+		}
+	}
+	return top
+}
+
 // sortCands orders candidates by ascending distance — the same
 // comparison the matchers have always used, so sorted output (and thus
 // every location estimate) is unchanged by the scratch refactor.
@@ -400,38 +434,50 @@ func sortCands(cands []cand) {
 	})
 }
 
-func columnDist(x *mat.Matrix, j int, y []float64) float64 {
-	var s float64
-	for i := 0; i < x.Rows(); i++ {
-		d := x.At(i, j) - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // columnDistsInto fills dst with the Euclidean distance from y to every
-// fingerprint column, fanning the per-cell work items out across the mat
-// worker pool when the database is large enough to pay for it. The
-// single-chunk case runs as a plain loop — no goroutines, no closure —
-// so small-database matching allocates nothing; either way every element
-// is computed with identical per-element arithmetic, so results are
-// bitwise independent of the worker count.
+// fingerprint column, fanning column ranges out across the mat worker
+// pool when the database is large enough to pay for it. The
+// single-chunk case runs inline — no goroutines, no closure — so
+// small-database matching allocates nothing; either way every column
+// sums the same terms in the same order, so results are bitwise
+// independent of the worker count.
 //
-//tafloc:noalloc the FanOut gate keeps the common small-database case on the closure-free loop; only the fanned-out path pays the one closure.
+//tafloc:noalloc the FanOut gate keeps the common small-database case on the closure-free path; only the fanned-out path pays the one closure.
 func columnDistsInto(dst []float64, x *mat.Matrix, y []float64) {
 	n := x.Cols()
 	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		for j := 0; j < n; j++ {
-			dst[j] = columnDist(x, j, y)
-		}
+		columnDistsRange(dst, x, y, 0, n)
 		return
 	}
 	//tafloc:alloc-ok one closure per fanned-out round, amortized over >=1 chunk of per-cell work each worth thousands of flops
 	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = columnDist(x, j, y)
-		}
+		columnDistsRange(dst, x, y, lo, hi)
 	})
+}
+
+// columnDistsRange computes dst[lo:hi], the distances to columns
+// [lo, hi), in one row-major pass over the database: row i adds its
+// squared deviation to every column's running sum before row i+1 does,
+// so each column still accumulates its terms in link order with the
+// same d*d expression, and keeps its bits, while the walk stays
+// sequential in memory.
+//
+//tafloc:noalloc pure arithmetic over caller-owned slices.
+func columnDistsRange(dst []float64, x *mat.Matrix, y []float64, lo, hi int) {
+	n, raw := x.Cols(), x.Raw()
+	acc := dst[lo:hi]
+	clear(acc)
+	for i, yi := range y {
+		row := raw[i*n+lo : i*n+hi]
+		row = row[:len(acc)] // equal lengths drop the inner bounds checks
+		for j := range acc {
+			d := row[j] - yi
+			acc[j] += d * d
+		}
+	}
+	for j, s := range acc {
+		acc[j] = math.Sqrt(s)
+	}
 }
 
 // weightedDistsInto is columnDistsInto with per-entry inverse-variance
@@ -442,30 +488,47 @@ func columnDistsInto(dst []float64, x *mat.Matrix, y []float64) {
 func weightedDistsInto(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64) {
 	n := x.Cols()
 	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		for j := 0; j < n; j++ {
-			dst[j] = weightedDist(x, obs, j, y, wObs, wRec)
-		}
+		weightedDistsRange(dst, x, obs, y, wObs, wRec, 0, n)
 		return
 	}
 	//tafloc:alloc-ok one closure per fanned-out round; see columnDistsInto
 	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = weightedDist(x, obs, j, y, wObs, wRec)
-		}
+		weightedDistsRange(dst, x, obs, y, wObs, wRec, lo, hi)
 	})
 }
 
-func weightedDist(x, obs *mat.Matrix, j int, y []float64, wObs, wRec float64) float64 {
-	var s float64
-	for i := 0; i < x.Rows(); i++ {
-		d := x.At(i, j) - y[i]
-		w := wObs
-		if obs != nil && obs.At(i, j) == 0 {
-			w = wRec
+// weightedDistsRange is columnDistsRange with the w*d*d terms of
+// weightedDistsInto.
+//
+//tafloc:noalloc pure arithmetic over caller-owned slices.
+func weightedDistsRange(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64, lo, hi int) {
+	n, raw := x.Cols(), x.Raw()
+	acc := dst[lo:hi]
+	clear(acc)
+	for i, yi := range y {
+		row := raw[i*n+lo : i*n+hi]
+		row = row[:len(acc)]
+		if obs == nil {
+			for j := range acc {
+				d := row[j] - yi
+				acc[j] += wObs * d * d
+			}
+			continue
 		}
-		s += w * d * d
+		mask := obs.Raw()[i*n+lo : i*n+hi]
+		mask = mask[:len(acc)]
+		for j := range acc {
+			d := row[j] - yi
+			w := wObs
+			if mask[j] == 0 {
+				w = wRec
+			}
+			acc[j] += w * d * d
+		}
 	}
-	return math.Sqrt(s)
+	for j, s := range acc {
+		acc[j] = math.Sqrt(s)
+	}
 }
 
 // matchChunk sizes per-cell matching chunks: ~4 flops per link entry

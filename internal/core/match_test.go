@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,5 +230,67 @@ func TestDetectorDefaultThreshold(t *testing.T) {
 	p := f.l.Links[2].Midpoint()
 	if present, _ := d.Present(f.liveAt(p)); !present {
 		t.Fatal("default threshold missed an on-LoS target")
+	}
+}
+
+// TestNearestCandsMatchesSortPrefix pins the one-pass k-nearest
+// selection to the full sort it replaces: for every k from 1 to n, the
+// selected (index, distance bits) pairs must equal the first k of
+// sortCands over the same slice — across exact ties inside the top k
+// and at its boundary, NaNs, and infinities, where the selection has
+// to fall back to that sort to keep its tie order.
+func TestNearestCandsMatchesSortPrefix(t *testing.T) {
+	sc := NewScratch()
+	check := func(name string, dists []float64) {
+		t.Helper()
+		want := make([]cand, len(dists))
+		for j, d := range dists {
+			want[j] = cand{j, d}
+		}
+		sortCands(want)
+		for k := 1; k <= len(dists); k++ {
+			got := nearestCands(sc, dists, k)
+			if len(got) != k {
+				t.Fatalf("%s k=%d: %d candidates", name, k, len(got))
+			}
+			for i, c := range got {
+				if c.j != want[i].j || math.Float64bits(c.d) != math.Float64bits(want[i].d) {
+					t.Fatalf("%s k=%d: slot %d is (%d, %v), sortCands has (%d, %v)\ndists %v",
+						name, k, i, c.j, c.d, want[i].j, want[i].d, dists)
+				}
+			}
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	check("distinct", []float64{5, 3, 9, 1, 7, 2})
+	check("tie inside top k", []float64{6, 1, 4, 1, 9, 8})
+	check("tie at boundary", []float64{2, 5, 1, 9, 5, 7})
+	check("tie after boundary", []float64{2, 1, 3, 9, 9, 4})
+	check("all equal", []float64{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	check("nan first", []float64{nan, 4, 2, 8})
+	check("nan last", []float64{4, 2, 8, nan})
+	check("infinities", []float64{inf, 2, inf, 1, inf})
+
+	// Random slices long enough for the sort's unstable partitioning
+	// (it insertion-sorts only up to 12 elements), from a small value set
+	// so exact ties are common, plus injected duplicates and NaNs.
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(80)
+		dists := make([]float64, n)
+		for j := range dists {
+			if trial%2 == 0 {
+				dists[j] = rng.Float64() * 10
+			} else {
+				dists[j] = float64(rng.Intn(2 * n))
+			}
+		}
+		if trial%3 == 0 {
+			dists[rng.Intn(n)] = dists[rng.Intn(n)]
+		}
+		if trial%7 == 0 {
+			dists[rng.Intn(n)] = nan
+		}
+		check(fmt.Sprintf("random %d", trial), dists)
 	}
 }

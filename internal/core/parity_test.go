@@ -210,9 +210,20 @@ func refWKNNMatch(m WeightedKNNMatcher, observed *mat.Matrix, x *mat.Matrix, gri
 func refColumnDists(x *mat.Matrix, y []float64) []float64 {
 	dists := make([]float64, x.Cols())
 	for j := range dists {
-		dists[j] = columnDist(x, j, y)
+		dists[j] = refColumnDist(x, j, y)
 	}
 	return dists
+}
+
+// refColumnDist is the column-by-column distance the matchers used
+// before the row-major kernel.
+func refColumnDist(x *mat.Matrix, j int, y []float64) float64 {
+	var s float64
+	for i := 0; i < x.Rows(); i++ {
+		d := x.At(i, j) - y[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }
 
 // TestMatcherParityWithPreRefactor runs all four matchers over a bank of

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"tafloc/internal/wire"
+	"tafloc/taflocerr"
 )
 
 // Ingestor is the transport-agnostic ingestion surface of the serving
@@ -23,17 +25,22 @@ type Ingestor interface {
 
 // Ingest is the shared ingestion path. A report addressing a link
 // outside the zone's deployment rejects the whole batch with an error
-// matching both ErrBadReport and taflocerr.ErrBadLink; when the zone's
-// bounded queue is full the batch is shed and ErrQueueFull returned —
-// ingestion never blocks the caller. A batch addressed to a cold zone
-// (Model evicted to the snapshot store) rehydrates it first; a failed
-// rehydrate rejects the batch with an error matching ErrRehydrate and
+// matching both ErrBadReport and taflocerr.ErrBadLink. A report whose
+// RSS is NaN, infinite, or outside the int32 milli-dBm range a UDP
+// frame can carry (about ±2.1e6 dBm) rejects the whole batch with a
+// taflocerr.CodeBadRequest error: one such value would poison the
+// zone's live window, which would publish non-finite positions until
+// the sample aged out. When the zone's bounded queue is full the batch
+// is shed and ErrQueueFull returned — ingestion never blocks the
+// caller. A batch addressed to a cold zone (Model evicted to the
+// snapshot store) rehydrates it first; a failed rehydrate rejects the
+// batch with an error matching ErrRehydrate and
 // taflocerr.ErrRehydrateFailed while the zone stays registered for
-// retry. Rejected and shed reports count
-// into the zone's Dropped stat, accepted ones into Received, for every
-// transport alike. An accepted batch arms the zone's fold round on the
-// shared executor pool (a running service folds promptly; before Start
-// the queue simply fills, and Start schedules the backlog).
+// retry. Rejected and shed reports count into the zone's Dropped stat,
+// accepted ones into Received, for every transport alike. An accepted
+// batch arms the zone's fold round on the shared executor pool (a
+// running service folds promptly; before Start the queue simply fills,
+// and Start schedules the backlog).
 func (s *Service) Ingest(id string, reports []Report) error {
 	s.mu.RLock()
 	z, ok := s.zones[id]
@@ -50,6 +57,11 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		if r.Link < 0 || r.Link >= m {
 			z.dropped.Add(uint64(len(reports)))
 			return fmt.Errorf("%w: link %d of %d in zone %q", ErrBadReport, r.Link, m, id)
+		}
+		if math.IsNaN(r.RSS) || r.RSS < minRSS || r.RSS > maxRSS {
+			z.dropped.Add(uint64(len(reports)))
+			return taflocerr.Errorf(taflocerr.CodeBadRequest,
+				"serve: report rss %v dBm on link %d outside [%v, %v] in zone %q", r.RSS, r.Link, minRSS, maxRSS, id)
 		}
 	}
 	// A cold zone rehydrates here, before its reports enter the queue:
@@ -89,6 +101,13 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		return ErrQueueFull
 	}
 }
+
+// minRSS and maxRSS bound an accepted RSS value in dBm: the int32
+// milli-dBm range wire.SetRSS saturates to, so every UDP frame passes.
+const (
+	minRSS = math.MinInt32 / 1000.0
+	maxRSS = math.MaxInt32 / 1000.0
+)
 
 // IngestSink adapts an Ingestor into a collector batch sink for one
 // zone: wire it with Collector.SetBatchSink and every decoded UDP batch

@@ -2,14 +2,20 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tafloc/internal/api"
 	"tafloc/internal/collector"
 	"tafloc/internal/wire"
+	"tafloc/taflocerr"
 )
 
 // wireBatch shapes n frames as a UDP batch datagram payload.
@@ -186,5 +192,87 @@ func TestCollectorForwardsOnlyKeptFrames(t *testing.T) {
 	}
 	if zs.Received != uint64(links) || zs.Dropped != 0 {
 		t.Errorf("zone stats %+v, want received=%d dropped=0", zs, links)
+	}
+}
+
+// TestOutOfRangeRSSRejected pins the RSS value check on the shared
+// ingest path. Without it, one POST carrying "rss":1e308 on one link
+// was accepted: the zone's live window then published a NaN point at
+// +Inf distance, and the position and track endpoints answered 200
+// with an empty body (the JSON encoder fails on NaN after the header
+// is out) until the sample left the window. Every transport must
+// reject such a batch as bad_request, count it as dropped, and leave
+// the zone serving decodable positions.
+func TestOutOfRangeRSSRejected(t *testing.T) {
+	dep := testDeployment(t)
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
+	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := svc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	h := svc.Handler()
+
+	poisoned := targetBatch(dep, streamTestPoint)
+	poisoned[0].RSS = 1e308
+	batchLen := len(poisoned)
+	body, err := json.Marshal(api.ReportRequest{Zone: "z", Reports: poisoned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v2/report", "/v1/report"} {
+		status, resp, _ := doReq(t, h, http.MethodPost, path, string(body))
+		if status != http.StatusBadRequest {
+			t.Errorf("POST %s with rss 1e308: status %d (%s), want 400", path, status, resp)
+		}
+		if path == "/v2/report" {
+			var eb api.ErrorBody
+			if err := json.Unmarshal([]byte(resp), &eb); err != nil || eb.Code != taflocerr.CodeBadRequest {
+				t.Errorf("POST %s: body %q, want code %q", path, resp, taflocerr.CodeBadRequest)
+			}
+		}
+	}
+	line, _ := json.Marshal(poisoned)
+	acks := streamAcks(t, srv, "z", string(line)+"\n")
+	if len(acks) != 2 || acks[0].Code != taflocerr.CodeBadRequest || acks[1].Trailer == nil || acks[1].Trailer.Rejected != uint64(batchLen) {
+		t.Errorf("stream acks %+v, want one bad_request line and a trailer rejecting %d reports", acks, batchLen)
+	}
+	// Values JSON cannot carry reach Ingest in-process.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), minRSS - 1, maxRSS + 1} {
+		batch := targetBatch(dep, streamTestPoint)
+		batch[len(batch)-1].RSS = v
+		if err := svc.Ingest("z", batch); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+			t.Errorf("Ingest with rss %v: %v, want a bad_request error", v, err)
+		}
+	}
+	const rejectedBatches = 3 + 5 // two POSTs and a stream line, then five in-process batches
+	if st := svc.Stats()["z"]; st.Received != 0 || st.Dropped != uint64(rejectedBatches*batchLen) {
+		t.Errorf("stats after rejected batches: %+v, want received 0, dropped %d", st, rejectedBatches*batchLen)
+	}
+
+	if err := svc.Ingest("z", targetBatch(dep, streamTestPoint)); err != nil {
+		t.Fatal(err)
+	}
+	waitForEstimate(t, svc, "z", func(Estimate) bool { return true })
+	for _, path := range []string{"/v2/zones/z/position", "/v2/zones/z/track", "/v1/zones/z/position"} {
+		status, resp, _ := doReq(t, h, http.MethodGet, path, "")
+		var v map[string]any
+		if status != http.StatusOK || json.Unmarshal([]byte(resp), &v) != nil || len(v) == 0 {
+			t.Errorf("GET %s: status %d, body %q, want 200 with a JSON object", path, status, resp)
+		}
+	}
+
+	// Both ends of the range a UDP frame saturates to still pass.
+	frames := wireBatch(2, -40)
+	frames[0].SetRSS(1e12)
+	frames[1].SetRSS(-1e12)
+	edge := []Report{FromWire(&frames[0]), FromWire(&frames[1])}
+	if err := svc.Ingest("z", edge); err != nil {
+		t.Errorf("Ingest of saturated wire frames (rss %v, %v): %v", edge[0].RSS, edge[1].RSS, err)
 	}
 }
