@@ -411,9 +411,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 // GOMAXPROCS concurrent workers, each with its own reused Scratch. The
 // read plane is an atomic pointer load plus lock-free matching into
 // pooled buffers, so throughput should scale near-linearly with the
-// worker count (the acceptance bar is >=2x at 4 workers vs 1). The mat
-// kernels are pinned to one worker so the benchmark measures
-// cross-request scaling, not intra-request fan-out.
+// worker count (the acceptance bar is >=2x at 4 workers vs 1).
 func BenchmarkLocateParallel(b *testing.B) {
 	dep, err := tafloc.NewDeployment(tafloc.SquareConfig(12))
 	if err != nil {
@@ -426,8 +424,6 @@ func BenchmarkLocateParallel(b *testing.B) {
 	model := sys.Model()
 	ys := locateProbes(dep)
 	probes := len(ys)
-	prev := tafloc.SetWorkers(1)
-	defer tafloc.SetWorkers(prev)
 	workerSet := []int{1, 4}
 	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 4 {
 		workerSet = append(workerSet, gmp)

@@ -38,7 +38,7 @@ func main() {
 		log.Fatalf("cell %d out of range [0,%d)", *cell, dep.Grid.Cells())
 	}
 
-	col, err := tafloc.NewCollector(dep.Channel.M(), 8)
+	col, err := tafloc.NewCollector(dep.Channel.M())
 	if err != nil {
 		log.Fatal(err)
 	}

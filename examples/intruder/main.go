@@ -69,7 +69,7 @@ func main() {
 
 	// Start the collector on loopback and forward every decoded datagram
 	// batch into the service's shared ingest path.
-	col, err := tafloc.NewCollector(dep.Channel.M(), 8)
+	col, err := tafloc.NewCollector(dep.Channel.M())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,6 @@
 //     comparator is legal on the hot path.
 //   - amortizedGrow mirrors core.Scratch.candidates/interp, whose grow
 //     paths carry line-level //tafloc:alloc-ok markers.
-//   - capture mirrors the fanned-out ParallelFor closures in
-//     core.columnDistsInto, allowed there by the same marker.
 package a
 
 import "fmt"

@@ -29,13 +29,14 @@ type Report struct {
 	Vacant bool `json:"vacant,omitempty"`
 }
 
-// Estimate is a zone's most recent position estimate, as published to
-// the read-mostly snapshot and streamed to watchers.
+// Estimate is a zone's position estimate, as published by the zone,
+// served as its latest position and streamed to watchers.
 type Estimate struct {
 	// Zone is the zone ID the estimate belongs to.
 	Zone string `json:"zone"`
-	// Seq increases by one per published estimate across the service, so
-	// readers can order estimates and detect staleness.
+	// Seq comes from one service-wide counter that increases by one per
+	// published estimate; a zone's estimates carry increasing Seqs in
+	// publish order, so readers can order them and detect staleness.
 	Seq uint64 `json:"seq"`
 	// Present reports whether the detection gate saw a target; when it is
 	// false the location fields are zero and Cell is -1.

@@ -26,9 +26,12 @@ type Collector struct {
 	cancel    context.CancelFunc
 }
 
-// New builds a collector for m links with the given live window.
-func New(m, window int, log *slog.Logger) (*Collector, error) {
-	store, err := NewStore(m, window)
+// New builds a collector for m links. The second parameter is ignored:
+// it was the length of a live window the collector no longer keeps (the
+// serving layer windows the frames it is forwarded), and it stays only
+// so that existing callers such as perfbench keep building.
+func New(m, _ int, log *slog.Logger) (*Collector, error) {
+	store, err := NewStore(m)
 	if err != nil {
 		return nil, err
 	}

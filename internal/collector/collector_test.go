@@ -30,10 +30,10 @@ func testChannel(t *testing.T) *rf.Channel {
 }
 
 func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(0, 4); err == nil {
+	if _, err := NewStore(0); err == nil {
 		t.Fatal("accepted zero links")
 	}
-	s, err := NewStore(3, 0)
+	s, err := NewStore(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,30 +42,8 @@ func TestNewStoreValidation(t *testing.T) {
 	}
 }
 
-func TestStoreLiveWindow(t *testing.T) {
-	s, _ := NewStore(2, 3)
-	for k := 0; k < 10; k++ {
-		r := &wire.RSSReport{LinkID: 0, Seq: uint32(k + 1)}
-		r.SetRSS(float64(k)) // 0..9; window keeps 7,8,9
-		s.AddReport(r)
-	}
-	y, ok := s.LiveVector()
-	if ok {
-		t.Fatal("link 1 has no samples; ok must be false")
-	}
-	if math.Abs(y[0]-8) > 1e-9 {
-		t.Fatalf("windowed mean = %g, want 8", y[0])
-	}
-	r := &wire.RSSReport{LinkID: 1, Seq: 1}
-	r.SetRSS(-50)
-	s.AddReport(r)
-	if _, ok := s.LiveVector(); !ok {
-		t.Fatal("all links have samples; ok must be true")
-	}
-}
-
 func TestStoreSurveyPass(t *testing.T) {
-	s, _ := NewStore(2, 4)
+	s, _ := NewStore(2)
 	s.BeginSurvey(17)
 	for k := 0; k < 5; k++ {
 		for link := uint16(0); link < 2; link++ {
@@ -94,7 +72,7 @@ func TestStoreSurveyPass(t *testing.T) {
 }
 
 func TestStoreVacantPassOnlyCountsVacantFrames(t *testing.T) {
-	s, _ := NewStore(1, 4)
+	s, _ := NewStore(1)
 	s.BeginVacant()
 	vac := &wire.RSSReport{LinkID: 0, Seq: 1, Flags: wire.FlagVacant}
 	vac.SetRSS(-45)
@@ -112,7 +90,7 @@ func TestStoreVacantPassOnlyCountsVacantFrames(t *testing.T) {
 }
 
 func TestStoreDuplicateFramesExcludedFromPass(t *testing.T) {
-	s, _ := NewStore(1, 4)
+	s, _ := NewStore(1)
 	s.BeginSurvey(0)
 	r := &wire.RSSReport{LinkID: 0, Seq: 5}
 	r.SetRSS(-40)
@@ -128,7 +106,7 @@ func TestStoreDuplicateFramesExcludedFromPass(t *testing.T) {
 }
 
 func TestStoreDropsUnknownLink(t *testing.T) {
-	s, _ := NewStore(2, 4)
+	s, _ := NewStore(2)
 	r := &wire.RSSReport{LinkID: 9}
 	s.AddReport(r)
 	if st := s.Stats(); st.FramesDropped != 1 || st.FramesReceived != 1 {

@@ -22,7 +22,8 @@ type Mode int
 
 // Aggregation modes.
 const (
-	// ModeLive only feeds the per-link live window.
+	// ModeLive accumulates nothing: frames are only counted (and
+	// forwarded to the batch sink, when one is set).
 	ModeLive Mode = iota
 	// ModeSurvey additionally accumulates samples into the current
 	// survey pass.
@@ -49,9 +50,7 @@ type Store struct {
 	cell  int // surveyed cell while in ModeSurvey
 	stats Stats
 
-	// live sliding window per link
-	window     int
-	live       [][]float64
+	// newest sequence number seen per link
 	lastSeq    []uint32
 	lastSeqSet []bool
 
@@ -60,19 +59,13 @@ type Store struct {
 	accCount []int
 }
 
-// NewStore builds a store for m links with the given live-window length
-// per link (default 8 when <= 0).
-func NewStore(m, window int) (*Store, error) {
+// NewStore builds a store for m links.
+func NewStore(m int) (*Store, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("collector: need at least one link, got %d", m)
 	}
-	if window <= 0 {
-		window = 8
-	}
 	s := &Store{
 		m:          m,
-		window:     window,
-		live:       make([][]float64, m),
 		lastSeq:    make([]uint32, m),
 		lastSeqSet: make([]bool, m),
 		accSum:     make([]float64, m),
@@ -86,9 +79,9 @@ func (s *Store) Links() int { return s.m }
 
 // AddReport ingests one decoded report and reports whether it was kept.
 // Reports with out-of-range link IDs are dropped. Duplicate or reordered
-// frames (sequence not newer than the last seen) are kept but only feed
-// the live window, never the pass accumulators, so a retransmitted
-// survey frame cannot bias the average.
+// frames (sequence not newer than the last seen) are kept but never feed
+// the pass accumulators, so a retransmitted survey frame cannot bias the
+// average.
 func (s *Store) AddReport(r *wire.RSSReport) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -103,14 +96,10 @@ func (s *Store) AddReport(r *wire.RSSReport) bool {
 		s.lastSeq[i] = r.Seq
 		s.lastSeqSet[i] = true
 	}
-	rss := r.RSS()
-	s.live[i] = append(s.live[i], rss)
-	if len(s.live[i]) > s.window {
-		s.live[i] = s.live[i][len(s.live[i])-s.window:]
-	}
 	if !fresh {
 		return true
 	}
+	rss := r.RSS()
 	switch s.mode {
 	case ModeSurvey:
 		s.accSum[i] += rss
@@ -183,27 +172,6 @@ func (s *Store) PassCounts() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int(nil), s.accCount...)
-}
-
-// LiveVector returns the mean of each link's live window. ok is false
-// when any link has an empty window.
-func (s *Store) LiveVector() (y []float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	y = make([]float64, s.m)
-	ok = true
-	for i := 0; i < s.m; i++ {
-		if len(s.live[i]) == 0 {
-			ok = false
-			continue
-		}
-		var sum float64
-		for _, v := range s.live[i] {
-			sum += v
-		}
-		y[i] = sum / float64(len(s.live[i]))
-	}
-	return y, ok
 }
 
 // Stats returns a snapshot of the counters.

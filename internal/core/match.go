@@ -54,7 +54,7 @@ func (NNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 		defer PutScratch(sc)
 	}
 	dists := sc.distances(m.x.Cols())
-	columnDistsInto(dists, m.x, y)
+	columnDists(dists, m.x, y)
 	best, bestD := -1, math.Inf(1)
 	for j, d := range dists {
 		if d < bestD {
@@ -91,7 +91,7 @@ func (km KNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error)
 		k = m.x.Cols()
 	}
 	dists := sc.distances(m.x.Cols())
-	columnDistsInto(dists, m.x, y)
+	columnDists(dists, m.x, y)
 	cands := nearestCands(sc, dists, k)
 	var wsum float64
 	var px, py float64
@@ -137,7 +137,7 @@ func (bm BayesMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, erro
 	}
 	n := m.x.Cols()
 	dists := sc.distances(n)
-	columnDistsInto(dists, m.x, y)
+	columnDists(dists, m.x, y)
 	logp, post := sc.posteriors(n)
 	maxLog := math.Inf(-1)
 	for j := 0; j < n; j++ {
@@ -236,7 +236,7 @@ func (wm WeightedKNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location
 		k = x.Cols()
 	}
 	dists := sc.distances(x.Cols())
-	weightedDistsInto(dists, x, obs, y, wObs, wRec)
+	weightedDists(dists, x, obs, y, wObs, wRec)
 	cands := nearestCands(sc, dists, k)
 	var wsum, px, py float64
 	const eps = 1e-6
@@ -434,41 +434,20 @@ func sortCands(cands []cand) {
 	})
 }
 
-// columnDistsInto fills dst with the Euclidean distance from y to every
-// fingerprint column, fanning column ranges out across the mat worker
-// pool when the database is large enough to pay for it. The
-// single-chunk case runs inline — no goroutines, no closure — so
-// small-database matching allocates nothing; either way every column
-// sums the same terms in the same order, so results are bitwise
-// independent of the worker count.
-//
-//tafloc:noalloc the FanOut gate keeps the common small-database case on the closure-free path; only the fanned-out path pays the one closure.
-func columnDistsInto(dst []float64, x *mat.Matrix, y []float64) {
-	n := x.Cols()
-	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		columnDistsRange(dst, x, y, 0, n)
-		return
-	}
-	//tafloc:alloc-ok one closure per fanned-out round, amortized over >=1 chunk of per-cell work each worth thousands of flops
-	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		columnDistsRange(dst, x, y, lo, hi)
-	})
-}
-
-// columnDistsRange computes dst[lo:hi], the distances to columns
-// [lo, hi), in one row-major pass over the database: row i adds its
-// squared deviation to every column's running sum before row i+1 does,
-// so each column still accumulates its terms in link order with the
-// same d*d expression, and keeps its bits, while the walk stays
-// sequential in memory.
+// columnDists fills dst with the Euclidean distance from y to every
+// fingerprint column in one row-major pass over the database: row i
+// adds its squared deviation to every column's running sum before row
+// i+1 does, so each column still accumulates its terms in link order
+// with the same d*d expression, and keeps its bits, while the walk
+// stays sequential in memory.
 //
 //tafloc:noalloc pure arithmetic over caller-owned slices.
-func columnDistsRange(dst []float64, x *mat.Matrix, y []float64, lo, hi int) {
+func columnDists(dst []float64, x *mat.Matrix, y []float64) {
 	n, raw := x.Cols(), x.Raw()
-	acc := dst[lo:hi]
+	acc := dst[:n]
 	clear(acc)
 	for i, yi := range y {
-		row := raw[i*n+lo : i*n+hi]
+		row := raw[i*n : i*n+n]
 		row = row[:len(acc)] // equal lengths drop the inner bounds checks
 		for j := range acc {
 			d := row[j] - yi
@@ -480,33 +459,17 @@ func columnDistsRange(dst []float64, x *mat.Matrix, y []float64, lo, hi int) {
 	}
 }
 
-// weightedDistsInto is columnDistsInto with per-entry inverse-variance
-// weights: wObs for observed (measured) entries, wRec for reconstructed
-// ones. A nil observed mask weighs every entry wObs.
-//
-//tafloc:noalloc same shape as columnDistsInto: closure-free unless the database is large enough to fan out.
-func weightedDistsInto(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64) {
-	n := x.Cols()
-	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		weightedDistsRange(dst, x, obs, y, wObs, wRec, 0, n)
-		return
-	}
-	//tafloc:alloc-ok one closure per fanned-out round; see columnDistsInto
-	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		weightedDistsRange(dst, x, obs, y, wObs, wRec, lo, hi)
-	})
-}
-
-// weightedDistsRange is columnDistsRange with the w*d*d terms of
-// weightedDistsInto.
+// weightedDists is columnDists with per-entry inverse-variance weights:
+// wObs for observed (measured) entries, wRec for reconstructed ones. A
+// nil observed mask weighs every entry wObs.
 //
 //tafloc:noalloc pure arithmetic over caller-owned slices.
-func weightedDistsRange(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64, lo, hi int) {
+func weightedDists(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64) {
 	n, raw := x.Cols(), x.Raw()
-	acc := dst[lo:hi]
+	acc := dst[:n]
 	clear(acc)
 	for i, yi := range y {
-		row := raw[i*n+lo : i*n+hi]
+		row := raw[i*n : i*n+n]
 		row = row[:len(acc)]
 		if obs == nil {
 			for j := range acc {
@@ -515,7 +478,7 @@ func weightedDistsRange(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wR
 			}
 			continue
 		}
-		mask := obs.Raw()[i*n+lo : i*n+hi]
+		mask := obs.Raw()[i*n : i*n+n]
 		mask = mask[:len(acc)]
 		for j := range acc {
 			d := row[j] - yi
@@ -529,15 +492,6 @@ func weightedDistsRange(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wR
 	for j, s := range acc {
 		acc[j] = math.Sqrt(s)
 	}
-}
-
-// matchChunk sizes per-cell matching chunks: ~4 flops per link entry
-// (subtract, square, accumulate, optional weight).
-func matchChunk(links int) int {
-	if links < 1 {
-		links = 1
-	}
-	return mat.ChunkFor(4 * links)
 }
 
 func checkMatch(m *Model, y []float64) error {

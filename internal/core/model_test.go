@@ -100,10 +100,6 @@ func TestLocateConsistentDuringUpdate(t *testing.T) {
 // Scratch now and then (about one allocation per call for bayes, whose
 // Scratch holds three buffers).
 func TestLocateZeroAllocSteadyState(t *testing.T) {
-	// One worker keeps the distance kernel on the inline serial path —
-	// fan-out spawns goroutines, which is exactly what the guard avoids.
-	prev := mat.SetWorkers(1)
-	defer mat.SetWorkers(prev)
 	f := newSystemFixture(t, 6)
 	y := f.dep.Channel.MeasureLive(geom.Point{X: 1.2, Y: 2.0}, 0)
 	for _, name := range []string{MatcherNN, MatcherKNN, MatcherBayes, MatcherWKNN} {
@@ -170,8 +166,6 @@ func TestModelSurvivesUpdate(t *testing.T) {
 // database seen and then stop allocating, across models of different
 // sizes.
 func TestScratchPoolReuse(t *testing.T) {
-	prev := mat.SetWorkers(1)
-	defer mat.SetWorkers(prev)
 	l := testLayout(t)
 	truth, _ := syntheticTruth(l, rand.New(rand.NewSource(13)))
 	m := mustModel(t, l, truth)

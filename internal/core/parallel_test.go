@@ -46,42 +46,3 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 			parallel.Rank, parallel.Iterations, serial.Rank, serial.Iterations)
 	}
 }
-
-// TestParallelMatchMatchesSerial checks the per-cell parallel matchers
-// against their serial execution.
-func TestParallelMatchMatchesSerial(t *testing.T) {
-	grid, err := geom.NewGrid(7.2, 4.8, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := NewLayout(geom.CrossedDeployment(7.2, 4.8, 10), grid, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	truth, _ := syntheticTruth(layout, rng)
-	y := truth.Col(37)
-	for i := range y {
-		y[i] += 0.3 * rng.NormFloat64()
-	}
-	model := mustModel(t, layout, truth)
-	matchers := []Matcher{
-		NNMatcher{},
-		KNNMatcher{K: 4},
-		BayesMatcher{},
-		WeightedKNNMatcher{},
-	}
-	for _, m := range matchers {
-		prev := mat.SetWorkers(1)
-		serial, err1 := m.Match(model, y, NewScratch())
-		mat.SetWorkers(8)
-		parallel, err2 := m.Match(model, y, NewScratch())
-		mat.SetWorkers(prev)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%T: %v / %v", m, err1, err2)
-		}
-		if serial != parallel {
-			t.Errorf("%T: parallel %+v differs from serial %+v", m, parallel, serial)
-		}
-	}
-}

@@ -8,10 +8,10 @@ import (
 
 // The parallel kernels in this package fan work out over a bounded set of
 // goroutine workers. Partitioning is always by independent output range
-// (rows of the product, columns of a Householder update), so every element
-// is computed by exactly one worker with the same per-element arithmetic
-// order as the serial kernel: results are bitwise identical regardless of
-// worker count.
+// (rows or columns of the product), so every element is computed by
+// exactly one worker with the same per-element arithmetic order as the
+// serial kernel: results are bitwise identical regardless of worker
+// count.
 
 // parMinFlops is the approximate floating-point work below which a chunk
 // is not worth a goroutine: fan-out only happens when each worker gets at
@@ -71,10 +71,9 @@ func ParallelFor(n, minChunk int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// parChunks is the single source of the partitioning heuristic: how
-// many chunks ParallelFor splits [0, n) into under the current worker
-// setting (at least 1 for n > 0). FanOut shares it, so the two can
-// never disagree.
+// parChunks is the partitioning heuristic: how many chunks ParallelFor
+// splits [0, n) into under the current worker setting (at least 1 for
+// n > 0).
 func parChunks(n, minChunk int) int {
 	if minChunk < 1 {
 		minChunk = 1
@@ -87,16 +86,6 @@ func parChunks(n, minChunk int) int {
 		chunks = w
 	}
 	return chunks
-}
-
-// FanOut reports whether ParallelFor would split [0, n) into more than
-// one chunk under the current worker setting. Allocation-sensitive
-// callers use it to run the single-chunk case as a plain inline loop:
-// spawning goroutines heap-allocates the loop closure, and a caller
-// that only constructs the closure inside a FanOut-guarded branch pays
-// nothing on the serial path.
-func FanOut(n, minChunk int) bool {
-	return n > 0 && parChunks(n, minChunk) > 1
 }
 
 // ChunkFor returns the minimum ParallelFor chunk length such that one

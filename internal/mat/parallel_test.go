@@ -75,44 +75,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelDecompositionsMatchSerial does the same for the per-column
-// QR and SVD work items.
-func TestParallelDecompositionsMatchSerial(t *testing.T) {
-	a := New(90, 60)
-	fill(a, 7)
-
-	var rS, qS *Matrix
-	var pivS []int
-	var svdS *SVD
-	withWorkers(t, 1, func() {
-		f := QRDecompose(a)
-		rS, qS = f.R(), f.Q()
-		pivS = QRPivoted(a).Pivot
-		svdS = SVDecompose(a)
-	})
-	withWorkers(t, 8, func() {
-		f := QRDecompose(a)
-		if !f.R().Equal(rS, 0) || !f.Q().Equal(qS, 0) {
-			t.Error("parallel QR differs from serial")
-		}
-		piv := QRPivoted(a).Pivot
-		for i := range piv {
-			if piv[i] != pivS[i] {
-				t.Fatalf("parallel pivoted QR pivot %d: %d vs %d", i, piv[i], pivS[i])
-			}
-		}
-		svd := SVDecompose(a)
-		for i := range svd.S {
-			if svd.S[i] != svdS.S[i] {
-				t.Fatalf("parallel SVD singular value %d: %g vs %g", i, svd.S[i], svdS.S[i])
-			}
-		}
-		if !svd.U.Equal(svdS.U, 0) || !svd.V.Equal(svdS.V, 0) {
-			t.Error("parallel SVD factors differ from serial")
-		}
-	})
-}
-
 // TestSetWorkers checks the setter contract.
 func TestSetWorkers(t *testing.T) {
 	prev := SetWorkers(3)

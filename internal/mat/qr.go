@@ -53,27 +53,24 @@ func houseColumn(a *Matrix, r0, j int, tau *float64) {
 }
 
 // applyHouseLeft applies the reflector stored in column j (pivot row j) to
-// columns [c0, n). Each target column is an independent work item, so the
-// update fans out per column across the worker pool on large panels.
+// columns [c0, n).
 func applyHouseLeft(a *Matrix, j, c0 int, tau float64) {
 	if tau == 0 {
 		return
 	}
 	m, n := a.rows, a.cols
-	ParallelFor(n-c0, ChunkFor(4*(m-j)), func(lo, hi int) {
-		for c := c0 + lo; c < c0+hi; c++ {
-			// w = vᵀ a[:,c] with v = [1, a[j+1:,j]]
-			w := a.At(j, c)
-			for i := j + 1; i < m; i++ {
-				w += a.At(i, j) * a.At(i, c)
-			}
-			w *= tau
-			a.Add(j, c, -w)
-			for i := j + 1; i < m; i++ {
-				a.Add(i, c, -w*a.At(i, j))
-			}
+	for c := c0; c < n; c++ {
+		// w = vᵀ a[:,c] with v = [1, a[j+1:,j]]
+		w := a.At(j, c)
+		for i := j + 1; i < m; i++ {
+			w += a.At(i, j) * a.At(i, c)
 		}
-	})
+		w *= tau
+		a.Add(j, c, -w)
+		for i := j + 1; i < m; i++ {
+			a.Add(i, c, -w*a.At(i, j))
+		}
+	}
 }
 
 // R returns the upper-triangular factor (min(m,n) x n).

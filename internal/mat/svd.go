@@ -77,18 +77,15 @@ func SVDecompose(a *Matrix) *SVD {
 			break
 		}
 	}
-	// Singular values are the column norms of W; U = W normalized. Each
-	// column is an independent work item.
+	// Singular values are the column norms of W; U = W normalized.
 	s := make([]float64, n)
-	ParallelFor(n, ChunkFor(2*m), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var norm float64
-			for i := 0; i < m; i++ {
-				norm += w.data[i*n+j] * w.data[i*n+j]
-			}
-			s[j] = math.Sqrt(norm)
+	for j := 0; j < n; j++ {
+		var norm float64
+		for i := 0; i < m; i++ {
+			norm += w.data[i*n+j] * w.data[i*n+j]
 		}
-	})
+		s[j] = math.Sqrt(norm)
+	}
 	// Sort descending, permuting U and V columns accordingly.
 	idx := make([]int, n)
 	for i := range idx {
@@ -98,21 +95,18 @@ func SVDecompose(a *Matrix) *SVD {
 	u := New(m, n)
 	vOut := New(n, n)
 	sOut := make([]float64, n)
-	ParallelFor(n, ChunkFor(2*(m+n)), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := idx[k]
-			sOut[k] = s[j]
-			if s[j] > 0 {
-				inv := 1 / s[j]
-				for i := 0; i < m; i++ {
-					u.data[i*n+k] = w.data[i*n+j] * inv
-				}
-			}
-			for i := 0; i < n; i++ {
-				vOut.data[i*n+k] = v.data[i*n+j]
+	for k, j := range idx {
+		sOut[k] = s[j]
+		if s[j] > 0 {
+			inv := 1 / s[j]
+			for i := 0; i < m; i++ {
+				u.data[i*n+k] = w.data[i*n+j] * inv
 			}
 		}
-	})
+		for i := 0; i < n; i++ {
+			vOut.data[i*n+k] = v.data[i*n+j]
+		}
+	}
 	return &SVD{U: u, S: sOut, V: vOut}
 }
 

@@ -27,29 +27,34 @@
 // bounded-queue load shedding, and per-zone counters — a batch is
 // counted and shed identically no matter how it arrived.
 //
-// Position queries never touch the ingest path: the most recent estimate
-// of every zone lives in a read-mostly snapshot behind an atomic pointer.
-// Publishing an estimate copies the snapshot (copy-on-write, serialized
-// among the locate tasks); reading it is a single atomic load with no
-// lock, so the query path scales with reader count and is never blocked
-// by ingestion, reconstruction, or other zones. Localization itself is
-// lock-free too: every zone's calibrated read state is an immutable
-// core.Model behind an atomic pointer, so any number of executor
-// workers match against the same zone concurrently while LoLi-IR
-// updates swap in fresh Models underneath them (see docs/ARCHITECTURE.md).
+// Position queries never touch the ingest path: each zone's most recent
+// estimate lives in the zone's own publication, next to its watchers
+// and its history and track. Publishing an estimate takes only that
+// zone's lock, and a position read finds the zone under the registry
+// read lock and copies the estimate under the zone's lock, so it waits
+// only on registry changes (add, remove, update, Stop) and on that
+// zone's own publish — never on ingestion, reconstruction, or other
+// zones. Localization itself is lock-free: every zone's calibrated
+// read state is an immutable core.Model behind an atomic pointer, so
+// any number of executor workers match against the same zone
+// concurrently while LoLi-IR updates swap in fresh Models underneath
+// them (see docs/ARCHITECTURE.md).
 //
-// The matching and reconstruction work underneath is parallelized in
-// internal/mat and internal/core with GOMAXPROCS-aware worker pools, so
-// one heavy zone update uses the whole machine while the executor pool
-// keeps serving the other zones.
+// The reconstruction work underneath (matrix products and the LoLi-IR
+// initialization) is parallelized in internal/mat and internal/core
+// with GOMAXPROCS-aware worker pools, so one heavy zone update uses the
+// whole machine while the executor pool keeps serving the other zones.
+// Matching runs serially per query; the executor pool supplies the
+// parallelism across queries and zones.
 //
 // Zones are first-class at runtime: AddZone registers a zone into a
 // running service, RemoveZone quiesces and removes one (rejecting new
-// reports, dropping the snapshot entry, and terminating watch streams
-// with a Final estimate), and UpdateZone swaps the backing core.System
-// atomically while counters and watch subscriptions survive. Watch
-// subscribes a buffered channel to a zone's estimate stream, fed from
-// the same copy-on-write publish path the snapshot uses.
+// reports and position reads, and terminating watch streams with a
+// Final estimate), and UpdateZone swaps the backing core.System
+// atomically while counters, watch subscriptions, the latest position
+// and the track survive. Watch subscribes a buffered channel to a
+// zone's estimate stream, fed by the same per-zone publish that sets
+// the zone's position.
 //
 // The HTTP surface (Handler) serves two versions side by side. The
 // frozen /v1 routes (byte-identical responses, pinned by fixture

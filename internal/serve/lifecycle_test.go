@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"tafloc/internal/geom"
+	"tafloc/internal/store"
+	"tafloc/internal/store/storetest"
 	"tafloc/taflocerr"
 )
 
@@ -248,6 +250,40 @@ func TestAddZoneBeforeStartStillWorks(t *testing.T) {
 	waitForEstimate(t, svc, "z1", func(e Estimate) bool { return e.Seq > 0 })
 	cancel()
 	svc.Wait()
+}
+
+// TestRemovingZoneHidesPosition pins that a zone stops serving its last
+// position as soon as RemoveZone unregisters it, not once the removal
+// finishes: with the store delete held for 300 ms, Position and
+// Positions must already agree with Zones and Ingest that the zone is
+// gone.
+func TestRemovingZoneHidesPosition(t *testing.T) {
+	fs := storetest.New(store.NewMem())
+	fs.DelayOp(storetest.OpDelete, "z", 300*time.Millisecond, 1)
+	svc := newTestService(t, Config{Store: fs})
+	if err := svc.AddZone("z", testSystem(t, testDeployment(t))); err != nil {
+		t.Fatal(err)
+	}
+	svc.publish(svc.zones["z"], Estimate{Zone: "z", Cell: 1})
+	removed := make(chan error, 1)
+	go func() { removed <- svc.RemoveZone("z") }()
+	time.Sleep(100 * time.Millisecond)
+
+	if ids := svc.Zones(); len(ids) != 0 {
+		t.Fatalf("zones mid-removal = %v, want none", ids)
+	}
+	if err := svc.Ingest("z", []Report{{Link: 0, RSS: -40}}); !errors.Is(err, ErrUnknownZone) {
+		t.Errorf("ingest mid-removal: %v, want ErrUnknownZone", err)
+	}
+	if e, ok := svc.Position("z"); ok {
+		t.Errorf("Position mid-removal still answers %+v", e)
+	}
+	if e, ok := svc.Positions()["z"]; ok {
+		t.Errorf("Positions mid-removal still lists %+v", e)
+	}
+	if err := <-removed; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStoppedServiceRejectsMutations pins the post-Stop contract: zone

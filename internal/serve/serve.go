@@ -183,8 +183,8 @@ func (c Config) withDefaults() Config {
 // type; see internal/api).
 type Report = api.Report
 
-// Estimate is a zone's most recent position estimate, as published to
-// the read-mostly snapshot (shared wire type; see internal/api).
+// Estimate is a zone's position estimate, as published by the zone
+// (shared wire type; see internal/api).
 type Estimate = api.Estimate
 
 // ZoneStats snapshots one zone's counters (shared wire type; see
@@ -283,23 +283,77 @@ type zone struct {
 	stopped  bool
 	tasks    sync.WaitGroup
 
-	// Trajectory state: the publish path appends every estimate to hist
-	// and folds present fixes through tracker into trk; the /track and
-	// /history reads run on other goroutines, so the trio is guarded by
-	// its own mutex (taken after s.mu when both are held). All three are
-	// nil when the zone's history is disabled.
-	//
-	//tafloc:lock-order 40 zone trajectory lock; innermost of the zone locks
-	trackMu sync.Mutex
+	pub *publication
+}
+
+// publication is everything a zone has published: its latest estimate
+// (Position), the watch channels each estimate fans out to, and, when
+// the zone's history is on, the history ring, the trajectory filter
+// and the track ring behind /history and /track. One mutex guards it
+// all, so a publish takes only its own zone's lock. UpdateZone hands
+// the same publication to the replacement zone, so watchers, the
+// latest position and the track carry over with no copy.
+type publication struct {
+	//tafloc:lock-order 40 zone publication lock; innermost of the zone locks
+	mu       sync.Mutex
+	latest   Estimate
+	has      bool // latest holds a published estimate
+	watchers map[chan Estimate]struct{}
+	// The trajectory state; all three are nil when the zone's history
+	// is disabled.
 	tracker *track.Tracker
 	hist    *ring[Estimate]
 	trk     *ring[api.TrackPoint]
 }
 
+// newPublication builds an empty publication under zc's history
+// settings. A non-nil tracker seeds the trajectory filter (the
+// warm-restore path); otherwise a fresh one is built when the zone's
+// history is enabled.
+func newPublication(zc zoneConfig, tracker *track.Tracker) *publication {
+	p := &publication{watchers: make(map[chan Estimate]struct{})}
+	if zc.history > 0 {
+		p.hist = newRing[Estimate](zc.history)
+		p.trk = newRing[api.TrackPoint](zc.history)
+		p.tracker = tracker
+		if p.tracker == nil {
+			// zc.trk was validated by newZoneConfig, so this cannot fail.
+			p.tracker, _ = track.NewTracker(zc.trk)
+		}
+	}
+	return p
+}
+
+// position returns the latest published estimate, if any.
+func (p *publication) position() (Estimate, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.latest, p.has
+}
+
+// end terminates the zone's watch streams: each watcher receives a
+// terminal Final estimate, sequenced after everything the zone has
+// published, and its channel is closed. The set is cleared, so a
+// publish that races the end reaches no closed channel. nextSeq draws
+// the terminal Seq from the service-wide counter.
+func (p *publication) end(id string, nextSeq func(uint64) uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.watchers) == 0 {
+		return
+	}
+	term := Estimate{Zone: id, Seq: nextSeq(1), Cell: -1, Final: true, Time: time.Now()}
+	for ch := range p.watchers {
+		sendOrDropOldest(ch, term)
+		close(ch)
+	}
+	clear(p.watchers)
+}
+
 // Service is the sharded multi-zone localization frontend. Register zones
 // with AddZone (before or after Start), launch the executor pool with
-// Start, ingest with Ingest, read positions lock-free with Position, and
-// stream them with Watch. Zones can be added, removed, and swapped at
+// Start, ingest with Ingest, read positions with Position, and stream
+// them with Watch. Zones can be added, removed, and swapped at
 // runtime. Folding is cheap and runs as soon as a zone has pending
 // reports; localization is dispatched to the shared executor pool, so
 // thousands of mostly-idle zones cost no goroutines and a hot zone folds
@@ -309,15 +363,11 @@ type Service struct {
 	defZC zoneConfig // zone configuration for zones added with AddZone
 
 	//tafloc:lock-order 10 service-wide registry lock; outermost in every nesting
-	mu       sync.RWMutex // guards zones/order/watchers mutation and snapshot publication
-	zones    map[string]*zone
-	order    []string
-	watchers map[string]map[chan Estimate]bool
+	mu    sync.RWMutex // guards the zone table (zones, order)
+	zones map[string]*zone
+	order []string
 
 	exec *executor
-	// pos is the sharded read-mostly position snapshot: publishes copy
-	// and swap one shard, reads load one pointer (see positions.go).
-	pos *positions
 	// store/hotCount/lruClock drive the residency tier (residency.go):
 	// the snapshot store zones evict into, the count of zones holding a
 	// resident Model, and the logical clock behind the approximate LRU.
@@ -343,14 +393,12 @@ func NewService(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:      cfg,
-		defZC:    zc,
-		zones:    make(map[string]*zone),
-		watchers: make(map[string]map[chan Estimate]bool),
-		store:    cfg.Store,
+		cfg:   cfg,
+		defZC: zc,
+		zones: make(map[string]*zone),
+		store: cfg.Store,
 	}
 	s.exec = newExecutor()
-	s.pos = newPositions()
 	return s, nil
 }
 
@@ -393,14 +441,13 @@ func newZoneConfig(window int, thrDB float64, detector string, history int, trk 
 }
 
 // newZone allocates the shard state for sys under id with the given
-// per-zone configuration. A non-nil tracker seeds the trajectory filter
-// (the warm-restore path); otherwise a fresh one is built when the
-// zone's history is enabled.
-func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) *zone {
+// per-zone configuration, publishing into pub.
+func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publication) *zone {
 	m := sys.Layout().M()
 	z := &zone{
 		id:    id,
 		zc:    zc,
+		pub:   pub,
 		queue: make(chan []Report, s.cfg.QueueDepth),
 		win:   make([][]float64, m),
 		widx:  make([]int, m),
@@ -413,15 +460,6 @@ func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, tracker *t
 	for i := range z.win {
 		z.win[i] = make([]float64, zc.window)
 		z.vwin[i] = make([]float64, zc.window)
-	}
-	if zc.history > 0 {
-		z.hist = newRing[Estimate](zc.history)
-		z.trk = newRing[api.TrackPoint](zc.history)
-		z.tracker = tracker
-		if z.tracker == nil {
-			// zc.trk was validated by newZoneConfig, so this cannot fail.
-			z.tracker, _ = track.NewTracker(zc.trk)
-		}
 	}
 	return z
 }
@@ -479,7 +517,7 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 	if _, ok := s.zones[id]; ok {
 		return ErrZoneExists
 	}
-	z := s.newZone(id, sys, zc, tracker)
+	z := s.newZone(id, sys, zc, newPublication(zc, tracker))
 	s.touch(z)
 	s.zones[id] = z
 	s.order = append(s.order, id)
@@ -490,12 +528,12 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 	return nil
 }
 
-// RemoveZone unregisters a zone at runtime: new reports are rejected
-// with ErrUnknownZone, the zone's in-flight fold/locate tasks are waited
-// out, the zone's entry leaves the position snapshot, and every watcher
-// receives a terminal Final estimate before its channel closes. Reports
-// still queued at that moment are dropped. The id may be re-added
-// afterwards.
+// RemoveZone unregisters a zone at runtime: from that moment new
+// reports are rejected with ErrUnknownZone and Position no longer
+// answers for it; then the zone's in-flight fold/locate tasks are
+// waited out, and every watcher receives a terminal Final estimate
+// before its channel closes. Reports still queued at that moment are
+// dropped. The id may be re-added afterwards.
 func (s *Service) RemoveZone(id string) error {
 	s.mu.Lock()
 	z, ok := s.zones[id]
@@ -512,9 +550,9 @@ func (s *Service) RemoveZone(id string) error {
 	}
 	s.mu.Unlock()
 
-	// Quiesce outside the lock: an in-flight task may be publishing
-	// (which takes the lock) at this moment. No publish can follow the
-	// Wait, so the terminal event below is truly terminal.
+	// Quiesce outside the lock: an in-flight task may need it (its
+	// enforceCap pass read-locks it) before it can finish. No publish
+	// can follow the Wait, so the terminal event below is truly terminal.
 	z.stop()
 	z.tasks.Wait()
 
@@ -534,21 +572,7 @@ func (s *Service) RemoveZone(id string) error {
 	}
 	z.resMu.Unlock()
 
-	s.mu.Lock()
-	s.pos.delete(id)
-	term := Estimate{
-		Zone:  id,
-		Seq:   s.seq.Add(1),
-		Cell:  -1,
-		Final: true,
-		Time:  time.Now(),
-	}
-	for ch := range s.watchers[id] {
-		sendOrDropOldest(ch, term)
-		close(ch)
-	}
-	delete(s.watchers, id)
-	s.mu.Unlock()
+	z.pub.end(id, s.seq.Add)
 	return nil
 }
 
@@ -557,10 +581,11 @@ func (s *Service) RemoveZone(id string) error {
 // dropped, as on RemoveZone), the shard state is rebuilt for the new
 // system (window lengths follow the new deployment's link count), the
 // ingest counters carry over, and the fresh state machine picks up on
-// the next report. Watch subscriptions and the published snapshot entry
-// survive the swap. For an in-place fingerprint refresh that keeps the
-// same System, use System(id) and call UpdateContext on it instead —
-// that path swaps the zone's Model atomically and never pauses serving.
+// the next report. Watch subscriptions, the latest position, the
+// history and the track survive the swap. For an in-place fingerprint
+// refresh that keeps the same System, use System(id) and call
+// UpdateContext on it instead — that path swaps the zone's Model
+// atomically and never pauses serving.
 func (s *Service) UpdateZone(id string, sys *core.System) error {
 	if sys == nil {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: nil system for zone %q", id)
@@ -584,8 +609,7 @@ func (s *Service) UpdateZone(id string, sys *core.System) error {
 	}
 	s.mu.Unlock()
 
-	// Quiesce outside the lock: an in-flight task may be publishing
-	// (which takes the lock) at this moment.
+	// Quiesce outside the lock, as RemoveZone does.
 	z.stop()
 	z.tasks.Wait()
 
@@ -606,11 +630,12 @@ func (s *Service) UpdateZone(id string, sys *core.System) error {
 // swapZoneLocked replaces z with a fresh zone over sys, carrying the
 // per-zone configuration, the counters (including the fold-task-owned
 // folded count, safe to read once the old zone's tasks have been waited
-// out or never ran), and the trajectory state — the zone is the same
-// physical space, so its track survives a fingerprint-database swap.
-// The trajectory state is deep-copied under the old zone's lock: a
-// reader still holding the old shard keeps a consistent snapshot and
-// can never race the new zone's tasks. Caller holds s.mu.
+// out or never ran), and the publication — the zone is the same
+// physical space, so its watchers, latest position and track survive a
+// fingerprint-database swap. The new zone takes the old one's
+// publication pointer: nothing is copied, and a reader still holding
+// the old zone reads the same publication under the same lock. Caller
+// holds s.mu.
 func (s *Service) swapZoneLocked(z *zone, sys *core.System) {
 	// Stop the old shard unconditionally (the running path already did;
 	// the pre-Start path has no tasks, so this only flips the flag) and
@@ -623,19 +648,7 @@ func (s *Service) swapZoneLocked(z *zone, sys *core.System) {
 		s.hotCount.Add(1)
 	}
 	z.resMu.Unlock()
-	z.trackMu.Lock()
-	var tracker *track.Tracker
-	if z.tracker != nil {
-		// The exported state round-trips through the same validation as a
-		// snapshot restore; it came from a live filter, so it cannot fail.
-		tracker, _ = track.NewTrackerFromState(z.tracker.Export())
-	}
-	nz := s.newZone(z.id, sys, z.zc, tracker)
-	if nz.hist != nil && z.hist != nil {
-		nz.hist.copyFrom(z.hist)
-		nz.trk.copyFrom(z.trk)
-	}
-	z.trackMu.Unlock()
+	nz := s.newZone(z.id, sys, z.zc, z.pub)
 	nz.folded = z.folded
 	nz.received.Store(z.received.Load())
 	nz.dropped.Store(z.dropped.Load())
@@ -773,14 +786,11 @@ func (s *Service) Stop() {
 	if cancel != nil {
 		cancel()
 	}
+	// The write lock spans the sweep, so no Watch can subscribe to a
+	// zone already swept.
 	s.mu.Lock()
-	for id, set := range s.watchers {
-		term := Estimate{Zone: id, Seq: s.seq.Add(1), Cell: -1, Final: true, Time: time.Now()}
-		for ch := range set {
-			sendOrDropOldest(ch, term)
-			close(ch)
-		}
-		delete(s.watchers, id)
+	for id, z := range s.zones {
+		z.pub.end(id, s.seq.Add)
 	}
 	s.mu.Unlock()
 }
@@ -798,17 +808,35 @@ func (s *Service) Uptime() time.Duration {
 	return time.Since(s.start)
 }
 
-// Position returns the most recent estimate for a zone. The read is one
-// atomic snapshot load — no lock, never blocked by ingestion or updates.
-// ok is false when the zone is unknown or has not published yet.
+// Position returns the most recent estimate for a zone. The read finds
+// the zone under the registry read lock and copies the estimate under
+// the zone's publication lock, so it waits only on registry changes
+// (add, remove, update, Stop) and on that zone's own publish — never
+// on ingestion, reconstruction or other zones. ok is false when the
+// zone is unknown (or being removed) or has not published yet.
 func (s *Service) Position(id string) (Estimate, bool) {
-	return s.pos.get(id)
+	s.mu.RLock()
+	z, ok := s.zones[id]
+	s.mu.RUnlock()
+	if !ok {
+		return Estimate{}, false
+	}
+	return z.pub.position()
 }
 
-// Positions returns the current snapshot of all published estimates. The
-// returned map is the reader's own copy.
+// Positions returns the latest estimate of every registered zone that
+// has published, each read as Position reads it. The returned map is
+// the reader's own copy.
 func (s *Service) Positions() map[string]Estimate {
-	return s.pos.all()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]Estimate, len(s.zones))
+	for id, z := range s.zones {
+		if e, ok := z.pub.position(); ok {
+			out[id] = e
+		}
+	}
+	return out
 }
 
 // Watch subscribes to a zone's estimate stream. The returned channel
@@ -820,35 +848,32 @@ func (s *Service) Positions() map[string]Estimate {
 // and is closed. The returned stop function detaches the subscription;
 // it is idempotent and must be called when the caller is done.
 func (s *Service) Watch(id string) (<-chan Estimate, func(), error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Subscribe under the read lock: RemoveZone unregisters a zone and
+	// Stop sweeps the zones under the write lock, so a subscription
+	// either lands first and is ended with the others, or fails.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.stoppedLocked(); err != nil {
 		// A stopped service has no publishers left; a subscription would
 		// block its consumer forever.
 		return nil, nil, err
 	}
-	if _, ok := s.zones[id]; !ok {
+	z, ok := s.zones[id]
+	if !ok {
 		return nil, nil, ErrUnknownZone
 	}
+	p := z.pub
 	ch := make(chan Estimate, s.cfg.WatchBuffer)
-	set := s.watchers[id]
-	if set == nil {
-		set = make(map[chan Estimate]bool)
-		s.watchers[id] = set
+	p.mu.Lock()
+	p.watchers[ch] = struct{}{}
+	if p.has {
+		ch <- p.latest // buffer is empty here, cannot block
 	}
-	set[ch] = true
-	if e, ok := s.pos.get(id); ok {
-		ch <- e // buffer is empty here, cannot block
-	}
+	p.mu.Unlock()
 	stop := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if set, ok := s.watchers[id]; ok && set[ch] {
-			delete(set, ch)
-			if len(set) == 0 {
-				delete(s.watchers, id)
-			}
-		}
+		p.mu.Lock()
+		delete(p.watchers, ch)
+		p.mu.Unlock()
 	}
 	return ch, stop, nil
 }
@@ -1132,34 +1157,35 @@ func (s *Service) detect(z *zone, sys *core.System, y []float64) (bool, float64)
 	return z.zc.det(vac, z.zc.thrDB).Present(y)
 }
 
-// publish installs an estimate into the read-mostly snapshot, fans it
-// out to the zone's watchers, and records it into the zone's trajectory
-// state. Writers (the locate stages) serialize on the service mutex and
-// swap in a fresh copy; readers keep loading the old snapshot
-// untouched. The publish time is wall clock only (Round strips the
-// monotonic reading): the trajectory filter derives dt from it, and the
-// wall clock is what survives the wire — replaying served history
+// publish makes e the zone's latest estimate, fans it out to the zone's
+// watchers, and records it into the zone's trajectory state, all under
+// the zone's publication lock alone: a publish never waits on Ingest,
+// on the registry, or on another zone. Seq comes from the service-wide
+// counter inside that lock, so a zone's estimates carry increasing Seqs
+// in publish order. The publish time is wall clock only (Round strips
+// the monotonic reading): the trajectory filter derives dt from it, and
+// the wall clock is what survives the wire — replaying served history
 // timestamps must reproduce the served track exactly.
 func (s *Service) publish(z *zone, e Estimate) {
 	e.Time = time.Now().Round(0)
-	s.mu.Lock()
+	p := z.pub
+	p.mu.Lock()
 	e.Seq = s.seq.Add(1)
-	s.pos.set(e)
-	for ch := range s.watchers[e.Zone] {
+	p.latest, p.has = e, true
+	for ch := range p.watchers {
 		sendOrDropOldest(ch, e)
 	}
-	if z != nil {
-		z.recordTrack(e)
-		s.touch(z)
-	}
-	s.mu.Unlock()
+	p.record(e)
+	p.mu.Unlock()
+	s.touch(z)
 }
 
 // sendOrDropOldest delivers e to a watcher channel without ever blocking
 // the publishing worker: when the buffer is full, the oldest pending
-// event is discarded to make room. Senders are serialized under s.mu, so
-// the drain/retry pair cannot race another sender; a concurrent receiver
-// can only make room, in which case the retry succeeds.
+// event is discarded to make room. Senders are serialized under the
+// zone's publication lock, so the drain/retry pair cannot race another
+// sender; a concurrent receiver can only make room, in which case the
+// retry succeeds.
 func sendOrDropOldest(ch chan Estimate, e Estimate) {
 	select {
 	case ch <- e:

@@ -217,13 +217,20 @@ func TestQueryDuringUpdate(t *testing.T) {
 // reader copies.
 func TestSnapshotConsistency(t *testing.T) {
 	svc := newTestService(t, Config{})
-	svc.publish(nil, Estimate{Zone: "a", Cell: 1})
-	svc.publish(nil, Estimate{Zone: "b", Cell: 2})
+	sys := testSystem(t, testDeployment(t))
+	for _, id := range []string{"a", "b"} {
+		if err := svc.AddZone(id, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	za, zb := svc.zones["a"], svc.zones["b"]
+	svc.publish(za, Estimate{Zone: "a", Cell: 1})
+	svc.publish(zb, Estimate{Zone: "b", Cell: 2})
 	before := svc.Positions()
 	if len(before) != 2 {
 		t.Fatalf("want 2 zones in snapshot, got %d", len(before))
 	}
-	svc.publish(nil, Estimate{Zone: "a", Cell: 3})
+	svc.publish(za, Estimate{Zone: "a", Cell: 3})
 	after := svc.Positions()
 	if before["a"].Cell != 1 {
 		t.Errorf("reader copy mutated: a.Cell = %d, want 1", before["a"].Cell)
@@ -238,6 +245,73 @@ func TestSnapshotConsistency(t *testing.T) {
 	after["b"] = Estimate{Zone: "b", Cell: 99}
 	if e, _ := svc.Position("b"); e.Cell != 2 {
 		t.Errorf("service snapshot mutated through reader copy: %+v", e)
+	}
+}
+
+// TestPublishSkipsServiceLock pins that a publish takes only its own
+// zone's lock: with the service-wide registry lock write-held, a
+// publish must still reach the zone's watcher.
+func TestPublishSkipsServiceLock(t *testing.T) {
+	svc := newTestService(t, Config{})
+	if err := svc.AddZone("z", testSystem(t, testDeployment(t))); err != nil {
+		t.Fatal(err)
+	}
+	ch, stop, err := svc.Watch("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	z := svc.zones["z"]
+	published := make(chan struct{})
+	svc.mu.Lock()
+	go func() {
+		defer close(published)
+		svc.publish(z, Estimate{Zone: "z", Cell: 7})
+	}()
+	var got Estimate
+	var delivered bool
+	select {
+	case got = <-ch:
+		delivered = true
+	case <-time.After(time.Second):
+	}
+	svc.mu.Unlock()
+	<-published
+	if !delivered {
+		t.Fatal("publish blocked on the service lock")
+	}
+	if got.Cell != 7 {
+		t.Errorf("watcher got %+v, want cell 7", got)
+	}
+}
+
+// BenchmarkPublishFanout measures one publish into a service of 1,000
+// and of 10,000 registered zones. A publish locks only its own zone's
+// publication and shares nothing with other zones but the Seq counter,
+// so its cost does not depend on the zone count: the two sub-benchmarks
+// should read alike. The zones share one small System, and history is
+// off and queues hold one batch so that 10,000 zones stay small.
+func BenchmarkPublishFanout(b *testing.B) {
+	sys := testSystem(b, testDeployment(b))
+	for _, zones := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("zones=%d", zones), func(b *testing.B) {
+			svc := newTestService(b, Config{QueueDepth: -1, History: -1})
+			zs := make([]*zone, zones)
+			for i := range zs {
+				id := fmt.Sprintf("zone-%05d", i)
+				if err := svc.AddZone(id, sys); err != nil {
+					b.Fatal(err)
+				}
+				zs[i] = svc.zones[id]
+				svc.publish(zs[i], Estimate{Zone: id, Cell: i})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z := zs[i%zones]
+				svc.publish(z, Estimate{Zone: z.id, Cell: i})
+			}
+		})
 	}
 }
 

@@ -76,12 +76,13 @@ func (s *Service) buildSnapshot(z *zone, sys *core.System) *snap.Snapshot {
 		},
 		State: sys.ExportState(),
 	}
-	z.trackMu.Lock()
-	if z.tracker != nil {
-		ts := z.tracker.Export()
+	p := z.pub
+	p.mu.Lock()
+	if p.tracker != nil {
+		ts := p.tracker.Export()
 		sn.Track = &ts
 	}
-	z.trackMu.Unlock()
+	p.mu.Unlock()
 	return sn
 }
 

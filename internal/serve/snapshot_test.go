@@ -626,10 +626,10 @@ func TestSnapshotCarriesTracker(t *testing.T) {
 	other.mu.RLock()
 	z := other.zones["z"]
 	other.mu.RUnlock()
-	if z.tracker == nil {
+	if z.pub.tracker == nil {
 		t.Fatal("restored zone has no tracker")
 	}
-	got := z.tracker.Export()
+	got := z.pub.tracker.Export()
 	if got.Filter != sn.Track.Filter || got.HasFix != sn.Track.HasFix ||
 		!got.LastFix.Equal(sn.Track.LastFix) {
 		t.Errorf("restored tracker state diverges:\n got  %+v\n want %+v", got, sn.Track)

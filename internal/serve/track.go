@@ -52,30 +52,20 @@ func (r *ring[T]) last(n int) []T {
 	return out
 }
 
-// copyFrom overwrites r with src's contents. Capacities may differ; the
-// newest min(cap, src.n) values survive.
-func (r *ring[T]) copyFrom(src *ring[T]) {
-	for _, v := range src.last(0) {
-		r.push(v)
-	}
-}
-
-// recordTrack appends a freshly published estimate to the zone's
-// history and, for present fixes, folds it through the trajectory
-// filter. Called from the publish path (worker goroutine, under s.mu);
-// the track mutex serializes against HTTP readers.
-func (z *zone) recordTrack(e Estimate) {
-	if z.hist == nil {
+// record appends a freshly published estimate to the history and, for
+// present fixes, folds it through the trajectory filter. Called from
+// the publish path with p.mu held, which also serializes it against
+// the HTTP readers.
+func (p *publication) record(e Estimate) {
+	if p.hist == nil {
 		return
 	}
-	z.trackMu.Lock()
-	defer z.trackMu.Unlock()
-	z.hist.push(e)
+	p.hist.push(e)
 	if !e.Present || e.Cell < 0 {
 		return
 	}
-	st, accepted := z.tracker.Observe(e.Point, e.Time)
-	z.trk.push(api.TrackPoint{
+	st, accepted := p.tracker.Observe(e.Point, e.Time)
+	p.trk.push(api.TrackPoint{
 		Seq:      e.Seq,
 		Time:     e.Time,
 		Cell:     e.Cell,
@@ -104,12 +94,13 @@ func (s *Service) Track(id string, n int) ([]api.TrackPoint, error) {
 	if !ok {
 		return nil, ErrUnknownZone
 	}
-	if z.trk == nil {
+	p := z.pub
+	if p.trk == nil {
 		return nil, errHistoryDisabled
 	}
-	z.trackMu.Lock()
-	defer z.trackMu.Unlock()
-	return z.trk.last(n), nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.trk.last(n), nil
 }
 
 // History returns up to n of a zone's most recently published
@@ -124,10 +115,11 @@ func (s *Service) History(id string, n int) ([]Estimate, error) {
 	if !ok {
 		return nil, ErrUnknownZone
 	}
-	if z.hist == nil {
+	p := z.pub
+	if p.hist == nil {
 		return nil, errHistoryDisabled
 	}
-	z.trackMu.Lock()
-	defer z.trackMu.Unlock()
-	return z.hist.last(n), nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hist.last(n), nil
 }

@@ -29,11 +29,6 @@ func TestRing(t *testing.T) {
 	if got := r.last(10); len(got) != 3 {
 		t.Errorf("last(10): %v", got)
 	}
-	small := newRing[int](2)
-	small.copyFrom(r)
-	if got := small.last(0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Errorf("copyFrom into smaller ring: %v, want [4 5]", got)
-	}
 }
 
 // feedZone drives reports into a zone until it has published at least

@@ -348,15 +348,16 @@ type (
 )
 
 // NewCollector builds a collector for m links.
-func NewCollector(m, window int) (*Collector, error) {
-	return collector.New(m, window, nil)
+func NewCollector(m int) (*Collector, error) {
+	return collector.New(m, 0, nil)
 }
 
 // Multi-zone serving layer.
 type (
 	// Service is the sharded, concurrent multi-zone localization service:
 	// one core System per zone, bounded ingest queues, batched match
-	// queries, and a lock-free read-mostly position snapshot.
+	// queries, and per-zone publication: a position read waits only on
+	// zone registration changes and on its own zone's publish.
 	Service = serve.Service
 	// ServiceConfig tunes the service's queues, batching, and detection.
 	ServiceConfig = serve.Config
