@@ -37,7 +37,6 @@ func newFixture(t *testing.T) (*fixture, context.CancelFunc) {
 	}
 	svc := newTestService(t, serve.Config{
 		Window:            2,
-		BatchSize:         8,
 		DetectThresholdDB: 0.25,
 		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
 			return newTestSystem(t, dep), nil

@@ -57,7 +57,6 @@ func main() {
 	// Serve both as zones and talk to them only through the client SDK.
 	svc, err := tafloc.NewService(
 		tafloc.WithWindow(win),
-		tafloc.WithBatch(win*dep.Channel.M()),
 		tafloc.WithDetectThreshold(0.05),
 	)
 	if err != nil {

@@ -4,7 +4,7 @@
 // and silently mix them — the bug class the core.Model hammer test only
 // catches probabilistically, pinned here at vet time.
 //
-// Three rules:
+// Two rules:
 //
 //  1. At most one .Load() call site per atomic.Pointer field chain per
 //     function. A deliberate re-check (staleness detection after a side
@@ -13,10 +13,9 @@
 //     atomic load (configurable; (*tafloc/internal/core.System).Model
 //     by default): calling sys.Model() twice mixes generations exactly
 //     like a double Load.
-//  3. A struct field annotated //tafloc:atomic may only be used as the
-//     receiver of a method call (Load/Store/...) or have its address
-//     taken as an argument to a sync/atomic function — any direct read,
-//     write, or copy is flagged.
+//
+// That a typed atomic field is touched only through its method set is
+// atomicmix's rule, not this one's.
 package atomiconce
 
 import (
@@ -35,7 +34,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "atomiconce",
-	Doc:      "flags multiple Loads of the same atomic.Pointer per function, and direct access to fields marked //tafloc:atomic",
+	Doc:      "flags multiple Loads of the same atomic.Pointer per function",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -58,7 +57,6 @@ func run(pass *analysis.Pass) (any, error) {
 			accessorSet[a] = true
 		}
 	}
-	marked := markedFields(pass, ins)
 
 	suppressed := make(map[*ast.File]map[int]bool)
 	for _, f := range pass.Files {
@@ -81,10 +79,6 @@ func run(pass *analysis.Pass) (any, error) {
 		sup := suppressed[fileOf(fd.Pos())]
 		checkLoads(pass, fd, accessorSet, sup)
 	})
-
-	if len(marked) > 0 {
-		checkMarkedFieldUses(pass, ins, marked)
-	}
 	return nil, nil
 }
 
@@ -185,68 +179,4 @@ func isAtomicPointer(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && obj.Name() == "Pointer"
-}
-
-// markedFields collects the *types.Var objects of struct fields whose
-// doc comment carries //tafloc:atomic.
-func markedFields(pass *analysis.Pass, ins *inspector.Inspector) map[types.Object]bool {
-	marked := make(map[types.Object]bool)
-	ins.Preorder([]ast.Node{(*ast.StructType)(nil)}, func(n ast.Node) {
-		st := n.(*ast.StructType)
-		for _, field := range st.Fields.List {
-			if !tags.Marked(field.Doc, tags.AtomicField) && !tags.Marked(field.Comment, tags.AtomicField) {
-				continue
-			}
-			for _, name := range field.Names {
-				if obj := pass.TypesInfo.Defs[name]; obj != nil {
-					marked[obj] = true
-				}
-			}
-		}
-	})
-	return marked
-}
-
-// checkMarkedFieldUses enforces rule 3: every use of a marked field
-// must be the receiver of a method call, or an address-of argument to a
-// sync/atomic function.
-func checkMarkedFieldUses(pass *analysis.Pass, ins *inspector.Inspector, marked map[types.Object]bool) {
-	ins.WithStack([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		sel := n.(*ast.SelectorExpr)
-		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || !marked[obj] || tags.TestFile(pass.Fset, sel.Pos()) {
-			return true
-		}
-		// Walk outward: x.f is fine as the X of x.f.Load(...), and as
-		// &x.f when the address goes straight into a sync/atomic call.
-		parent := stack[len(stack)-2]
-		if outer, ok := parent.(*ast.SelectorExpr); ok && outer.X == sel {
-			if len(stack) >= 3 {
-				if call, ok := stack[len(stack)-3].(*ast.CallExpr); ok && call.Fun == outer {
-					return true // x.f.Method(...)
-				}
-			}
-		}
-		if addr, ok := parent.(*ast.UnaryExpr); ok && addr.Op == token.AND && len(stack) >= 3 {
-			if call, ok := stack[len(stack)-3].(*ast.CallExpr); ok && callsSyncAtomic(pass.TypesInfo, call) {
-				return true // atomic.AddInt64(&x.f, ...)
-			}
-		}
-		pass.Reportf(sel.Pos(),
-			"direct access to %s, which is marked //tafloc:atomic: use its atomic method set (Load/Store/Add/Swap/CompareAndSwap)",
-			types.ExprString(sel))
-		return true
-	})
-}
-
-func callsSyncAtomic(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }

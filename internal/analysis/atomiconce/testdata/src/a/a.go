@@ -1,6 +1,5 @@
 // Package a is the atomiconce fixture: RCU pointers that must be
-// loaded once per function, an accessor method counted like a Load, and
-// a field pinned to its atomic method set.
+// loaded once per function, and an accessor method counted like a Load.
 //
 // Regression notes:
 //   - doubleAccessor mirrors serve.evictZone's deliberate double
@@ -18,9 +17,6 @@ type Model struct{ Gen int }
 type Sys struct {
 	p atomic.Pointer[Model]
 	q atomic.Pointer[Model]
-
-	//tafloc:atomic
-	n int64
 }
 
 func (s *Sys) Model() *Model { return s.p.Load() }
@@ -60,18 +56,6 @@ func closureLoad(s *Sys) func() int {
 	g := s.p.Load().Gen
 	_ = g
 	return func() int { return s.p.Load().Gen } // own context: fine
-}
-
-func methodUse(s *Sys) int64 {
-	return atomic.AddInt64(&s.n, 1) // address into sync/atomic: fine
-}
-
-func directRead(s *Sys) int64 {
-	return s.n // want `direct access to s\.n`
-}
-
-func directWrite(s *Sys) {
-	s.n++ // want `direct access to s\.n`
 }
 
 func sideEffect() {}

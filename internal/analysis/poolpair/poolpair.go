@@ -1,14 +1,9 @@
-// Package poolpair enforces the pooled-buffer discipline behind the
+// Package poolpair enforces the pooled-Scratch discipline behind the
 // 0-alloc hot path: every borrow from a recycling pool
-// (core.GetScratch, mat.GetFloats) must have its matching Put deferred
-// in the same function, so the buffer returns to the pool on every
-// path — including panics and early returns the author forgot about.
-//
-// Functions that intentionally transfer or retain ownership (the serve
-// fold→locate task chain hands pooled vectors between executor tasks;
-// core.Scratch retains grown buffers across calls) document it with
-// //tafloc:pool-ownership in their doc comment, which exempts the whole
-// function and points reviewers at the contract.
+// (core.GetScratch) must have its matching Put deferred in the same
+// function, so the Scratch returns to the pool on every path —
+// including panics and early returns the author forgot about. A Get
+// whose result is returned directly hands the borrow to the caller.
 //
 // The analyzer also catches the defer-ordering footgun: a deferred Put
 // evaluates its argument at defer time, so `defer Put(x)` placed before
@@ -30,14 +25,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "poolpair",
-	Doc:      "pool borrows (GetScratch/GetFloats) must defer the matching Put or document ownership transfer",
+	Doc:      "pool borrows (GetScratch) must defer the matching Put",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
 
 // pairs maps Get function full names to the required Put full name.
-var pairs = "tafloc/internal/core.GetScratch=tafloc/internal/core.PutScratch," +
-	"tafloc/internal/mat.GetFloats=tafloc/internal/mat.PutFloats"
+var pairs = "tafloc/internal/core.GetScratch=tafloc/internal/core.PutScratch"
 
 func init() {
 	Analyzer.Flags.StringVar(&pairs, "pairs", pairs,
@@ -56,9 +50,6 @@ func run(pass *analysis.Pass) (any, error) {
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
 		if fd.Body == nil || tags.TestFile(pass.Fset, fd.Pos()) {
-			return
-		}
-		if tags.FuncMarked(fd, tags.PoolOwnership) {
 			return
 		}
 		checkFunc(pass, fd, getToPut)
@@ -152,7 +143,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, getToPut map[string]string
 		short := shortName(b.put)
 		if b.dest == nil {
 			pass.Reportf(b.call.Pos(),
-				"pooled borrow is not assigned to a variable, so no %s can pair with it; assign and defer %s, or annotate the function //tafloc:pool-ownership",
+				"pooled borrow is not assigned to a variable, so no %s can pair with it; assign it and defer %s",
 				short, short)
 			continue
 		}
@@ -173,7 +164,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, getToPut map[string]string
 		}
 		if !paired {
 			pass.Reportf(b.call.Pos(),
-				"borrow from %s without a deferred %s on %s: the buffer leaks from the pool on every return path; defer %s(%s) right after the borrow, or annotate the function //tafloc:pool-ownership with the transfer contract",
+				"borrow from %s without a deferred %s on %s: the buffer leaks from the pool on every return path; defer %s(%s) right after the borrow",
 				shortName(nameOf(pass.TypesInfo, b.call)), short, b.dest.Name(), short, b.dest.Name())
 		}
 	}

@@ -1,13 +1,6 @@
 // Package a is the poolpair fixture: a local Get/Put pool pair (the
-// test points the pairs flag at it) exercising the pairing, ordering,
-// and ownership-transfer rules.
-//
-// Regression notes:
-//   - transfer mirrors serve.prepareEstimate, which hands its pooled
-//     vector to the locate task chain and is annotated
-//     //tafloc:pool-ownership in production.
-//   - retained mirrors core.Scratch.floats, which keeps grown buffers
-//     across calls; same annotation.
+// test points the pairs flag at it) exercising the pairing and
+// ordering rules.
 package a
 
 func Get() []float64       { return nil }
@@ -15,7 +8,6 @@ func Put(p []float64)      { _ = p }
 func GetOther() []float64  { return nil }
 func PutOther(p []float64) { _ = p }
 func sink(p []float64)     { _ = p }
-func consume(p []float64)  { _ = p }
 
 func good() {
 	b := Get()
@@ -47,12 +39,4 @@ func staleDefer() {
 	defer Put(b) // want `defer Put\(b\) runs before b is borrowed`
 	b = Get()
 	sink(b)
-}
-
-// transfer hands the pooled buffer to consume, which owns returning it.
-//
-//tafloc:pool-ownership fixture: ownership moves to consume
-func transfer() {
-	b := Get()
-	consume(b)
 }

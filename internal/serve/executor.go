@@ -66,10 +66,9 @@ func newExecutor() *executor {
 // anything: the workers may already have exited, and running the task
 // inline would deadlock — every call site holds the zone's schedMu,
 // which the task body re-locks. A rejected caller must unwind its own
-// scheduling state (busy flag, task count, pooled buffers) under the
-// lock it already holds; the dropped work matches the shutdown
-// contract, which discards reports still queued when the service
-// stops.
+// scheduling state (busy flag, task count) under the lock it already
+// holds; the dropped work matches the shutdown contract, which discards
+// reports still queued when the service stops.
 func (e *executor) submit(t task) bool {
 	e.mu.Lock()
 	if e.closed {

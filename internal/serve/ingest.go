@@ -36,21 +36,28 @@ type Ingestor interface {
 // snapshot store) rehydrates it first; a failed rehydrate rejects the
 // batch with an error matching ErrRehydrate and
 // taflocerr.ErrRehydrateFailed while the zone stays registered for
-// retry. Rejected and shed reports count into the zone's Dropped stat,
-// accepted ones into Received, for every transport alike. An accepted
-// batch arms the zone's fold round on the shared executor pool (a
-// running service folds promptly; before Start the queue simply fills,
-// and Start schedules the backlog).
+// retry. A stopped service rejects every non-empty batch with a
+// taflocerr.CodeStarted error: no worker is left to fold it. Rejected
+// and shed reports count into the zone's Dropped stat, accepted ones
+// into Received, for every transport alike. An accepted batch arms the
+// zone's fold round on the shared executor pool (a running service
+// folds promptly; before Start the queue simply fills, and Start
+// schedules the backlog).
 func (s *Service) Ingest(id string, reports []Report) error {
 	s.mu.RLock()
 	z, ok := s.zones[id]
 	ctx := s.runCtx
+	stopped := s.stoppedLocked()
 	s.mu.RUnlock()
 	if !ok {
 		return ErrUnknownZone
 	}
 	if len(reports) == 0 {
 		return nil
+	}
+	if stopped != nil {
+		z.dropped.Add(uint64(len(reports)))
+		return stopped
 	}
 	m := len(z.win)
 	for _, r := range reports {

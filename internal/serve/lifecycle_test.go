@@ -94,7 +94,7 @@ func TestRemoveZoneWhileIngesting(t *testing.T) {
 // terminal Final estimate followed by channel close.
 func TestWatchTerminalEvent(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, BatchSize: 8, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +287,9 @@ func TestRemovingZoneHidesPosition(t *testing.T) {
 }
 
 // TestStoppedServiceRejectsMutations pins the post-Stop contract: zone
-// mutations and new subscriptions fail instead of creating workers that
-// can never run, and existing watchers are terminated.
+// mutations, new subscriptions and report batches fail instead of
+// creating work that can never run, and existing watchers are
+// terminated.
 func TestStoppedServiceRejectsMutations(t *testing.T) {
 	dep := testDeployment(t)
 	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
@@ -316,6 +317,15 @@ func TestStoppedServiceRejectsMutations(t *testing.T) {
 	}
 	if _, _, err := svc.Watch("z"); err == nil {
 		t.Error("Watch on a stopped service accepted (would block forever)")
+	}
+	batch := targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})
+	if err := svc.Ingest("z", batch); !errors.Is(err, taflocerr.ErrStarted) {
+		t.Errorf("Ingest on a stopped service = %v, want a %s error (no worker would fold the batch)",
+			err, taflocerr.CodeStarted)
+	}
+	if st := svc.Stats()["z"]; st.Received != 0 || st.Dropped != uint64(len(batch)) || st.QueueLen != 0 {
+		t.Errorf("after a rejected batch: Received %d, Dropped %d, QueueLen %d; want 0, %d, 0",
+			st.Received, st.Dropped, st.QueueLen, len(batch))
 	}
 	// The pre-Stop watcher was terminated rather than left hanging.
 	deadline := time.After(5 * time.Second)

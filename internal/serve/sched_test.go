@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tafloc/internal/core"
 	"tafloc/internal/geom"
 )
 
@@ -17,7 +19,7 @@ import (
 // that state from a zone with no traffic at all.
 func TestStarvedCounter(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, BatchSize: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestLocateWorkersNormalization(t *testing.T) {
 // (run with -race; the assertion is liveness plus monotonic freshness).
 func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, BatchSize: 1, DetectThresholdDB: 0.25, LocateWorkers: 2})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,4 +234,123 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	}
 	cancel()
 	svc.Wait()
+}
+
+// gatedMatcher is a nearest-neighbour matcher whose first Match call
+// closes entered and then blocks until release is closed, so a test can
+// hold a zone's locate stage in flight.
+type gatedMatcher struct {
+	called  atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedMatcher) Match(m *core.Model, y []float64, sc *core.Scratch) (core.Location, error) {
+	if g.called.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return core.NNMatcher{}.Match(m, y, sc)
+}
+
+// TestPendingSlotKeepsFreshest pins freshest-wins coalescing
+// deterministically: while the zone's first locate is held in its
+// matcher, two more fold rounds land in the one pending slot, the
+// later one replacing the earlier, so the zone publishes the held
+// estimate and then only the freshest.
+func TestPendingSlotKeepsFreshest(t *testing.T) {
+	dep := testDeployment(t)
+	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := &gatedMatcher{entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gm.release) }) }
+	opts := core.DefaultSystemOptions()
+	opts.Matcher = gm
+	survey, _ := dep.Survey(0)
+	sys, err := core.NewSystem(layout, survey, dep.VacantCapture(0, 50), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, LocateWorkers: 2})
+	if err := svc.AddZone("z", sys); err != nil {
+		t.Fatal(err)
+	}
+	ch, stopWatch, err := svc.Watch("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopWatch()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() {
+		release()
+		cancel()
+		svc.Wait()
+	}()
+	if err := svc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.RLock()
+	z := svc.zones["z"]
+	svc.mu.RUnlock()
+
+	batch := targetBatch(dep, geom.Point{X: 1.5, Y: 1.2})
+	n := uint64(len(batch))
+	ingest := func() {
+		t.Helper()
+		if err := svc.Ingest("z", append([]Report(nil), batch...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitPending := func(reports uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			z.schedMu.Lock()
+			got, has := z.pend.e.Reports, z.hasPend
+			z.schedMu.Unlock()
+			if has && got == reports {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pending slot holds %d reports (occupied %v), want %d", got, has, reports)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ingest() // batch A: its locate blocks in the matcher
+	select {
+	case <-gm.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first locate never reached the matcher")
+	}
+	ingest() // batch B: coalesced into the pending slot
+	waitPending(2 * n)
+	ingest() // batch C: replaces B in the pending slot
+	waitPending(3 * n)
+	release()
+
+	var got []Estimate
+	for len(got) < 2 {
+		select {
+		case e := <-ch:
+			got = append(got, e)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("published %d estimates before the deadline, want 2", len(got))
+		}
+	}
+	if got[0].Reports != n || got[1].Reports != 3*n || got[1].Seq <= got[0].Seq {
+		t.Errorf("published (Reports %d, Seq %d) then (Reports %d, Seq %d); want Reports %d then %d with increasing Seq",
+			got[0].Reports, got[0].Seq, got[1].Reports, got[1].Seq, n, 3*n)
+	}
+	// Waiting out the executor settles the counters, which the locate
+	// stage bumps after publishing.
+	cancel()
+	svc.Wait()
+	if st := svc.Stats()["z"]; st.Batches != 3 || st.Estimates != 2 {
+		t.Errorf("Batches %d, Estimates %d; want 3 and 2", st.Batches, st.Estimates)
+	}
 }

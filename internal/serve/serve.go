@@ -10,7 +10,6 @@ import (
 
 	"tafloc/internal/api"
 	"tafloc/internal/core"
-	"tafloc/internal/mat"
 	"tafloc/internal/store"
 	"tafloc/internal/track"
 	"tafloc/internal/wire"
@@ -51,10 +50,6 @@ type Config struct {
 	// bounded queue holds before Ingest sheds load (default 256;
 	// negative = 1).
 	QueueDepth int
-	// BatchSize is the maximum number of reports a zone's fold round
-	// consumes before answering one batched match query (default 64;
-	// negative = 1, one match query per batch).
-	BatchSize int
 	// Window is the per-link live-window length the fold rounds average
 	// over (default 8, matching the collector's default; negative = 1,
 	// no averaging).
@@ -121,12 +116,6 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 256
 	case c.QueueDepth < 0:
 		c.QueueDepth = 1
-	}
-	switch {
-	case c.BatchSize == 0:
-		c.BatchSize = 64
-	case c.BatchSize < 0:
-		c.BatchSize = 1
 	}
 	switch {
 	case c.Window == 0:
@@ -226,8 +215,6 @@ type zone struct {
 	// the resolved pointer, so a concurrent eviction can never yank a
 	// System out from under a running fold or locate. Transitions are
 	// serialized by resMu; see residency.go.
-	//
-	//tafloc:atomic
 	sys   atomic.Pointer[core.System]
 	zc    zoneConfig
 	queue chan []Report
@@ -470,11 +457,8 @@ func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publi
 func (z *zone) stop() {
 	z.schedMu.Lock()
 	z.stopped = true
-	if z.hasPend {
-		mat.PutFloats(z.pend.y)
-		z.pend = task{}
-		z.hasPend = false
-	}
+	z.pend = task{}
+	z.hasPend = false
 	z.schedMu.Unlock()
 }
 
@@ -920,7 +904,11 @@ func (s *Service) scheduleFold(z *zone) {
 	z.schedMu.Unlock()
 }
 
-// runFold is one fold round: drain up to BatchSize reports from the
+// foldBatch is the number of reports after which a fold round stops
+// draining the zone's queue and prepares its estimate.
+const foldBatch = 64
+
+// runFold is one fold round: drain up to foldBatch reports from the
 // zone's queue into the live windows, average them into a live vector,
 // gate on presence, and hand the prepared estimate to the locate stage.
 // The scheduling invariant (one fold task in flight per zone) makes the
@@ -935,7 +923,7 @@ func (s *Service) runFold(z *zone) {
 	}
 	drained := 0
 drain:
-	for drained < s.cfg.BatchSize {
+	for drained < foldBatch {
 		select {
 		case batch := <-z.queue:
 			drained += s.fold(z, batch)
@@ -992,22 +980,19 @@ func (s *Service) fold(z *zone, batch []Report) int {
 }
 
 // prepareEstimate closes a fold round: average the live windows into a
-// pooled vector, count starvation when some link has never reported
+// fresh vector, count starvation when some link has never reported
 // (operators can then tell "no estimate" from "no traffic" on the
 // Starved stat), gate on presence, and pass the estimate to the locate
 // stage. Absent estimates skip matching but still travel the locate
 // chain, which keeps per-zone publish order strict.
-//
-//tafloc:pool-ownership y is handed to dispatchLocate with the estimate; the locate task (or stop()) returns it to the mat pool after matching, and the early-return paths above that hand-off Put it explicitly.
 func (s *Service) prepareEstimate(z *zone) {
 	m := len(z.win)
-	y := mat.GetFloats(m)
+	y := make([]float64, m)
 	z.batches.Add(1)
 	for i := 0; i < m; i++ {
 		if z.wfill[i] == 0 {
 			// Some link has never reported: no estimate is possible yet.
 			z.starved.Add(1)
-			mat.PutFloats(y)
 			return
 		}
 		var sum float64
@@ -1025,7 +1010,6 @@ func (s *Service) prepareEstimate(z *zone) {
 	// the next round retries) rather than publishing anything.
 	sys, err := s.ensureHot(z)
 	if err != nil {
-		mat.PutFloats(y)
 		return
 	}
 	present, dev := s.detect(z, sys, y)
@@ -1035,10 +1019,6 @@ func (s *Service) prepareEstimate(z *zone) {
 		DeviationDB: dev,
 		Cell:        -1,
 		Reports:     z.folded,
-	}
-	if !present {
-		mat.PutFloats(y)
-		y = nil
 	}
 	s.dispatchLocate(z, sys, y, e)
 }
@@ -1052,13 +1032,8 @@ func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estim
 	z.schedMu.Lock()
 	switch {
 	case z.stopped:
-		z.schedMu.Unlock()
-		mat.PutFloats(y)
-		return
+		// A stopped zone publishes nothing more: drop the round.
 	case z.locBusy:
-		if z.hasPend {
-			mat.PutFloats(z.pend.y)
-		}
 		z.pend = task{sys: sys, y: y, e: e}
 		z.hasPend = true
 	default:
@@ -1069,7 +1044,6 @@ func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estim
 			// round, as shutdown drops queued work.
 			z.locBusy = false
 			z.tasks.Done()
-			mat.PutFloats(y)
 		}
 	}
 	z.schedMu.Unlock()
@@ -1085,7 +1059,7 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 	for {
 		if !s.serviceStopped() && !z.isStopped() {
 			ok := true
-			if e.Present && y != nil {
+			if e.Present {
 				loc, err := sys.Locate(y)
 				if err != nil {
 					z.matchErrors.Add(1)
@@ -1103,7 +1077,6 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 				published = true
 			}
 		}
-		mat.PutFloats(y)
 		z.schedMu.Lock()
 		if z.stopped || !z.hasPend {
 			z.locBusy = false

@@ -345,7 +345,7 @@ func TestReportErrors(t *testing.T) {
 // HTTP server.
 func TestHTTPEndpoints(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, BatchSize: 16, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("room-a", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestVacantReportsRefreshBaseline(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
 	day0 := sys.Vacant()
-	svc := newTestService(t, Config{Window: 4, BatchSize: 8, DetectThresholdDB: 1})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 1})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}

@@ -500,20 +500,19 @@ func TestDisabledDetectionGate(t *testing.T) {
 // TestConfigNormalization pins the unset-vs-explicit-zero semantics.
 func TestConfigNormalization(t *testing.T) {
 	def := Config{}.withDefaults()
-	if def.QueueDepth != 256 || def.BatchSize != 64 || def.Window != 8 ||
+	if def.QueueDepth != 256 || def.Window != 8 ||
 		def.DetectThresholdDB != 1 || def.WatchBuffer != 16 ||
 		def.WatchHeartbeat != 15*time.Second || def.Detector != core.DetectorMAD {
 		t.Errorf("zero config defaults: %+v", def)
 	}
 	exp := Config{
 		QueueDepth:        -1,
-		BatchSize:         -1,
 		Window:            -1,
 		DetectThresholdDB: -1,
 		WatchBuffer:       -1,
 		WatchHeartbeat:    -1,
 	}.withDefaults()
-	if exp.QueueDepth != 1 || exp.BatchSize != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
+	if exp.QueueDepth != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
 		t.Errorf("explicit minimums: %+v", exp)
 	}
 	if exp.DetectThresholdDB != 0 {

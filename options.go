@@ -105,15 +105,6 @@ func WithZoneQueue(depth int) ServiceOption {
 	return func(c *serve.Config) { c.QueueDepth = depth }
 }
 
-// WithBatch sets the maximum reports a zone worker folds per batched
-// match query; size <= 0 means one match query per batch.
-func WithBatch(size int) ServiceOption {
-	if size <= 0 {
-		size = -1
-	}
-	return func(c *serve.Config) { c.BatchSize = size }
-}
-
 // WithWindow sets the per-link live-window length; n <= 0 selects the
 // minimum window of 1 (no averaging).
 func WithWindow(n int) ServiceOption {
