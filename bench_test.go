@@ -222,8 +222,9 @@ func BenchmarkFullSurvey(b *testing.B) {
 
 // BenchmarkParallelReconstruct measures one LoLi-IR update on a 12 m x
 // 12 m deployment (400 cells, 17 links) with the parallel kernels forced
-// serial vs GOMAXPROCS-sized. The two sub-benchmarks compute bitwise
-// identical results; the ratio of their ns/op is the fan-out speedup.
+// serial (GOMAXPROCS 1) vs GOMAXPROCS-sized. The two sub-benchmarks
+// compute bitwise identical results; the ratio of their ns/op is the
+// fan-out speedup.
 func BenchmarkParallelReconstruct(b *testing.B) {
 	dep, err := tafloc.NewDeployment(tafloc.SquareConfig(12))
 	if err != nil {
@@ -236,15 +237,14 @@ func BenchmarkParallelReconstruct(b *testing.B) {
 	refCols, _ := dep.SurveyCells(sys.References(), 45)
 	vacant := dep.VacantCapture(45, 100)
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int // 0 keeps the current GOMAXPROCS
 	}{
 		{"serial", 1},
 		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			prev := tafloc.SetWorkers(bc.workers)
-			defer tafloc.SetWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.Update(refCols, vacant); err != nil {
 					b.Fatal(err)

@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -376,7 +377,7 @@ func run(cfg *config) error {
 	}
 
 	fmt.Printf("serving %d zones on %s (matcher %s, detector %s, parallel workers: %d)\n",
-		cfg.zones, ln.Addr(), cfg.matcher, cfg.detector, tafloc.Workers())
+		cfg.zones, ln.Addr(), cfg.matcher, cfg.detector, runtime.GOMAXPROCS(0))
 	if err := server.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return err
 	}

@@ -1,9 +1,10 @@
 // Package analysis assembles the taflocvet analyzer suite: the
 // project-specific go/analysis checkers that machine-check the repo's
-// RCU, pooling, error-taxonomy, 0-alloc, and context contracts —
-// plus, since v2, the flow-sensitive concurrency and taint checkers
-// (lock order, atomic/plain field mixing, goroutine quiescence, wire
-// taint) that reason across calls and packages over go/cfg CFGs.
+// RCU, error-taxonomy, 0-alloc, and context contracts — plus, since
+// v2, the flow-sensitive concurrency and taint checkers (lock order,
+// atomic/plain field mixing, goroutine quiescence, wire taint) that
+// reason across calls and packages over go/cfg CFGs. Eight analyzers
+// in all.
 //
 // The suite is consumed two ways: cmd/taflocvet wraps it in a
 // unitchecker so `go vet -vettool` drives it across the module, and the
@@ -22,7 +23,6 @@ import (
 	"tafloc/internal/analysis/goroleak"
 	"tafloc/internal/analysis/lockorder"
 	"tafloc/internal/analysis/noalloc"
-	"tafloc/internal/analysis/poolpair"
 	"tafloc/internal/analysis/wiretaint"
 )
 
@@ -39,7 +39,6 @@ func Syntactic() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		errcode.Analyzer,
 		noalloc.Analyzer,
-		poolpair.Analyzer,
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -32,8 +33,8 @@ type Location struct {
 // serve any number of goroutines at once.
 type Matcher interface {
 	// Match locates the measurement vector y (length M) against the
-	// model. sc holds the reusable working buffers; implementations must
-	// tolerate nil by borrowing from the shared pool.
+	// model. sc holds the reusable working buffers and is never nil:
+	// Model.Locate supplies it.
 	Match(m *Model, y []float64, sc *Scratch) (Location, error)
 }
 
@@ -49,10 +50,6 @@ func (NNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 	if err := checkMatch(m, y); err != nil {
 		return Location{}, err
 	}
-	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
-	}
 	dists := sc.distances(m.x.Cols())
 	columnDists(dists, m.x, y)
 	best, bestD := -1, math.Inf(1)
@@ -61,8 +58,16 @@ func (NNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 			best, bestD = j, d
 		}
 	}
+	if best < 0 {
+		return Location{}, errNoFiniteDistance
+	}
 	return Location{Cell: best, Point: m.layout.Grid.Center(best), Distance: bestD}, nil
 }
+
+// errNoFiniteDistance is NNMatcher's answer when every fingerprint
+// distance is NaN or +Inf, as when y holds non-finite or huge values:
+// no cell is nearest, so there is no estimate to give.
+var errNoFiniteDistance = errors.New("core: no finite fingerprint distance to the measurement")
 
 // KNNMatcher refines the estimate to sub-cell granularity by averaging
 // the centres of the K best-matching cells with inverse-distance weights —
@@ -78,10 +83,6 @@ type KNNMatcher struct {
 func (km KNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 	if err := checkMatch(m, y); err != nil {
 		return Location{}, err
-	}
-	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
 	}
 	k := km.K
 	if k <= 0 {
@@ -126,10 +127,6 @@ type BayesMatcher struct {
 func (bm BayesMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 	if err := checkMatch(m, y); err != nil {
 		return Location{}, err
-	}
-	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
 	}
 	sigma := bm.SigmaDB
 	if sigma <= 0 {
@@ -190,16 +187,6 @@ type WeightedKNNMatcher struct {
 	LiveSigmaDB float64
 	// K is the neighbour count for the centroid refinement (default 3).
 	K int
-	// Refine enables the sub-cell refinement stage: a local grid search
-	// over bilinearly interpolated fingerprints around the best cell,
-	// exploiting the paper's continuity property. It helps on a freshly
-	// surveyed database; on a reconstructed database the interpolation
-	// can chase reconstruction error, so it is opt-in.
-	Refine bool
-	// RefineRadiusM and RefineStepM control the refinement search
-	// (defaults 0.9 m and 0.1 m).
-	RefineRadiusM float64
-	RefineStepM   float64
 }
 
 // Match implements Matcher.
@@ -208,10 +195,6 @@ type WeightedKNNMatcher struct {
 func (wm WeightedKNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 	if err := checkMatch(m, y); err != nil {
 		return Location{}, err
-	}
-	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
 	}
 	obsSigma := wm.ObsSigmaDB
 	if obsSigma <= 0 {
@@ -247,102 +230,11 @@ func (wm WeightedKNNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location
 		py += w * p.Y
 		wsum += w
 	}
-	loc := Location{
+	return Location{
 		Cell:     cands[0].j,
 		Point:    geom.Point{X: px / wsum, Y: py / wsum},
 		Distance: cands[0].d,
-	}
-	if !wm.Refine {
-		return loc, nil
-	}
-	// Sub-cell refinement: the paper's continuity property means the
-	// fingerprint varies smoothly between neighbouring cells, so the
-	// database supports bilinear interpolation to a virtual fine grid. A
-	// local search around the coarse estimate picks the continuous
-	// position whose interpolated fingerprint best explains y.
-	radius := wm.RefineRadiusM
-	if radius <= 0 {
-		radius = 0.9
-	}
-	step := wm.RefineStepM
-	if step <= 0 {
-		step = 0.1
-	}
-	center := grid.Center(loc.Cell)
-	bestP := loc.Point
-	bestD := math.Inf(1)
-	f, fObs := sc.interp(x.Rows())
-	for dx := -radius; dx <= radius; dx += step {
-		for dy := -radius; dy <= radius; dy += step {
-			p := geom.Point{X: center.X + dx, Y: center.Y + dy}
-			if p.X < 0 || p.X > grid.Width || p.Y < 0 || p.Y > grid.Height {
-				continue
-			}
-			interpFingerprint(x, obs, grid, p, f, fObs)
-			var s float64
-			for i := range f {
-				d := f[i] - y[i]
-				w := wObs
-				if !fObs[i] {
-					w = wRec
-				}
-				s += w * d * d
-			}
-			if s < bestD {
-				bestD = s
-				bestP = p
-			}
-		}
-	}
-	if !math.IsInf(bestD, 1) {
-		loc.Point = bestP
-		loc.Distance = math.Sqrt(bestD)
-		if c := grid.CellAt(bestP); c >= 0 {
-			loc.Cell = c
-		}
-	}
-	return loc, nil
-}
-
-// interpFingerprint fills f with the bilinear interpolation of the
-// database columns at point p, and fObs with whether all four
-// interpolation corners of that link's entry are observed. Points beyond
-// the cell-centre lattice clamp to the border cells.
-func interpFingerprint(x, obs *mat.Matrix, grid *geom.Grid, p geom.Point, f []float64, fObs []bool) {
-	nx, ny := grid.NX(), grid.NY()
-	u := p.X/grid.CellSize - 0.5
-	v := p.Y/grid.CellSize - 0.5
-	clampF := func(val float64, hi int) (int, int, float64) {
-		f0 := math.Floor(val)
-		i0 := int(f0)
-		i1 := i0 + 1
-		if i0 < 0 {
-			return 0, 0, 0
-		}
-		if i1 >= hi {
-			return hi - 1, hi - 1, 0
-		}
-		return i0, i1, val - f0
-	}
-	ix0, ix1, fx := clampF(u, nx)
-	iy0, iy1, fy := clampF(v, ny)
-	j00 := iy0*nx + ix0
-	j10 := iy0*nx + ix1
-	j01 := iy1*nx + ix0
-	j11 := iy1*nx + ix1
-	for i := 0; i < x.Rows(); i++ {
-		g00 := x.At(i, j00)
-		g10 := x.At(i, j10)
-		g01 := x.At(i, j01)
-		g11 := x.At(i, j11)
-		f[i] = (1-fy)*((1-fx)*g00+fx*g10) + fy*((1-fx)*g01+fx*g11)
-		if obs == nil {
-			fObs[i] = true
-		} else {
-			fObs[i] = obs.At(i, j00) == 1 && obs.At(i, j10) == 1 &&
-				obs.At(i, j01) == 1 && obs.At(i, j11) == 1
-		}
-	}
+	}, nil
 }
 
 // Detector decides whether a target is present at all by comparing a live

@@ -57,7 +57,7 @@ func TestNNMatcherExactColumns(t *testing.T) {
 	f := newMatchFixture(t, 1)
 	// A measurement equal to a fingerprint column must match that cell.
 	for _, j := range []int{0, 17, f.l.N() / 2, f.l.N() - 1} {
-		loc, err := NNMatcher{}.Match(f.m, f.truth.Col(j), nil)
+		loc, err := NNMatcher{}.Match(f.m, f.truth.Col(j), NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestNNMatcherNoisyMeasurement(t *testing.T) {
 		for i := range y {
 			y[i] += 0.4 * rng.NormFloat64()
 		}
-		loc, err := NNMatcher{}.Match(f.m, y, nil)
+		loc, err := NNMatcher{}.Match(f.m, y, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestKNNMatcherSubCellRefinement(t *testing.T) {
 	// Target off cell centres: KNN should produce a point estimate whose
 	// error is no worse than a cell diagonal.
 	p := geom.Point{X: 2.05, Y: 2.35}
-	loc, err := KNNMatcher{K: 3}.Match(f.m, f.liveAt(p), nil)
+	loc, err := KNNMatcher{K: 3}.Match(f.m, f.liveAt(p), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestKNNMatcherSubCellRefinement(t *testing.T) {
 func TestKNNMatcherDefaultsAndClamps(t *testing.T) {
 	f := newMatchFixture(t, 5)
 	y := f.truth.Col(10)
-	if _, err := (KNNMatcher{}).Match(f.m, y, nil); err != nil {
+	if _, err := (KNNMatcher{}).Match(f.m, y, NewScratch()); err != nil {
 		t.Fatalf("zero K: %v", err)
 	}
-	if _, err := (KNNMatcher{K: 10000}).Match(f.m, y, nil); err != nil {
+	if _, err := (KNNMatcher{K: 10000}).Match(f.m, y, NewScratch()); err != nil {
 		t.Fatalf("huge K: %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestKNNMatcherDefaultsAndClamps(t *testing.T) {
 func TestBayesMatcherConfidence(t *testing.T) {
 	f := newMatchFixture(t, 6)
 	j := 30
-	loc, err := BayesMatcher{SigmaDB: 1}.Match(f.m, f.truth.Col(j), nil)
+	loc, err := BayesMatcher{SigmaDB: 1}.Match(f.m, f.truth.Col(j), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBayesMatcherPosteriorCentroidInsideArea(t *testing.T) {
 		for i := range y {
 			y[i] += rng.NormFloat64()
 		}
-		loc, err := BayesMatcher{}.Match(f.m, y, nil)
+		loc, err := BayesMatcher{}.Match(f.m, y, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,11 +166,35 @@ func TestMatchersValidateInput(t *testing.T) {
 	f := newMatchFixture(t, 9)
 	short := make([]float64, 3)
 	for _, m := range []Matcher{NNMatcher{}, KNNMatcher{}, BayesMatcher{}, WeightedKNNMatcher{}} {
-		if _, err := m.Match(f.m, short, nil); err == nil {
+		if _, err := m.Match(f.m, short, NewScratch()); err == nil {
 			t.Fatalf("%T accepted short measurement", m)
 		}
-		if _, err := m.Match(nil, f.vac, nil); err == nil {
+		if _, err := m.Match(nil, f.vac, NewScratch()); err == nil {
 			t.Fatalf("%T accepted nil model", m)
+		}
+	}
+}
+
+// TestNNMatcherNoFiniteDistance: one NaN, ±Inf or huge entry in the
+// live vector makes every fingerprint distance NaN or +Inf, so no cell
+// is nearest; nn must say so with an error instead of indexing cell -1,
+// on the matcher and through System.Locate.
+func TestNNMatcherNoFiniteDistance(t *testing.T) {
+	f := newMatchFixture(t, 10)
+	opts := DefaultSystemOptions()
+	opts.MatcherName = MatcherNN
+	sys, err := NewSystem(f.l, f.truth, f.vac, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		y := f.truth.Col(5)
+		y[0] = v
+		if _, err := (NNMatcher{}).Match(f.m, y, NewScratch()); err == nil {
+			t.Errorf("NNMatcher with y[0] = %v: no error", v)
+		}
+		if _, err := sys.Locate(y); err == nil {
+			t.Errorf("System.Locate (nn) with y[0] = %v: no error", v)
 		}
 	}
 }

@@ -83,12 +83,13 @@ func (m *Model) Matcher() Matcher { return m.matcher }
 // Locate matches a live measurement vector against the model. sc holds
 // the per-call working buffers; passing the same Scratch across calls
 // makes the steady state allocation-free. A nil sc borrows one from the
-// shared pool. Locate is safe to call from any number of goroutines
-// concurrently (each with its own Scratch).
+// shared pool and returns it afterwards — the only place a Scratch is
+// pooled, so a matcher always receives one. Locate is safe to call from
+// any number of goroutines concurrently (each with its own Scratch).
 func (m *Model) Locate(y []float64, sc *Scratch) (Location, error) {
 	if sc == nil {
-		sc = GetScratch()
-		defer PutScratch(sc)
+		sc = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(sc)
 	}
 	return m.matcher.Match(m, y, sc)
 }

@@ -162,16 +162,16 @@ func TestModelSurvivesUpdate(t *testing.T) {
 	}
 }
 
-// TestScratchPoolReuse checks the pooled buffers grow to the largest
-// database seen and then stop allocating, across models of different
-// sizes.
+// TestScratchPoolReuse checks a reused Scratch's buffers grow to the
+// database size on first use and then stop allocating, for every
+// built-in matcher.
 func TestScratchPoolReuse(t *testing.T) {
 	l := testLayout(t)
 	truth, _ := syntheticTruth(l, rand.New(rand.NewSource(13)))
 	m := mustModel(t, l, truth)
 	y := truth.Col(3)
 	sc := NewScratch()
-	for _, matcher := range []Matcher{NNMatcher{}, KNNMatcher{}, BayesMatcher{}, WeightedKNNMatcher{Refine: true}} {
+	for _, matcher := range []Matcher{NNMatcher{}, KNNMatcher{}, BayesMatcher{}, WeightedKNNMatcher{}} {
 		if _, err := matcher.Match(m, y, sc); err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,16 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tafloc/internal/geom"
-	"tafloc/internal/mat"
 )
 
 // TestParallelReconstructMatchesSerial requires a full LoLi-IR run to be
 // bitwise identical under parallel fan-out: every kernel partitions by
-// independent output range, so the worker count must not change results.
+// independent output range, so GOMAXPROCS, which sizes the fan-out,
+// must not change results.
 func TestParallelReconstructMatchesSerial(t *testing.T) {
 	grid, err := geom.NewGrid(7.2, 4.8, 0.6)
 	if err != nil {
@@ -27,13 +28,12 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 	}
 	in := makeUpdateInput(layout, truth, vac, pickRefs(layout, 10))
 
-	prev := mat.SetWorkers(1)
-	defer mat.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial, err := rc.Reconstruct(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat.SetWorkers(8)
+	runtime.GOMAXPROCS(8)
 	parallel, err := rc.Reconstruct(in)
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,9 @@ const (
 	MatcherBayes = "bayes"
 	// MatcherWKNN is the mask-aware weighted k-NN matcher. The
 	// observed-entry mask travels in the Model the matcher is applied
-	// to, so every WeightedKNNMatcher — built-in, registry-built, or
-	// injected — weighs measured entries above reconstructed ones on a
-	// post-update Model and runs unmasked on a Model without one.
+	// to, so every WeightedKNNMatcher — built-in or registered under a
+	// custom name — weighs measured entries above reconstructed ones on
+	// a post-update Model and runs unmasked on a Model without one.
 	MatcherWKNN = "wknn"
 
 	// DetectorMAD gates presence on the mean absolute deviation from the

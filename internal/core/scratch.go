@@ -3,18 +3,16 @@ package core
 import "sync"
 
 // Scratch holds the per-call working buffers of the matchers: candidate
-// distances, posterior accumulators, and the refinement interpolation
-// vectors. Threading one Scratch through repeated Locate calls makes
-// the steady-state match path allocation-free — the buffers grow to the
+// distances, posterior accumulators and the k-nearest candidate list.
+// Threading one Scratch through repeated Locate calls makes the
+// steady-state match path allocation-free — the buffers grow to the
 // largest database seen and are reused verbatim afterwards. A Scratch
-// is not safe for concurrent use; give each goroutine its own (the
-// pooled GetScratch/PutScratch pair is the cheap way to do that).
+// is not safe for concurrent use; give each goroutine its own, or pass
+// nil to Model.Locate, which borrows one from a shared pool.
 type Scratch struct {
 	dists []float64
 	logp  []float64
 	post  []float64
-	f     []float64
-	fObs  []bool
 	cands []cand
 }
 
@@ -28,14 +26,9 @@ type cand struct {
 // first use and reused afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// scratchPool keeps grown Scratches between Model.Locate calls that
+// pass none; Model.Locate is its only borrower.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
-
-// GetScratch borrows a Scratch from the shared pool.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
-
-// PutScratch returns a Scratch to the shared pool. The caller must not
-// use sc afterwards.
-func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
 // floats returns *buf resized to length n, growing it when the
 // capacity is insufficient. The grown buffer is retained in the
@@ -78,16 +71,4 @@ func (sc *Scratch) candidates(n int) []cand {
 	}
 	sc.cands = sc.cands[:n]
 	return sc.cands
-}
-
-// interp returns the refinement interpolation buffers, each length m.
-//
-//tafloc:noalloc steady state reuses the retained buffers; only growth allocates.
-func (sc *Scratch) interp(m int) ([]float64, []bool) {
-	f := sc.floats(&sc.f, m)
-	if cap(sc.fObs) < m {
-		sc.fObs = make([]bool, m) //tafloc:alloc-ok amortized grow to the largest database seen
-	}
-	sc.fObs = sc.fObs[:m]
-	return f, sc.fObs
 }

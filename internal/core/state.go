@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"tafloc/internal/geom"
 	"tafloc/internal/mat"
 	"tafloc/taflocerr"
@@ -12,10 +14,10 @@ import (
 // LoLi-IR reconstruction. It is the unit internal/snap serializes for
 // warm restarts.
 //
-// A custom Matcher implementation injected through SystemOptions.Matcher
-// cannot travel in a state (it is arbitrary code); only MatcherName is
-// captured. A system built with an unregistered custom matcher restores
-// onto the built-in mask-aware weighted path.
+// The matcher travels as its registry name: RestoreSystem rebuilds it
+// from the registry, so a custom matcher must be registered
+// (RegisterMatcher) under the same name in the restoring process, or
+// the restore fails closed.
 type SystemState struct {
 	// Deployment geometry.
 	Links         []geom.Segment
@@ -24,7 +26,7 @@ type SystemState struct {
 	GridCellSize  float64
 	EllipseExcess float64
 
-	// Construction options (minus the non-serializable Matcher impl).
+	// Construction options.
 	LoLi            LoLiOptions
 	Refs            ReferenceOptions
 	MatcherName     string
@@ -91,9 +93,9 @@ func RestoreSystem(st *SystemState) (*System, error) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
 			"core: restore: fingerprint database must be %dx%d", m, n)
 	}
-	if !st.X.IsFinite() {
+	if !inRSSRange(st.X.Raw()) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
-			"core: restore: fingerprint database has non-finite entries")
+			"core: restore: fingerprint database has entries that are non-finite or outside [%v, %v] dBm", MinRSS, MaxRSS)
 	}
 	if st.Observed != nil && (st.Observed.Rows() != m || st.Observed.Cols() != n) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
@@ -102,6 +104,10 @@ func RestoreSystem(st *SystemState) (*System, error) {
 	if len(st.Vacant) != m {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
 			"core: restore: vacant baseline must have length %d", m)
+	}
+	if !inRSSRange(st.Vacant) {
+		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
+			"core: restore: vacant baseline has entries that are non-finite or outside [%v, %v] dBm", MinRSS, MaxRSS)
 	}
 	if len(st.RefCells) == 0 {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: restore: no reference cells")
@@ -123,18 +129,15 @@ func RestoreSystem(st *SystemState) (*System, error) {
 		RecSigmaDB:      st.RecSigmaDB,
 		MaskThresholdDB: st.MaskThresholdDB,
 	}
-	if opts.MatcherName != "" && opts.MatcherName != MatcherWKNN {
-		mm, merr := NewMatcherByName(opts.MatcherName)
-		if merr != nil {
-			return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: restore: %w", merr)
-		}
-		opts.Matcher = mm
+	matcher, err := resolveMatcher(opts)
+	if err != nil {
+		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: restore: %w", err)
 	}
 	sys := &System{
 		layout:  layout,
 		opts:    opts,
 		recon:   recon,
-		matcher: resolveMatcher(opts),
+		matcher: matcher,
 	}
 	var observed *mat.Matrix
 	if st.Observed != nil {
@@ -144,4 +147,24 @@ func RestoreSystem(st *SystemState) (*System, error) {
 		append([]float64(nil), st.Vacant...),
 		append([]int(nil), st.RefCells...))
 	return sys, nil
+}
+
+// MinRSS and MaxRSS bound an RSS value in dBm that the system accepts,
+// from a live report or from a snapshot: the int32 milli-dBm range the
+// UDP wire format saturates to. Within it every fingerprint distance
+// stays finite.
+const (
+	MinRSS = math.MinInt32 / 1000.0
+	MaxRSS = math.MaxInt32 / 1000.0
+)
+
+// inRSSRange reports whether every value lies in [MinRSS, MaxRSS]; NaN
+// and ±Inf do not.
+func inRSSRange(vs []float64) bool {
+	for _, v := range vs {
+		if !(v >= MinRSS && v <= MaxRSS) {
+			return false
+		}
+	}
+	return true
 }

@@ -42,10 +42,16 @@ func stateTestSystem(t *testing.T, opts SystemOptions) (*System, *Layout) {
 }
 
 // TestExportRestoreRoundTrip pins warm-start fidelity at the core layer:
-// a restored system must locate identically to the original on the same
-// inputs — bit for bit, not approximately.
+// a restored system must run the same matcher and locate identically to
+// the original on the same inputs — bit for bit, not approximately. The
+// list includes a registered custom name, which a snapshot carries the
+// same way as a built-in one.
 func TestExportRestoreRoundTrip(t *testing.T) {
-	for _, matcher := range []string{"", MatcherWKNN, MatcherNN, MatcherBayes} {
+	const custom = "state-test-knn5"
+	if err := RegisterMatcher(custom, func() Matcher { return KNNMatcher{K: 5} }); err != nil {
+		t.Fatal(err)
+	}
+	for _, matcher := range []string{"", MatcherWKNN, MatcherNN, MatcherBayes, custom} {
 		opts := DefaultSystemOptions()
 		opts.MatcherName = matcher
 		sys, layout := stateTestSystem(t, opts)
@@ -70,6 +76,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		}
 		if !restored.Mask().Equal(sys.Mask(), 0) {
 			t.Fatalf("matcher %q: mask differs after restore", matcher)
+		}
+		if got, want := restored.Model().Matcher(), sys.Model().Matcher(); got != want {
+			t.Fatalf("matcher %q: restored matcher %#v, want %#v", matcher, got, want)
 		}
 
 		m := layout.M()
@@ -155,6 +164,27 @@ func TestRestoreSystemFailsClosed(t *testing.T) {
 		"non-finite X": func(st *SystemState) {
 			st.X = st.X.Clone()
 			st.X.Set(0, 0, math.NaN())
+		},
+		"X of 1e200": func(st *SystemState) {
+			st.MatcherName = MatcherNN
+			st.X = st.X.Clone()
+			st.X.Fill(1e200)
+		},
+		"X below RSS range": func(st *SystemState) {
+			st.X = st.X.Clone()
+			st.X.Set(0, 0, MinRSS-1)
+		},
+		"NaN vacant": func(st *SystemState) {
+			st.Vacant = append([]float64(nil), st.Vacant...)
+			st.Vacant[0] = math.NaN()
+		},
+		"infinite vacant": func(st *SystemState) {
+			st.Vacant = append([]float64(nil), st.Vacant...)
+			st.Vacant[0] = math.Inf(1)
+		},
+		"vacant above RSS range": func(st *SystemState) {
+			st.Vacant = append([]float64(nil), st.Vacant...)
+			st.Vacant[0] = 1e200
 		},
 	}
 	for name, corrupt := range cases {

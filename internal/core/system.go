@@ -16,14 +16,12 @@ type SystemOptions struct {
 	LoLi LoLiOptions
 	// Refs controls reference-location selection.
 	Refs ReferenceOptions
-	// Matcher locates live measurements. Nil selects the built-in
-	// mask-aware WeightedKNNMatcher, which reads the observed-entry mask
-	// from the current Model on every call.
-	Matcher Matcher
-	// MatcherName selects a matcher from the registry by name when
-	// Matcher is nil. The name "wknn" (or empty) keeps the built-in
-	// mask-aware path; any other name is resolved through
-	// NewMatcherByName at construction, so an unknown name fails fast.
+	// MatcherName selects the matcher by registry name. The name "wknn"
+	// (or empty) selects the built-in mask-aware WeightedKNNMatcher,
+	// which reads the observed-entry mask from the current Model on
+	// every call; any other name is resolved through NewMatcherByName at
+	// construction, so an unknown name fails fast. A custom matcher is
+	// installed with RegisterMatcher and selected here by its name.
 	MatcherName string
 	// RecSigmaDB is the assumed error std of reconstructed entries for
 	// the built-in weighted matcher (default 4 dB, the paper's 3-month
@@ -106,31 +104,30 @@ func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts System
 	if err != nil {
 		return nil, err
 	}
-	if opts.Matcher == nil && opts.MatcherName != "" && opts.MatcherName != MatcherWKNN {
-		m, merr := NewMatcherByName(opts.MatcherName)
-		if merr != nil {
-			return nil, merr
-		}
-		opts.Matcher = m
+	matcher, err := resolveMatcher(opts)
+	if err != nil {
+		return nil, err
 	}
 	s := &System{
 		layout:  layout,
 		opts:    opts,
 		recon:   recon,
-		matcher: resolveMatcher(opts),
+		matcher: matcher,
 	}
 	s.install(survey.Clone(), nil, append([]float64(nil), vacant...), refs)
 	return s, nil
 }
 
-// resolveMatcher picks the concrete matcher a System localizes with: an
-// injected implementation wins, otherwise the built-in mask-aware
-// weighted matcher (the observed mask itself travels in each Model).
-func resolveMatcher(opts SystemOptions) Matcher {
-	if opts.Matcher != nil {
-		return opts.Matcher
+// resolveMatcher builds the matcher a System localizes with from its
+// registry name, for NewSystem and RestoreSystem alike, so the name a
+// snapshot records is the matcher that runs. "wknn" and the empty name
+// select the built-in mask-aware weighted matcher at opts.RecSigmaDB
+// (the observed mask itself travels in each Model).
+func resolveMatcher(opts SystemOptions) (Matcher, error) {
+	if opts.MatcherName == "" || opts.MatcherName == MatcherWKNN {
+		return WeightedKNNMatcher{RecSigmaDB: opts.RecSigmaDB}, nil
 	}
-	return WeightedKNNMatcher{RecSigmaDB: opts.RecSigmaDB}
+	return NewMatcherByName(opts.MatcherName)
 }
 
 // install publishes a new immutable Model assembled from freshly built
@@ -218,8 +215,8 @@ func (s *System) Reselect() ([]int, error) {
 // With the default options it uses the mask-aware weighted matcher, which
 // trusts measured entries (vacant fills and reference columns) above
 // LoLi-IR-reconstructed ones. The steady state is allocation-free: the
-// working buffers come from the shared Scratch pool, and the Model read
-// is one atomic load, so concurrent callers never contend.
+// working buffers come from Model.Locate's Scratch pool, and the Model
+// read is one atomic load, so concurrent callers never contend.
 func (s *System) Locate(y []float64) (Location, error) {
 	return s.model.Load().Locate(y, nil)
 }

@@ -3,7 +3,6 @@ package mat
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // The parallel kernels in this package fan work out over a bounded set of
@@ -18,31 +17,7 @@ import (
 // least this much work.
 const parMinFlops = 1 << 16
 
-// parWorkers holds the configured worker count; 0 selects
-// runtime.GOMAXPROCS(0) at call time.
-var parWorkers atomic.Int32
-
-// SetWorkers sets the worker count used by the parallel kernels and
-// returns the previous setting. n <= 0 restores the default,
-// GOMAXPROCS-aware sizing. It may be called at any time, including
-// concurrently with running kernels (in-flight calls keep the count they
-// started with).
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(parWorkers.Swap(int32(n)))
-}
-
-// Workers returns the effective worker count for parallel kernels.
-func Workers() int {
-	if n := int(parWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ParallelFor splits [0, n) into at most Workers() contiguous chunks of at
+// ParallelFor splits [0, n) into at most GOMAXPROCS contiguous chunks of at
 // least minChunk items each and runs fn on every chunk, blocking until all
 // complete. When only one chunk results (small n or one worker) fn runs
 // inline on the calling goroutine with no synchronization overhead.
@@ -72,7 +47,7 @@ func ParallelFor(n, minChunk int, fn func(lo, hi int)) {
 }
 
 // parChunks is the partitioning heuristic: how many chunks ParallelFor
-// splits [0, n) into under the current worker setting (at least 1 for
+// splits [0, n) into under the current GOMAXPROCS (at least 1 for
 // n > 0).
 func parChunks(n, minChunk int) int {
 	if minChunk < 1 {
@@ -82,7 +57,7 @@ func parChunks(n, minChunk int) int {
 	if chunks < 1 {
 		chunks = 1
 	}
-	if w := Workers(); chunks > w {
+	if w := runtime.GOMAXPROCS(0); chunks > w {
 		chunks = w
 	}
 	return chunks

@@ -1,6 +1,9 @@
 package mat
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // fill populates m with a deterministic pseudo-random pattern.
 func fill(m *Matrix, seed uint64) {
@@ -11,12 +14,11 @@ func fill(m *Matrix, seed uint64) {
 	}
 }
 
-// withWorkers runs f twice, serial then with n workers, restoring the
-// previous setting afterwards.
+// withWorkers runs f with GOMAXPROCS set to n, which sizes the
+// parallel kernels, restoring the previous setting afterwards.
 func withWorkers(t *testing.T, n int, f func()) {
 	t.Helper()
-	prev := SetWorkers(n)
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	f()
 }
 
@@ -72,20 +74,5 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 				t.Errorf("workers=%d: TMul differs from serial", workers)
 			}
 		})
-	}
-}
-
-// TestSetWorkers checks the setter contract.
-func TestSetWorkers(t *testing.T) {
-	prev := SetWorkers(3)
-	defer SetWorkers(prev)
-	if w := Workers(); w != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", w)
-	}
-	if old := SetWorkers(0); old != 3 {
-		t.Errorf("SetWorkers returned %d, want 3", old)
-	}
-	if w := Workers(); w < 1 {
-		t.Errorf("default Workers() = %d, want >= 1", w)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tafloc/internal/core"
 	"tafloc/internal/wire"
 	"tafloc/taflocerr"
 )
@@ -65,10 +66,10 @@ func (s *Service) Ingest(id string, reports []Report) error {
 			z.dropped.Add(uint64(len(reports)))
 			return fmt.Errorf("%w: link %d of %d in zone %q", ErrBadReport, r.Link, m, id)
 		}
-		if math.IsNaN(r.RSS) || r.RSS < minRSS || r.RSS > maxRSS {
+		if math.IsNaN(r.RSS) || r.RSS < core.MinRSS || r.RSS > core.MaxRSS {
 			z.dropped.Add(uint64(len(reports)))
 			return taflocerr.Errorf(taflocerr.CodeBadRequest,
-				"serve: report rss %v dBm on link %d outside [%v, %v] in zone %q", r.RSS, r.Link, minRSS, maxRSS, id)
+				"serve: report rss %v dBm on link %d outside [%v, %v] in zone %q", r.RSS, r.Link, core.MinRSS, core.MaxRSS, id)
 		}
 	}
 	// A cold zone rehydrates here, before its reports enter the queue:
@@ -108,13 +109,6 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		return ErrQueueFull
 	}
 }
-
-// minRSS and maxRSS bound an accepted RSS value in dBm: the int32
-// milli-dBm range wire.SetRSS saturates to, so every UDP frame passes.
-const (
-	minRSS = math.MinInt32 / 1000.0
-	maxRSS = math.MaxInt32 / 1000.0
-)
 
 // IngestSink adapts an Ingestor into a collector batch sink for one
 // zone: wire it with Collector.SetBatchSink and every decoded UDP batch

@@ -14,6 +14,7 @@ import (
 
 	"tafloc/internal/api"
 	"tafloc/internal/collector"
+	"tafloc/internal/core"
 	"tafloc/internal/wire"
 	"tafloc/taflocerr"
 )
@@ -243,7 +244,7 @@ func TestOutOfRangeRSSRejected(t *testing.T) {
 		t.Errorf("stream acks %+v, want one bad_request line and a trailer rejecting %d reports", acks, batchLen)
 	}
 	// Values JSON cannot carry reach Ingest in-process.
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), minRSS - 1, maxRSS + 1} {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), core.MinRSS - 1, core.MaxRSS + 1} {
 		batch := targetBatch(dep, streamTestPoint)
 		batch[len(batch)-1].RSS = v
 		if err := svc.Ingest("z", batch); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {

@@ -267,8 +267,12 @@ func TestPendingSlotKeepsFreshest(t *testing.T) {
 	gm := &gatedMatcher{entered: make(chan struct{}), release: make(chan struct{})}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(gm.release) }) }
+	const gated = "sched-test-gated"
+	if err := core.RegisterMatcher(gated, func() core.Matcher { return gm }); err != nil {
+		t.Fatal(err)
+	}
 	opts := core.DefaultSystemOptions()
-	opts.Matcher = gm
+	opts.MatcherName = gated
 	survey, _ := dep.Survey(0)
 	sys, err := core.NewSystem(layout, survey, dep.VacantCapture(0, 50), opts)
 	if err != nil {

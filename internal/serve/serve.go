@@ -231,12 +231,8 @@ type zone struct {
 	// per-link ring windows: win holds every sample (a vacant room is a
 	// valid live measurement); vwin holds only vacant-flagged samples and
 	// feeds the refreshed detection baseline. Fold-task-owned.
-	win    [][]float64
-	widx   []int
-	wfill  []int
-	vwin   [][]float64
-	vidx   []int
-	vfill  []int
+	win    []ring[float64]
+	vwin   []ring[float64]
 	folded uint64 // reports folded so far (fold-task-owned)
 
 	received    atomic.Uint64
@@ -436,17 +432,13 @@ func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publi
 		zc:    zc,
 		pub:   pub,
 		queue: make(chan []Report, s.cfg.QueueDepth),
-		win:   make([][]float64, m),
-		widx:  make([]int, m),
-		wfill: make([]int, m),
-		vwin:  make([][]float64, m),
-		vidx:  make([]int, m),
-		vfill: make([]int, m),
+		win:   make([]ring[float64], m),
+		vwin:  make([]ring[float64], m),
 	}
 	z.sys.Store(sys)
 	for i := range z.win {
-		z.win[i] = make([]float64, zc.window)
-		z.vwin[i] = make([]float64, zc.window)
+		z.win[i].buf = make([]float64, zc.window)
+		z.vwin[i].buf = make([]float64, zc.window)
 	}
 	return z
 }
@@ -960,19 +952,9 @@ func (s *Service) foldDone(z *zone) {
 // baseline.
 func (s *Service) fold(z *zone, batch []Report) int {
 	for _, r := range batch {
-		w := z.win[r.Link]
-		w[z.widx[r.Link]] = r.RSS
-		z.widx[r.Link] = (z.widx[r.Link] + 1) % len(w)
-		if z.wfill[r.Link] < len(w) {
-			z.wfill[r.Link]++
-		}
+		z.win[r.Link].push(r.RSS)
 		if r.Vacant {
-			v := z.vwin[r.Link]
-			v[z.vidx[r.Link]] = r.RSS
-			z.vidx[r.Link] = (z.vidx[r.Link] + 1) % len(v)
-			if z.vfill[r.Link] < len(v) {
-				z.vfill[r.Link]++
-			}
+			z.vwin[r.Link].push(r.RSS)
 		}
 	}
 	z.folded += uint64(len(batch))
@@ -986,20 +968,15 @@ func (s *Service) fold(z *zone, batch []Report) int {
 // stage. Absent estimates skip matching but still travel the locate
 // chain, which keeps per-zone publish order strict.
 func (s *Service) prepareEstimate(z *zone) {
-	m := len(z.win)
-	y := make([]float64, m)
+	y := make([]float64, len(z.win))
 	z.batches.Add(1)
-	for i := 0; i < m; i++ {
-		if z.wfill[i] == 0 {
+	for i := range z.win {
+		if z.win[i].n == 0 {
 			// Some link has never reported: no estimate is possible yet.
 			z.starved.Add(1)
 			return
 		}
-		var sum float64
-		for k := 0; k < z.wfill[i]; k++ {
-			sum += z.win[i][k]
-		}
-		y[i] = sum / float64(z.wfill[i])
+		y[i] = windowMean(&z.win[i])
 	}
 	// Resolve the zone's System once for the whole fold→locate round and
 	// thread it through the task chain: detection and localization then
@@ -1106,19 +1083,15 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 func (s *Service) detect(z *zone, sys *core.System, y []float64) (bool, float64) {
 	vac := sys.Vacant()
 	fresh := true
-	for i := range z.vfill {
-		if z.vfill[i] == 0 {
+	for i := range z.vwin {
+		if z.vwin[i].n == 0 {
 			fresh = false
 			break
 		}
 	}
 	if fresh {
-		for i, v := range z.vwin {
-			var sum float64
-			for k := 0; k < z.vfill[i]; k++ {
-				sum += v[k]
-			}
-			vac[i] = sum / float64(z.vfill[i])
+		for i := range z.vwin {
+			vac[i] = windowMean(&z.vwin[i])
 		}
 	}
 	if z.zc.thrDB <= 0 {

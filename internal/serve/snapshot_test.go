@@ -283,6 +283,55 @@ func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOutOfRangeRadioMap: a CRC-valid snapshot that
+// names nn and holds 1e200 in every radio-map entry would make every
+// fingerprint distance +Inf, leaving nn no nearest cell. It must fail
+// closed through both RestoreZone and the PUT route and register no
+// zone, rather than restore and fail on its first report.
+func TestRestoreRejectsOutOfRangeRadioMap(t *testing.T) {
+	dep := testDeployment(t)
+	svc := newTestService(t, Config{})
+	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := svc.snapshotZone("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn.State.MatcherName = core.MatcherNN
+	sn.State.X.Fill(1e200)
+	data, err := snap.Encode(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other := newTestService(t, Config{
+		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
+			return testSystem(t, dep), nil
+		},
+	})
+	if _, err := other.RestoreZone(data); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
+		t.Errorf("RestoreZone: %v, want ErrSnapshotCorrupt", err)
+	}
+	srv := httptest.NewServer(other.Handler())
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v2/zones/z/snapshot", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt) {
+		t.Errorf("PUT: %d, want %d", resp.StatusCode, taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt))
+	}
+	if zones := other.Zones(); len(zones) != 0 {
+		t.Errorf("rejected snapshot still registered zones: %v", zones)
+	}
+}
+
 // TestCheckpointerWritesAndFinalizes: the background checkpointer
 // produces files at the interval and once more on shutdown.
 func TestCheckpointerWritesAndFinalizes(t *testing.T) {

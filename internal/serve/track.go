@@ -17,7 +17,8 @@ import (
 // wire type; see internal/api).
 type TrackPoint = api.TrackPoint
 
-// ring is a fixed-capacity FIFO over the last cap pushed values.
+// ring is a fixed-capacity FIFO over the last cap pushed values: a
+// zone's history and track, and each link's fold windows.
 type ring[T any] struct {
 	buf []T
 	idx int // next write position
@@ -50,6 +51,17 @@ func (r *ring[T]) last(n int) []T {
 		out[i] = r.buf[(start+i)%len(r.buf)]
 	}
 	return out
+}
+
+// windowMean averages a fold window's samples in buffer order (the
+// summation order every live vector has always used); w holds at least
+// one sample.
+func windowMean(w *ring[float64]) float64 {
+	var sum float64
+	for _, v := range w.buf[:w.n] {
+		sum += v
+	}
+	return sum / float64(w.n)
 }
 
 // record appends a freshly published estimate to the history and, for

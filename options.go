@@ -5,61 +5,43 @@ import (
 
 	"tafloc/internal/api"
 	"tafloc/internal/core"
-	"tafloc/internal/mat"
 	"tafloc/internal/serve"
 )
 
 // Option configures a System built by Open or OpenDeployment. Options
 // compose left to right; later options win on conflict.
-type Option func(*openConfig)
-
-type openConfig struct {
-	sys     core.SystemOptions
-	workers int
-	setW    bool
-}
+type Option func(*core.SystemOptions)
 
 // WithMatcher selects the localization matcher by registry name —
 // "nn", "knn", "bayes", or "wknn" (the mask-aware default), plus any
-// name installed with RegisterMatcher. Unknown names fail Open.
+// name installed with RegisterMatcher. Unknown names fail Open. The
+// name is what a snapshot records, so a restored System runs the same
+// matcher.
 func WithMatcher(name string) Option {
-	return func(c *openConfig) { c.sys.MatcherName = name; c.sys.Matcher = nil }
-}
-
-// WithMatcherImpl injects a concrete Matcher implementation, bypassing
-// the registry.
-func WithMatcherImpl(m Matcher) Option {
-	return func(c *openConfig) { c.sys.Matcher = m; c.sys.MatcherName = "" }
+	return func(c *core.SystemOptions) { c.MatcherName = name }
 }
 
 // WithLoLi overrides the LoLi-IR reconstruction hyperparameters.
 func WithLoLi(o LoLiOptions) Option {
-	return func(c *openConfig) { c.sys.LoLi = o }
+	return func(c *core.SystemOptions) { c.LoLi = o }
 }
 
 // WithReferences overrides reference-location selection.
 func WithReferences(o ReferenceOptions) Option {
-	return func(c *openConfig) { c.sys.Refs = o }
+	return func(c *core.SystemOptions) { c.Refs = o }
 }
 
 // WithRecSigma sets the assumed error std (dB) of reconstructed entries
 // for the built-in weighted matcher.
 func WithRecSigma(db float64) Option {
-	return func(c *openConfig) { c.sys.RecSigmaDB = db }
+	return func(c *core.SystemOptions) { c.RecSigmaDB = db }
 }
 
 // WithMaskThreshold sets the |survey - vacant| deviation (dB) above
 // which an entry counts as distorted when the mask is learned from the
 // day-0 survey; negative forces the geometric ellipse mask.
 func WithMaskThreshold(db float64) Option {
-	return func(c *openConfig) { c.sys.MaskThresholdDB = db }
-}
-
-// WithWorkers sets the global parallel worker count used by the
-// reconstruction and matching kernels (the same knob as SetWorkers);
-// n <= 0 restores the GOMAXPROCS-aware default.
-func WithWorkers(n int) Option {
-	return func(c *openConfig) { c.workers = n; c.setW = true }
+	return func(c *core.SystemOptions) { c.MaskThresholdDB = db }
 }
 
 // Open builds a System from a day-0 full survey with functional
@@ -67,17 +49,13 @@ func WithWorkers(n int) Option {
 //
 //	sys, err := tafloc.Open(layout, survey, vacant,
 //	    tafloc.WithMatcher("wknn"),
-//	    tafloc.WithLoLi(loli),
-//	    tafloc.WithWorkers(8))
+//	    tafloc.WithLoLi(loli))
 func Open(layout *Layout, survey *Matrix, vacant []float64, opts ...Option) (*System, error) {
-	c := openConfig{sys: core.DefaultSystemOptions()}
+	c := core.DefaultSystemOptions()
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.setW {
-		mat.SetWorkers(c.workers)
-	}
-	return core.NewSystem(layout, survey, vacant, c.sys)
+	return core.NewSystem(layout, survey, vacant, c)
 }
 
 // OpenDeployment surveys dep at day 0 and builds a System with the

@@ -402,14 +402,6 @@ func ReportFromWire(r *RSSReport) ZoneReport { return serve.FromWire(r) }
 // shedding, and counters identical to HTTP ingest).
 func IngestSink(ing Ingestor, zone string) func([]RSSReport) { return serve.IngestSink(ing, zone) }
 
-// SetWorkers sets the worker count used by the parallel reconstruction
-// and matching kernels and returns the previous setting; n <= 0 restores
-// the GOMAXPROCS-aware default.
-func SetWorkers(n int) int { return mat.SetWorkers(n) }
-
-// Workers returns the effective parallel worker count.
-func Workers() int { return mat.Workers() }
-
 // NewFleet dials a collector and prepares one agent per link.
 func NewFleet(ch *Channel, dataAddr string, cfg AgentConfig) (*Fleet, error) {
 	return collector.NewFleet(ch, dataAddr, cfg)
