@@ -19,6 +19,9 @@
 //	GET    /v2/zones/{id}/watch         stream estimates over SSE
 //	GET    /v1/healthz, /v2/healthz     liveness and per-zone counters
 //
+// A ZoneSpec may ask for at most 3600 cells and 64 links; a larger one
+// is rejected as a bad request before anything is built.
+//
 // With -state-dir the service is stateful across restarts: every zone's
 // calibrated deployment (layout, mask, radio map, vacant baseline,
 // reference cells, serve config) is checkpointed to versioned,
@@ -96,6 +99,9 @@ func (f *zoneFactory) build(_ context.Context, id string, spec tafloc.ZoneSpec) 
 	if spec.CellSize > 0 {
 		cfg.CellSize = spec.CellSize
 	}
+	if err := checkZoneSize(cfg); err != nil {
+		return nil, err
+	}
 	dep, err := tafloc.NewDeployment(cfg)
 	if err != nil {
 		return nil, err
@@ -121,6 +127,28 @@ func (f *zoneFactory) build(_ context.Context, id string, spec tafloc.ZoneSpec) 
 	f.deps[id] = dep
 	f.mu.Unlock()
 	return sys, nil
+}
+
+// maxZoneCells and maxZoneLinks bound the deployment one ZoneSpec can
+// ask for: a zone's survey and calibration grow with cells and links.
+// 3600 cells is the paper's largest area (36 m x 36 m at 0.6 m cells,
+// about 5 s to build), which SquareConfig covers with 50 links.
+const (
+	maxZoneCells = 3600
+	maxZoneLinks = 64
+)
+
+// checkZoneSize rejects a deployment over the caps before anything is
+// built. The cell count is the grid's, computed in float64 so that a
+// tiny cell size cannot overflow it.
+func checkZoneSize(cfg tafloc.TestbedConfig) error {
+	cells := math.Floor(cfg.RoomW/cfg.CellSize) * math.Floor(cfg.RoomH/cfg.CellSize)
+	if !(cells <= maxZoneCells) || cfg.Links > maxZoneLinks {
+		return taflocerr.Errorf(taflocerr.CodeBadRequest,
+			"tafloc-serve: zone of %g cells and %d links exceeds the caps of %d cells and %d links",
+			cells, cfg.Links, maxZoneCells, maxZoneLinks)
+	}
+	return nil
 }
 
 func (f *zoneFactory) deployment(id string) (*tafloc.Deployment, bool) {

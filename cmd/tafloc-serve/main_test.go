@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"tafloc"
 	"tafloc/taflocerr"
 )
 
@@ -68,5 +70,37 @@ func TestStoreBackendBanner(t *testing.T) {
 	}
 	if got := parseForTest(t, "-max-hot-zones", "2", "-state-dir", "/var/lib/tafloc").storeBackend(); got != "dir store /var/lib/tafloc" {
 		t.Fatalf("dir backend = %q", got)
+	}
+}
+
+// TestZoneFactoryRejectsOversizedSpec: POST /v2/zones/{id} hands its
+// ZoneSpec to the factory, which sizes the room, the cells and the link
+// count from it. A spec one cell or one link over the caps is rejected
+// with CodeBadRequest before any deployment is built.
+func TestZoneFactoryRejectsOversizedSpec(t *testing.T) {
+	f := &zoneFactory{matcher: "wknn", deps: make(map[string]*tafloc.Deployment)}
+	for _, tc := range []struct {
+		name string
+		spec tafloc.ZoneSpec
+	}{
+		{"cells", tafloc.ZoneSpec{Width: 277, Height: 13, CellSize: 1}}, // 3601 cells
+		{"links", tafloc.ZoneSpec{Links: maxZoneLinks + 1}},
+	} {
+		if _, err := f.build(context.Background(), tc.name, tc.spec); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+			t.Errorf("%s: spec %+v: err %v, want %s", tc.name, tc.spec, err, taflocerr.CodeBadRequest)
+		}
+	}
+	if len(f.deps) != 0 {
+		t.Errorf("rejected specs built deployments: %d", len(f.deps))
+	}
+	// A cell size that makes the grid's cell count overflow an int is
+	// over the cap too.
+	cfg := tafloc.PaperConfig()
+	cfg.CellSize = 1e-300
+	if err := checkZoneSize(cfg); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+		t.Errorf("cell size 1e-300: err %v, want %s", err, taflocerr.CodeBadRequest)
+	}
+	if err := checkZoneSize(tafloc.SquareConfig(36)); err != nil {
+		t.Errorf("the paper's largest area: %v", err)
 	}
 }

@@ -1,5 +1,6 @@
 // Command taflocvet is the project-invariant vet tool: a go/analysis
-// unitchecker bundling the analyzers in internal/analysis. Run it
+// unitchecker bundling the five analyzers in internal/analysis
+// (atomiconce, ctxflow, errcode, lockorder, noalloc). Run it
 // through the standard vet driver so it sees every package in the
 // module with full type information:
 //
@@ -15,8 +16,9 @@
 // .github/problem-matchers/taflocvet.json matches, so CI annotates
 // violations inline on pull requests.
 //
-// CI runs exactly that as a hard gate (see .github/workflows and
-// docs/INVARIANTS.md for the contract each analyzer enforces).
+// CI runs exactly that, with every analyzer enabled, as a hard gate
+// (see .github/workflows and docs/INVARIANTS.md for the contract each
+// analyzer enforces).
 package main
 
 import (

@@ -14,8 +14,8 @@
 //     by default): calling sys.Model() twice mixes generations exactly
 //     like a double Load.
 //
-// That a typed atomic field is touched only through its method set is
-// atomicmix's rule, not this one's.
+// A copy of a typed atomic field itself (p := z.sys) is go vet's
+// copylocks check, not this one's.
 package atomiconce
 
 import (

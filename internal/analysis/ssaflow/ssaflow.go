@@ -1,18 +1,18 @@
-// Package ssaflow is the flow-sensitive backbone of the taflocvet v2
-// analyzers. The Go toolchain's vendored x/tools subset (the only
-// source available to this hermetic build) does not ship go/ssa, so
-// instead of SSA form the suite runs sparse dataflow directly over the
+// Package ssaflow is the flow-sensitive backbone of the lockorder
+// analyzer. The Go toolchain's vendored x/tools subset (the only source
+// available to this hermetic build) does not ship go/ssa, so instead of
+// SSA form lockorder runs sparse dataflow directly over the
 // per-function control-flow graphs that go/cfg (via the ctrlflow pass)
-// builds: an analyzer instantiates Dataflow with its lattice (lockset,
-// must-Added WaitGroups, taint marks), runs the worklist fixpoint to
-// get block-entry states, and then replays each block's transfer
-// function to visit every program point with its exact abstract state.
+// builds: it instantiates Dataflow with its lattice (the set of held
+// lock classes), runs the worklist fixpoint to get block-entry states,
+// and then replays each block's transfer function to visit every
+// program point with its exact abstract state.
 //
-// The package also centralizes the two lookups every interprocedural
-// analyzer needs: static callee resolution (StaticCallee) and stable
-// cross-package "storage class" keys for the lvalues the suite reasons
-// about — struct fields like Service.mu, package-level vars, and
-// function locals (ResolveClass).
+// The package also holds the two lookups an interprocedural analyzer
+// needs: static callee resolution (StaticCallee) and stable
+// cross-package "storage class" keys for the lvalues it reasons about
+// — struct fields like Service.mu, package-level vars, and function
+// locals (ResolveClass).
 package ssaflow
 
 import (
@@ -32,39 +32,11 @@ import (
 )
 
 // Fn is one function body in the package: a declared function or
-// method (Decl/Obj set) or a function literal (Lit set). CFG is nil
-// for bodyless declarations.
+// method (Obj set) or a function literal. CFG is nil for bodyless
+// declarations.
 type Fn struct {
-	Decl *ast.FuncDecl
-	Lit  *ast.FuncLit
-	Obj  *types.Func // nil for literals
-	CFG  *cfg.CFG
-	File *ast.File
-}
-
-// Body returns the function body, nil for bodyless declarations.
-func (f *Fn) Body() *ast.BlockStmt {
-	if f.Decl != nil {
-		return f.Decl.Body
-	}
-	return f.Lit.Body
-}
-
-// Pos returns the function's position.
-func (f *Fn) Pos() token.Pos {
-	if f.Decl != nil {
-		return f.Decl.Pos()
-	}
-	return f.Lit.Pos()
-}
-
-// Name returns a human-readable name for diagnostics: the declared
-// name, or "func literal" for literals.
-func (f *Fn) Name() string {
-	if f.Obj != nil {
-		return f.Obj.Name()
-	}
-	return "func literal"
+	Obj *types.Func // nil for literals
+	CFG *cfg.CFG
 }
 
 // Funcs is the Analyzer's result: every function body in the package
@@ -75,9 +47,7 @@ type Funcs struct {
 }
 
 // Analyzer enumerates the package's function bodies and pairs each
-// with its control-flow graph. It exists so the four flow-sensitive
-// analyzers share one traversal instead of each re-walking the
-// ctrlflow result.
+// with its control-flow graph.
 var Analyzer = &analysis.Analyzer{
 	Name:       "ssaflow",
 	Doc:        "pair every function body with its go/cfg control-flow graph (internal helper pass)",
@@ -93,11 +63,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if tags.SkipFile(file) || tags.TestFile(pass.Fset, file.Pos()) {
 			continue
 		}
-		file := file
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				fn := &Fn{Decl: n, File: file}
+				fn := &Fn{}
 				if obj, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
 					fn.Obj = obj
 				}
@@ -106,7 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 				fns.All = append(fns.All, fn)
 			case *ast.FuncLit:
-				fns.All = append(fns.All, &Fn{Lit: n, CFG: cfgs.FuncLit(n), File: file})
+				fns.All = append(fns.All, &Fn{CFG: cfgs.FuncLit(n)})
 			}
 			return true
 		})
@@ -126,8 +95,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //   - Transfer applies one CFG node (a statement or control-flow
 //     condition expression) to the state; it may mutate and return s.
 //
-// Transfer functions must be monotone; the lattices the suite uses
-// (finite sets of storage classes / objects) guarantee termination.
+// Transfer functions must be monotone; a finite set lattice (lockorder's
+// set of lock classes) guarantees termination.
 type Dataflow[S any] struct {
 	Clone     func(S) S
 	MergeInto func(dst, src S) bool
@@ -149,8 +118,8 @@ func (d *Dataflow[S]) Run(g *cfg.CFG, entry S) ([]S, []bool) {
 	work := []*cfg.Block{g.Blocks[0]}
 	inQueue := make([]bool, n)
 	inQueue[0] = true
-	// Hard cap: |blocks| * |lattice height| is bounded for our finite
-	// set lattices, but a bug in a Transfer must not hang go vet.
+	// Hard cap: |blocks| * |lattice height| is bounded for a finite
+	// set lattice, but a bug in a Transfer must not hang go vet.
 	budget := 1000 * (n + 1)
 	for len(work) > 0 && budget > 0 {
 		budget--

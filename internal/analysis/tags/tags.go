@@ -4,7 +4,8 @@
 // marker asserts a property of the whole function (and the matching
 // analyzer enforces or exempts it), a line-level marker suppresses one
 // diagnostic on the construct it precedes or trails and must carry a
-// justification after the marker word.
+// justification after the marker word. Every marker here is read by one
+// of the suite's five analyzers; a marker goes when its analyzer does.
 //
 // See docs/INVARIANTS.md for the catalogue of markers and when each is
 // acceptable.
@@ -28,12 +29,6 @@ const (
 	// predate the taxonomy and are pinned byte-identical by fixture
 	// tests; exempts the function from the errcode HTTP rule.
 	LegacyHTTP = "tafloc:legacy-http"
-	// Validates marks a function as a sanitizer for wire-tainted
-	// values: it bounds-checks (or otherwise fail-closed validates)
-	// everything it is handed before any indexing can happen, so taint
-	// does not propagate through its parameters or results. Enforced
-	// users: the wiretaint analyzer.
-	Validates = "tafloc:validates"
 )
 
 // Line-level markers (suppress one diagnostic on the same or next line;
@@ -52,18 +47,10 @@ const (
 	// a caller context is in scope (for example a shutdown context that
 	// must outlive the request that triggered it).
 	CtxDetach = "tafloc:ctx-detach"
-	// Detached permits a go statement that is deliberately not tied to
-	// any quiesce path (no tracked WaitGroup, no executor submit); the
-	// justification must say who reaps the goroutine.
-	Detached = "tafloc:detached"
 	// LockOK permits one lock acquisition that the lockorder analyzer
 	// would otherwise reject (for example a same-class handoff where an
 	// external invariant orders the two instances).
 	LockOK = "tafloc:lock-ok"
-	// TaintOK permits one indexing of a wire-tainted value (for example
-	// an index already clamped by construction in a way the analyzer
-	// cannot see).
-	TaintOK = "tafloc:taint-ok"
 )
 
 // Field-level marker (written in the struct field's doc comment).
@@ -74,11 +61,6 @@ const (
 	// rejects any acquisition of an equal or lower rank while a ranked
 	// lock is held. The table of ranks lives in docs/INVARIANTS.md.
 	LockOrder = "tafloc:lock-order"
-	// MixedAccess exempts a field from the atomicmix single-discipline
-	// rule (atomic in one place, plain elsewhere); the justification
-	// must name the external synchronization that makes the plain
-	// accesses safe.
-	MixedAccess = "tafloc:mixed-access"
 )
 
 // Marked reports whether the comment group contains the marker: a

@@ -65,8 +65,9 @@ func (NNMatcher) Match(m *Model, y []float64, sc *Scratch) (Location, error) {
 }
 
 // errNoFiniteDistance is NNMatcher's answer when every fingerprint
-// distance is NaN or +Inf, as when y holds non-finite or huge values:
-// no cell is nearest, so there is no estimate to give.
+// distance is NaN or +Inf. checkMatch keeps y in range, but a database
+// built by NewModel or by reconstruction never passes the range rule,
+// so a huge entry in every column still leaves no cell nearest.
 var errNoFiniteDistance = errors.New("core: no finite fingerprint distance to the measurement")
 
 // KNNMatcher refines the estimate to sub-cell granularity by averaging
@@ -392,6 +393,9 @@ func checkMatch(m *Model, y []float64) error {
 	}
 	if len(y) != m.x.Rows() {
 		return fmt.Errorf("core: measurement length %d != links %d", len(y), m.x.Rows())
+	}
+	if !inRSSRange(y) {
+		return errRSSRange("measurement")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 
 	"tafloc/internal/geom"
 	"tafloc/internal/mat"
+	"tafloc/taflocerr"
 )
 
 // matchFixture builds a layout, synthetic truth, and a helper producing
@@ -175,27 +177,55 @@ func TestMatchersValidateInput(t *testing.T) {
 	}
 }
 
-// TestNNMatcherNoFiniteDistance: one NaN, ±Inf or huge entry in the
-// live vector makes every fingerprint distance NaN or +Inf, so no cell
-// is nearest; nn must say so with an error instead of indexing cell -1,
-// on the matcher and through System.Locate.
+// TestMatchersRejectOutOfRangeMeasurement: one NaN, ±Inf or huge entry
+// in the live vector has no meaningful estimate. Every built-in matcher
+// must reject it with CodeBadRequest, on the matcher and through
+// System.Locate, instead of answering a NaN point (knn, wknn, bayes) or
+// indexing cell -1 (nn).
+func TestMatchersRejectOutOfRangeMeasurement(t *testing.T) {
+	f := newMatchFixture(t, 10)
+	for _, tc := range []struct {
+		name string
+		m    Matcher
+	}{
+		{MatcherNN, NNMatcher{}},
+		{MatcherKNN, KNNMatcher{}},
+		{MatcherBayes, BayesMatcher{}},
+		{MatcherWKNN, WeightedKNNMatcher{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultSystemOptions()
+			opts.MatcherName = tc.name
+			sys, err := NewSystem(f.l, f.truth, f.vac, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, MaxRSS + 1} {
+				y := f.truth.Col(5)
+				y[0] = v
+				if loc, err := tc.m.Match(f.m, y, NewScratch()); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+					t.Errorf("Match with y[0] = %v: (%+v, %v), want a %s error", v, loc, err, taflocerr.CodeBadRequest)
+				}
+				if loc, err := sys.Locate(y); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+					t.Errorf("System.Locate with y[0] = %v: (%+v, %v), want a %s error", v, loc, err, taflocerr.CodeBadRequest)
+				}
+			}
+		})
+	}
+}
+
+// TestNNMatcherNoFiniteDistance: a database entry of 1e200 in every
+// column makes every distance +Inf even for an in-range live vector.
+// NewModel does not apply the range rule, so nn must still say that no
+// cell is nearest instead of indexing cell -1.
 func TestNNMatcherNoFiniteDistance(t *testing.T) {
 	f := newMatchFixture(t, 10)
-	opts := DefaultSystemOptions()
-	opts.MatcherName = MatcherNN
-	sys, err := NewSystem(f.l, f.truth, f.vac, opts)
-	if err != nil {
-		t.Fatal(err)
+	x := f.truth.Clone()
+	for j := 0; j < x.Cols(); j++ {
+		x.Set(0, j, 1e200)
 	}
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
-		y := f.truth.Col(5)
-		y[0] = v
-		if _, err := (NNMatcher{}).Match(f.m, y, NewScratch()); err == nil {
-			t.Errorf("NNMatcher with y[0] = %v: no error", v)
-		}
-		if _, err := sys.Locate(y); err == nil {
-			t.Errorf("System.Locate (nn) with y[0] = %v: no error", v)
-		}
+	if _, err := (NNMatcher{}).Match(mustModel(t, f.l, x), f.truth.Col(5), NewScratch()); !errors.Is(err, errNoFiniteDistance) {
+		t.Errorf("NNMatcher over a database of 1e200: %v, want errNoFiniteDistance", err)
 	}
 }
 

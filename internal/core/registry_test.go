@@ -146,8 +146,4 @@ func TestReconstructContextCancelled(t *testing.T) {
 		t.Fatal("reconstruction did not terminate after cancellation")
 	}
 
-	// LocateContext honours an already-cancelled context too.
-	if _, err := f.sys.LocateContext(ctx, make([]float64, f.l.M())); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled locate: %v", err)
-	}
 }

@@ -168,3 +168,10 @@ func inRSSRange(vs []float64) bool {
 	}
 	return true
 }
+
+// errRSSRange is the CodeBadRequest error for caller-supplied RSS values
+// that fail inRSSRange; what names the input.
+func errRSSRange(what string) error {
+	return taflocerr.Errorf(taflocerr.CodeBadRequest,
+		"core: %s has entries that are non-finite or outside [%v, %v] dBm", what, MinRSS, MaxRSS)
+}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"tafloc/internal/mat"
-	"tafloc/taflocerr"
 )
 
 // SystemOptions configures a System.
@@ -68,7 +67,9 @@ type System struct {
 // NewSystem builds a System from the day-0 full survey.
 //
 // survey is the full M x N fingerprint matrix; vacant the empty-room RSS
-// per link at survey time.
+// per link at survey time. Every entry must lie in [MinRSS, MaxRSS], the
+// range RestoreSystem accepts, so that every System can be restored
+// from its own export; anything else is a CodeBadRequest error.
 func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts SystemOptions) (*System, error) {
 	if layout == nil {
 		return nil, fmt.Errorf("core: nil layout")
@@ -78,6 +79,12 @@ func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts System
 	}
 	if len(vacant) != layout.M() {
 		return nil, fmt.Errorf("core: vacant must have length %d", layout.M())
+	}
+	if !inRSSRange(survey.Raw()) {
+		return nil, errRSSRange("survey")
+	}
+	if !inRSSRange(vacant) {
+		return nil, errRSSRange("vacant baseline")
 	}
 	// Learn the undistorted-entry mask from the survey itself: the true
 	// sensitive band of each link is shaped by multipath, so the measured
@@ -177,8 +184,16 @@ func (s *System) Update(refCols *mat.Matrix, vacant []float64) (*Reconstruction,
 // UpdateContext is Update with cancellation: the LoLi-IR solver checks
 // ctx once per outer iteration, so a long reconstruction terminates
 // promptly when ctx is cancelled and the previous Model stays
-// published.
+// published. Measurements that are non-finite or outside [MinRSS,
+// MaxRSS] are rejected with CodeBadRequest before any work, and the
+// previous Model stays published.
 func (s *System) UpdateContext(ctx context.Context, refCols *mat.Matrix, vacant []float64) (*Reconstruction, error) {
+	if refCols != nil && !inRSSRange(refCols.Raw()) {
+		return nil, errRSSRange("reference measurements")
+	}
+	if !inRSSRange(vacant) {
+		return nil, errRSSRange("vacant baseline")
+	}
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
 	refs := s.model.Load().refs
@@ -219,16 +234,6 @@ func (s *System) Reselect() ([]int, error) {
 // read is one atomic load, so concurrent callers never contend.
 func (s *System) Locate(y []float64) (Location, error) {
 	return s.model.Load().Locate(y, nil)
-}
-
-// LocateContext is Locate with cancellation: a single match query is
-// fast, so ctx is checked once on entry; an already-cancelled context
-// returns immediately without touching the database.
-func (s *System) LocateContext(ctx context.Context, y []float64) (Location, error) {
-	if err := ctx.Err(); err != nil {
-		return Location{}, taflocerr.Errorf(taflocerr.CodeCancelled, "core: locate cancelled: %w", err)
-	}
-	return s.Locate(y)
 }
 
 // Detect reports whether a target is present, using the current vacant

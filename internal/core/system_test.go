@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"tafloc/internal/mat"
 	"tafloc/internal/rf"
 	"tafloc/internal/testbed"
+	"tafloc/taflocerr"
 )
 
 // systemFixture wires a full deployment and a day-0 System.
@@ -50,6 +53,59 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(f.l, survey, vac[:1], DefaultSystemOptions()); err == nil {
 		t.Fatal("wrong vacant length accepted")
+	}
+}
+
+// TestSystemRejectsOutOfRangeRSS pins the range rule at the two
+// calibration doors: NewSystem (survey and vacant) and UpdateContext
+// (reference columns and vacant) reject NaN, ±Inf and values outside
+// [MinRSS, MaxRSS] with CodeBadRequest, as RestoreSystem would reject
+// the System's own export otherwise; a rejected update leaves the
+// previous Model published.
+func TestSystemRejectsOutOfRangeRSS(t *testing.T) {
+	f := newSystemFixture(t, 10)
+	survey := f.sys.Fingerprints()
+	vac := f.sys.Vacant()
+	refCols, _ := f.dep.SurveyCells(f.sys.References(), 30)
+	vac30 := f.dep.VacantCapture(30, 50)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		badSurvey := survey.Clone()
+		badSurvey.Set(1, 2, v)
+		badVac := append([]float64(nil), vac...)
+		badVac[1] = v
+		badRefs := refCols.Clone()
+		badRefs.Set(1, 0, v)
+		badVac30 := append([]float64(nil), vac30...)
+		badVac30[1] = v
+		before := f.sys.Model()
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"NewSystem survey", func() error {
+				_, err := NewSystem(f.l, badSurvey, vac, DefaultSystemOptions())
+				return err
+			}},
+			{"NewSystem vacant", func() error {
+				_, err := NewSystem(f.l, survey, badVac, DefaultSystemOptions())
+				return err
+			}},
+			{"UpdateContext refCols", func() error {
+				_, err := f.sys.UpdateContext(context.Background(), badRefs, vac30)
+				return err
+			}},
+			{"UpdateContext vacant", func() error {
+				_, err := f.sys.UpdateContext(context.Background(), refCols, badVac30)
+				return err
+			}},
+		} {
+			if err := tc.call(); taflocerr.CodeOf(err) != taflocerr.CodeBadRequest {
+				t.Errorf("%s with an entry of %v: err %v, want %s", tc.name, v, err, taflocerr.CodeBadRequest)
+			}
+		}
+		if f.sys.Model() != before {
+			t.Errorf("a rejected update with an entry of %v replaced the published Model", v)
+		}
 	}
 }
 

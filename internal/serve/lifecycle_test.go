@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +339,108 @@ func TestStoppedServiceRejectsMutations(t *testing.T) {
 		case <-deadline:
 			t.Fatal("watcher not terminated by Stop")
 		}
+	}
+}
+
+// TestWaitOutlastsRunningGoroutines pins Wait's contract: it returns
+// only once every goroutine the service started has exited, not once
+// they have been told to stop. Each half, on a fresh service, holds one
+// goroutine in a gate past cancellation and requires Wait to stay
+// blocked until the gate opens: (a) an executor worker inside a locate,
+// (b) the checkpointer inside its final Put.
+func TestWaitOutlastsRunningGoroutines(t *testing.T) {
+	dep := testDeployment(t)
+	t.Run("executor", func(t *testing.T) {
+		sys, gm, release := newGatedSystem(t, dep, "wait-test-gated")
+		defer release()
+		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, LocateWorkers: 1})
+		if err := svc.AddZone("z", sys); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if err := svc.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Ingest("z", targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})); err != nil {
+			t.Fatal(err)
+		}
+		awaitGate(t, gm.entered, "the first locate never reached the matcher")
+		cancel()
+		requireWaitHeld(t, svc, release)
+	})
+	t.Run("checkpointer", func(t *testing.T) {
+		gs := &gatedStore{Store: store.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
+		var releaseOnce sync.Once
+		release := func() { releaseOnce.Do(func() { close(gs.release) }) }
+		defer release()
+		svc := newTestService(t, Config{})
+		if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if err := svc.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// No tick falls due within the test, so the only Put is the
+		// final checkpoint that cancellation triggers.
+		if err := svc.StartCheckpointer(ctx, gs, time.Hour, nil); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		awaitGate(t, gs.entered, "the final checkpoint never reached Put")
+		requireWaitHeld(t, svc, release)
+	})
+}
+
+// gatedStore is a store whose first Put closes entered and then blocks
+// until release is closed, so a test can hold a checkpoint write in
+// flight.
+type gatedStore struct {
+	store.Store
+	called  atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedStore) Put(zone string, data []byte) error {
+	if g.called.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Store.Put(zone, data)
+}
+
+func awaitGate(t *testing.T, entered <-chan struct{}, msg string) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
+	}
+}
+
+// requireWaitHeld calls svc.Wait while a service goroutine is held in a
+// gate: Wait must not return until release opens the gate, and must
+// return soon after.
+func requireWaitHeld(t *testing.T, svc *Service, release func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		svc.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("Wait returned while a service goroutine was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after the gate opened")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"tafloc/internal/core"
 	"tafloc/internal/geom"
+	"tafloc/internal/testbed"
 )
 
 // TestStarvedCounter pins the starvation satellite: a zone where some
@@ -253,6 +254,31 @@ func (g *gatedMatcher) Match(m *core.Model, y []float64, sc *core.Scratch) (core
 	return core.NNMatcher{}.Match(m, y, sc)
 }
 
+// newGatedSystem builds a System over dep that localizes with a fresh
+// gatedMatcher registered under name. release opens the gate and may be
+// called more than once.
+func newGatedSystem(t *testing.T, dep *testbed.Deployment, name string) (sys *core.System, gm *gatedMatcher, release func()) {
+	t.Helper()
+	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm = &gatedMatcher{entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release = func() { releaseOnce.Do(func() { close(gm.release) }) }
+	if err := core.RegisterMatcher(name, func() core.Matcher { return gm }); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultSystemOptions()
+	opts.MatcherName = name
+	survey, _ := dep.Survey(0)
+	sys, err = core.NewSystem(layout, survey, dep.VacantCapture(0, 50), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, gm, release
+}
+
 // TestPendingSlotKeepsFreshest pins freshest-wins coalescing
 // deterministically: while the zone's first locate is held in its
 // matcher, two more fold rounds land in the one pending slot, the
@@ -260,24 +286,7 @@ func (g *gatedMatcher) Match(m *core.Model, y []float64, sc *core.Scratch) (core
 // estimate and then only the freshest.
 func TestPendingSlotKeepsFreshest(t *testing.T) {
 	dep := testDeployment(t)
-	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm := &gatedMatcher{entered: make(chan struct{}), release: make(chan struct{})}
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(gm.release) }) }
-	const gated = "sched-test-gated"
-	if err := core.RegisterMatcher(gated, func() core.Matcher { return gm }); err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultSystemOptions()
-	opts.MatcherName = gated
-	survey, _ := dep.Survey(0)
-	sys, err := core.NewSystem(layout, survey, dep.VacantCapture(0, 50), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, gm, release := newGatedSystem(t, dep, "sched-test-gated")
 	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, LocateWorkers: 2})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)

@@ -200,8 +200,6 @@ func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 // taflocerr code: CodeSnapshotVersion for wrong magic or unknown format
 // version, CodeSnapshotCorrupt for truncation, trailing bytes, CRC
 // mismatch, or structurally invalid content.
-//
-//tafloc:validates every length, offset, and dimension is bounds-checked before use; failures are CodeSnapshotCorrupt
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < headerSize+4 {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
