@@ -76,7 +76,17 @@ type zoneFactory struct {
 	deps map[string]*tafloc.Deployment
 }
 
-func (f *zoneFactory) build(_ context.Context, id string, spec tafloc.ZoneSpec) (*tafloc.System, error) {
+// build surveys and calibrates a simulated zone. It checks ctx between
+// its expensive steps and records the zone's deployment only when it
+// returns a System, so a cancelled request leaves no trace.
+func (f *zoneFactory) build(ctx context.Context, id string, spec tafloc.ZoneSpec) (*tafloc.System, error) {
+	cancelled := func() error {
+		if err := ctx.Err(); err != nil {
+			return taflocerr.Errorf(taflocerr.CodeCancelled,
+				"tafloc-serve: zone %q: %w", id, err)
+		}
+		return nil
+	}
 	// Refuse ids that are already registered before building anything:
 	// AddZone would reject the duplicate anyway, but by then this factory
 	// would have overwritten the existing zone's deployment in f.deps and
@@ -106,6 +116,9 @@ func (f *zoneFactory) build(_ context.Context, id string, spec tafloc.ZoneSpec) 
 	if err != nil {
 		return nil, err
 	}
+	if err := cancelled(); err != nil {
+		return nil, err
+	}
 	// The zone's day-0 survey happens at the requested environment age
 	// (spec.Days, defaulting to the -days flag), so a zone created late
 	// in a drifted environment starts from a matching database.
@@ -118,9 +131,15 @@ func (f *zoneFactory) build(_ context.Context, id string, spec tafloc.ZoneSpec) 
 		return nil, err
 	}
 	survey, _ := dep.Survey(days)
+	if err := cancelled(); err != nil {
+		return nil, err
+	}
 	sys, err := tafloc.Open(layout, survey, dep.VacantCapture(days, 100),
 		tafloc.WithMatcher(f.matcher))
 	if err != nil {
+		return nil, err
+	}
+	if err := cancelled(); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()

@@ -104,3 +104,25 @@ func TestZoneFactoryRejectsOversizedSpec(t *testing.T) {
 		t.Errorf("the paper's largest area: %v", err)
 	}
 }
+
+// TestZoneFactoryStopsWhenCancelled: a build whose request context is
+// done fails with CodeCancelled and records no deployment, so the
+// client's retry builds the zone afresh.
+func TestZoneFactoryStopsWhenCancelled(t *testing.T) {
+	f := &zoneFactory{matcher: "wknn", deps: make(map[string]*tafloc.Deployment)}
+	spec := tafloc.ZoneSpec{Width: 2.4, Height: 1.8, Links: 4}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.build(ctx, "small", spec); taflocerr.CodeOf(err) != taflocerr.CodeCancelled || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled build: err %v, want %s wrapping context.Canceled", err, taflocerr.CodeCancelled)
+	}
+	if _, ok := f.deployment("small"); ok {
+		t.Error("a cancelled build recorded its deployment")
+	}
+	if _, err := f.build(context.Background(), "small", spec); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if _, ok := f.deployment("small"); !ok {
+		t.Error("the retried build recorded no deployment")
+	}
+}

@@ -59,7 +59,7 @@ func (s *System) ExportState() *SystemState {
 		MatcherName:     s.opts.MatcherName,
 		RecSigmaDB:      s.opts.RecSigmaDB,
 		MaskThresholdDB: s.opts.MaskThresholdDB,
-		Mask:            s.recon.Mask().Clone(),
+		Mask:            s.mask.Clone(),
 		X:               m.x.Clone(),
 		Vacant:          append([]float64(nil), m.vacant...),
 		RefCells:        append([]int(nil), m.refs...),
@@ -71,11 +71,18 @@ func (s *System) ExportState() *SystemState {
 }
 
 // RestoreSystem rebuilds a System from an exported state without any
-// recalibration: no survey, no mask learning, no reference selection.
-// Every structural invariant is revalidated — a state decoded from an
+// recalibration: no survey, no mask learning, no reference selection,
+// and no LoLi-IR reconstructor until the first Update. Every
+// structural invariant is revalidated — a state decoded from an
 // untrusted or damaged snapshot fails closed with
 // taflocerr.CodeSnapshotCorrupt rather than producing a system that
 // panics later.
+//
+// RestoreSystem takes ownership of st: on success the System keeps the
+// state's matrices and slices instead of copying them, so the caller
+// must not use or modify st, or anything it references, afterwards.
+// Pass a freshly decoded or exported state (ExportState returns an
+// independent copy).
 func RestoreSystem(st *SystemState) (*System, error) {
 	if st == nil {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: nil system state")
@@ -96,6 +103,13 @@ func RestoreSystem(st *SystemState) (*System, error) {
 	if !inRSSRange(st.X.Raw()) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
 			"core: restore: fingerprint database has entries that are non-finite or outside [%v, %v] dBm", MinRSS, MaxRSS)
+	}
+	if st.Mask == nil || st.Mask.Rows() != m || st.Mask.Cols() != n {
+		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
+			"core: restore: mask must be %dx%d", m, n)
+	}
+	if err := st.LoLi.Validate(); err != nil {
+		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: restore: %w", err)
 	}
 	if st.Observed != nil && (st.Observed.Rows() != m || st.Observed.Cols() != n) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
@@ -118,10 +132,6 @@ func RestoreSystem(st *SystemState) (*System, error) {
 				"core: restore: reference cell %d out of range %d", r, n)
 		}
 	}
-	recon, err := NewReconstructorWithMask(layout, st.Mask, st.LoLi)
-	if err != nil {
-		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "core: restore: %w", err)
-	}
 	opts := SystemOptions{
 		LoLi:            st.LoLi,
 		Refs:            st.Refs,
@@ -136,16 +146,10 @@ func RestoreSystem(st *SystemState) (*System, error) {
 	sys := &System{
 		layout:  layout,
 		opts:    opts,
-		recon:   recon,
+		mask:    st.Mask,
 		matcher: matcher,
 	}
-	var observed *mat.Matrix
-	if st.Observed != nil {
-		observed = st.Observed.Clone()
-	}
-	sys.install(st.X.Clone(), observed,
-		append([]float64(nil), st.Vacant...),
-		append([]int(nil), st.RefCells...))
+	sys.install(st.X, st.Observed, st.Vacant, st.RefCells)
 	return sys, nil
 }
 

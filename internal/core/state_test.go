@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"tafloc/internal/geom"
@@ -140,6 +142,62 @@ func TestRestoreAfterUpdateKeepsObservedMask(t *testing.T) {
 	}
 }
 
+// TestUpdateAfterRestoreMatchesOriginal pins that restoring a System
+// moves nothing an Update depends on, although a restored System builds
+// its LoLi-IR reconstructor only on its first Update: the same update on
+// a System restored from the original's ExportState and on the original
+// publishes the same database, observed mask and references bit for
+// bit, and the same estimates. Stage 1 restores a System that was never
+// updated; stage 2 one that was.
+func TestUpdateAfterRestoreMatchesOriginal(t *testing.T) {
+	sys, layout := stateTestSystem(t, DefaultSystemOptions())
+	m := layout.M()
+	update := func(s *System, stage int) {
+		t.Helper()
+		refs := s.References()
+		refCols := mat.New(m, len(refs))
+		vac := make([]float64, m)
+		for i := 0; i < m; i++ {
+			vac[i] = -40.5 - float64(i) - 0.1*float64(stage)
+			for k := range refs {
+				refCols.Set(i, k, -41-float64(i)-0.7*float64(refs[k]%7)-0.3*float64(stage))
+			}
+		}
+		if _, err := s.UpdateContext(context.Background(), refCols, vac); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for stage := 1; stage <= 2; stage++ {
+		restored, err := RestoreSystem(sys.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		update(sys, stage)
+		update(restored, stage)
+		a, b := sys.Model(), restored.Model()
+		if !b.Fingerprints().Equal(a.Fingerprints(), 0) {
+			t.Fatalf("stage %d: updated databases differ", stage)
+		}
+		if !b.Observed().Equal(a.Observed(), 0) {
+			t.Fatalf("stage %d: updated observed masks differ", stage)
+		}
+		if got, want := b.References(), a.References(); !slices.Equal(got, want) {
+			t.Fatalf("stage %d: references %v != %v", stage, got, want)
+		}
+		for trial := 0; trial < 8; trial++ {
+			y := make([]float64, m)
+			for i := range y {
+				y[i] = -41 - float64(i) - 0.5*float64((trial*i)%3)
+			}
+			la, err1 := a.Locate(y, nil)
+			lb, err2 := b.Locate(y, nil)
+			if err1 != nil || err2 != nil || la != lb {
+				t.Fatalf("stage %d: locate diverges: %+v (%v) vs %+v (%v)", stage, la, err1, lb, err2)
+			}
+		}
+	}
+}
+
 // TestRestoreSystemFailsClosed: structurally inconsistent states must
 // yield taflocerr.ErrSnapshotCorrupt, not a panic or a broken system.
 func TestRestoreSystemFailsClosed(t *testing.T) {
@@ -185,6 +243,12 @@ func TestRestoreSystemFailsClosed(t *testing.T) {
 		"vacant above RSS range": func(st *SystemState) {
 			st.Vacant = append([]float64(nil), st.Vacant...)
 			st.Vacant[0] = 1e200
+		},
+		"nil mask": func(st *SystemState) {
+			st.Mask = nil
+		},
+		"invalid LoLi options": func(st *SystemState) {
+			st.LoLi.Lambda = -1
 		},
 	}
 	for name, corrupt := range cases {

@@ -43,24 +43,30 @@ func DefaultSystemOptions() SystemOptions {
 }
 
 // System is the end-to-end TafLoc pipeline, split into two planes. The
-// calibration plane (this struct) owns the LoLi-IR reconstructor and the
-// construction options; it is the only writer. The read plane is an
-// immutable Model — radio map, geometry, observed mask, matcher, and
-// vacant baseline frozen together — published through an atomic pointer.
-// Locate never takes a lock: it loads the current Model and matches
-// against it, so any number of goroutines can localize concurrently
-// while Update reconstructs; Update builds a complete new Model and
-// swaps the pointer (RCU style), leaving in-flight readers on the old
-// one. Calibration writers (Update, Reselect) serialize on an internal
-// mutex.
+// calibration plane (this struct) owns the undistorted-entry mask, the
+// LoLi-IR reconstructor and the construction options; it is the only
+// writer. The read plane is an immutable Model — radio map, geometry,
+// observed mask, matcher, and vacant baseline frozen together —
+// published through an atomic pointer. Locate never takes a lock: it
+// loads the current Model and matches against it, so any number of
+// goroutines can localize concurrently while Update reconstructs;
+// Update builds a complete new Model and swaps the pointer (RCU style),
+// leaving in-flight readers on the old one. Calibration writers
+// (Update, Reselect) serialize on an internal mutex.
+//
+// The reconstructor is built on the first Update, not at construction:
+// a System that only localizes (a zone restored from a snapshot, say)
+// never pays for it. Its inputs, the mask and the LoLi options, are
+// validated at construction, so the deferred build cannot fail on them.
 type System struct {
 	layout  *Layout
 	opts    SystemOptions
-	recon   *Reconstructor
-	matcher Matcher // resolved once at construction; never nil
+	mask    *mat.Matrix // undistorted-entry mask, M x N; never mutated
+	matcher Matcher     // resolved once at construction; never nil
 
 	//tafloc:lock-order 60 calibration writer lock; innermost — never wraps a serve-layer lock
-	calMu sync.Mutex // serializes calibration writers
+	calMu sync.Mutex     // serializes calibration writers
+	recon *Reconstructor // built by the first Update; guarded by calMu
 	model atomic.Pointer[Model]
 }
 
@@ -86,26 +92,24 @@ func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts System
 	if !inRSSRange(vacant) {
 		return nil, errRSSRange("vacant baseline")
 	}
+	if err := opts.LoLi.Validate(); err != nil {
+		return nil, err
+	}
 	// Learn the undistorted-entry mask from the survey itself: the true
 	// sensitive band of each link is shaped by multipath, so the measured
 	// deviation from the vacant baseline beats the geometric ellipse.
-	var recon *Reconstructor
-	var err error
+	var mask *mat.Matrix
 	if opts.MaskThresholdDB >= 0 {
 		thr := opts.MaskThresholdDB
 		if thr == 0 {
 			thr = 1.5
 		}
-		mask, merr := MaskFromSurvey(survey, vacant, thr)
-		if merr != nil {
-			return nil, merr
+		var err error
+		if mask, err = MaskFromSurvey(survey, vacant, thr); err != nil {
+			return nil, err
 		}
-		recon, err = NewReconstructorWithMask(layout, mask, opts.LoLi)
 	} else {
-		recon, err = NewReconstructor(layout, opts.LoLi)
-	}
-	if err != nil {
-		return nil, err
+		mask = layout.Mask()
 	}
 	refs, err := SelectReferences(survey, opts.Refs)
 	if err != nil {
@@ -118,7 +122,7 @@ func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts System
 	s := &System{
 		layout:  layout,
 		opts:    opts,
-		recon:   recon,
+		mask:    mask,
 		matcher: matcher,
 	}
 	s.install(survey.Clone(), nil, append([]float64(nil), vacant...), refs)
@@ -161,7 +165,7 @@ func (s *System) Model() *Model { return s.model.Load() }
 
 // Mask returns the undistorted-entry mask the system reconstructs with
 // (1 = undistorted; learned from the day-0 survey by default).
-func (s *System) Mask() *mat.Matrix { return s.recon.Mask().Clone() }
+func (s *System) Mask() *mat.Matrix { return s.mask.Clone() }
 
 // References returns the current reference cell indices (copy).
 func (s *System) References() []int { return s.model.Load().References() }
@@ -196,6 +200,13 @@ func (s *System) UpdateContext(ctx context.Context, refCols *mat.Matrix, vacant 
 	}
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
+	if s.recon == nil {
+		rc, err := NewReconstructorWithMask(s.layout, s.mask, s.opts.LoLi)
+		if err != nil {
+			return nil, err
+		}
+		s.recon = rc
+	}
 	refs := s.model.Load().refs
 
 	rec, err := s.recon.ReconstructContext(ctx, UpdateInput{

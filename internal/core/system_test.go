@@ -54,6 +54,16 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(f.l, survey, vac[:1], DefaultSystemOptions()); err == nil {
 		t.Fatal("wrong vacant length accepted")
 	}
+	// The reconstructor is built on the first Update, but its options are
+	// checked here, for the learned mask and the geometric one alike.
+	bad := DefaultSystemOptions()
+	bad.LoLi.Lambda, bad.LoLi.Alpha = 0, 0
+	for _, thr := range []float64{0, -1} {
+		bad.MaskThresholdDB = thr
+		if _, err := NewSystem(f.l, survey, vac, bad); err == nil {
+			t.Fatalf("invalid LoLi options accepted (MaskThresholdDB %v)", thr)
+		}
+	}
 }
 
 // TestSystemRejectsOutOfRangeRSS pins the range rule at the two

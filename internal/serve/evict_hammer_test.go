@@ -167,6 +167,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 	if got := len(hammered.Zones()); got < 1 {
 		t.Errorf("victim zone lost from the table (zones: %d)", got)
 	}
+	waitHotIndexConsistent(t, hammered)
 	t.Logf("hammer: %d successful forced evictions, %d rehydrates",
 		evictAttempts.Load(), st.Rehydrates)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"tafloc/internal/api"
 	"tafloc/internal/core"
@@ -232,4 +233,47 @@ func TestV2ZoneLifecycleOverHTTP(t *testing.T) {
 	}
 	cancel()
 	svc.Wait()
+}
+
+// TestV2ZoneCreateCancelled: a zone-create request whose client gives
+// up while the factory runs registers nothing and answers
+// CodeCancelled, even though the factory goes on to return a valid
+// System, so the client's retry does not meet zone_exists.
+func TestV2ZoneCreateCancelled(t *testing.T) {
+	sys := testSystem(t, testDeployment(t))
+	entered := make(chan struct{})
+	svc := newTestService(t, Config{
+		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
+			close(entered)
+			<-ctx.Done()
+			return sys, nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v2/zones/room", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.Handler().ServeHTTP(rec, req)
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the factory")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler did not return after the request was cancelled")
+	}
+	var eb api.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Code != taflocerr.CodeCancelled {
+		t.Errorf("cancelled create: %d %s, want code %s", rec.Code, rec.Body, taflocerr.CodeCancelled)
+	}
+	if zones := svc.Zones(); len(zones) != 0 {
+		t.Errorf("cancelled create registered %v", zones)
+	}
 }

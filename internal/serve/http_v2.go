@@ -234,6 +234,13 @@ func (s *Service) handleZoneCreate(w http.ResponseWriter, r *http.Request, id st
 		errorV2(w, err)
 		return
 	}
+	// A client that gave up while the factory ran gets no zone: its
+	// retry must not find its own abandoned request's zone_exists.
+	if err := r.Context().Err(); err != nil {
+		errorV2(w, taflocerr.Errorf(taflocerr.CodeCancelled,
+			"serve: zone %q not created: request cancelled: %w", id, err))
+		return
+	}
 	if err := s.AddZone(id, sys); err != nil {
 		errorV2(w, err)
 		return

@@ -136,6 +136,7 @@ func TestLifecycleHammer(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	waitHotIndexConsistent(t, svc)
 }
 
 // TestSnapshotWhileUpdating: exporting a snapshot concurrently with

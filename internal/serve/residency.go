@@ -11,6 +11,10 @@ package serve
 // never evicted: eviction removes exactly the state that
 // ExportState/RestoreSystem round-trips losslessly, and nothing more.
 //
+// A rehydrate restores only the read plane: RestoreSystem takes the
+// decoded matrices as they are and builds no LoLi-IR reconstructor,
+// which a zone builds on its first fingerprint update, if ever.
+//
 // Transitions are guarded by the per-zone resMu. In-flight fold and
 // locate tasks are never quiesced for an eviction: each task carries
 // the *core.System it resolved at fold time, and a System's read plane
@@ -19,9 +23,12 @@ package serve
 // is approximate by design — a per-zone logical timestamp bumped on
 // every touch, scanned only when the service is over cap — so the
 // publish hot path pays one atomic store, never an ordering structure.
+// The scan covers the hot index (Service.hot), the zones that hold a
+// System, so it costs O(MaxHotZones) however many zones are cold.
 
 import (
 	"errors"
+	"slices"
 
 	"tafloc/internal/core"
 	"tafloc/internal/snap"
@@ -94,6 +101,7 @@ func (s *Service) rehydrateLocked(z *zone) (*core.System, error) {
 			"stored snapshot has %d links, zone has %d", m, len(z.win)))
 	}
 	z.sys.Store(sys)
+	s.hotAdd(z)
 	z.rehydrates.Add(1)
 	s.hotCount.Add(1)
 	return sys, nil
@@ -111,7 +119,11 @@ func (s *Service) evictZone(z *zone) error {
 	z.resMu.Lock()
 	defer z.resMu.Unlock()
 	if z.isStopped() {
-		return nil // being removed or swapped; nothing to demote
+		// Being removed or swapped, which settles its hot count; nothing
+		// to demote. Leaving the hot index keeps enforceCap from picking
+		// it again.
+		s.hotDrop(z)
+		return nil
 	}
 	sys := z.sys.Load()
 	if sys == nil {
@@ -129,6 +141,7 @@ func (s *Service) evictZone(z *zone) error {
 			"serve: zone %q model updated during eviction; zone stays hot", z.id)
 	}
 	z.sys.Store(nil)
+	s.hotDrop(z)
 	z.evictions.Add(1)
 	s.hotCount.Add(-1)
 	return nil
@@ -137,9 +150,11 @@ func (s *Service) evictZone(z *zone) error {
 // enforceCap evicts least-recently-touched zones until the resident
 // count is back under Config.MaxHotZones. It runs off the publish and
 // rehydrate paths and costs one atomic load when the service is under
-// cap; over cap it scans the zone table per eviction (O(zones), paid
-// only while actually evicting). An eviction failure ends the pass —
-// the next publish retries — so a wedged store cannot spin a worker.
+// cap; over cap it scans the hot index per eviction (O(MaxHotZones),
+// paid only while actually evicting). It never spins: each victim is
+// evicted, or leaves the index because it is stopped, or its eviction
+// failure ends the pass — the next publish retries — so a wedged store
+// cannot spin a worker either.
 func (s *Service) enforceCap() {
 	max := int64(s.cfg.MaxHotZones)
 	if max <= 0 || s.store == nil {
@@ -159,19 +174,36 @@ func (s *Service) enforceCap() {
 // coldestHot returns the hot zone with the oldest LRU timestamp, or nil
 // when no zone is hot.
 func (s *Service) coldestHot() *zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.hotMu.Lock()
+	defer s.hotMu.Unlock()
 	var best *zone
 	var bestTouch int64
-	for _, z := range s.zones {
-		if z.sys.Load() == nil {
-			continue
-		}
+	for _, z := range s.hot {
 		if t := z.lastTouch.Load(); best == nil || t < bestTouch {
 			best, bestTouch = z, t
 		}
 	}
 	return best
+}
+
+// hotAdd puts z in the hot index. Callers add a zone only in the step
+// that gives it a System, so it is never in the index twice.
+func (s *Service) hotAdd(z *zone) {
+	s.hotMu.Lock()
+	s.hot = append(s.hot, z)
+	s.hotMu.Unlock()
+}
+
+// hotDrop takes z out of the hot index, if it is there.
+func (s *Service) hotDrop(z *zone) {
+	s.hotMu.Lock()
+	if i := slices.Index(s.hot, z); i >= 0 {
+		last := len(s.hot) - 1
+		s.hot[i] = s.hot[last]
+		s.hot[last] = nil
+		s.hot = s.hot[:last]
+	}
+	s.hotMu.Unlock()
 }
 
 // HotZones reports how many registered zones currently hold a resident

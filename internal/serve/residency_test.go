@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tafloc/internal/core"
 	"tafloc/internal/geom"
 	"tafloc/internal/snap"
 	"tafloc/internal/store"
@@ -204,6 +205,223 @@ func TestEvictRehydrateFidelity(t *testing.T) {
 	st := evicted.Stats()["z"]
 	if st.Evictions == 0 || st.Rehydrates == 0 {
 		t.Errorf("counters did not move: %+v", st)
+	}
+}
+
+// TestUpdateAfterRehydrateMatchesControl is the serve twin of core's
+// TestUpdateAfterRestoreMatchesOriginal: a rehydrated zone builds its
+// LoLi-IR reconstructor on its first fingerprint update, and that update
+// publishes the same database, observed mask and references, bit for
+// bit, and the same estimates as the same update on a never-evicted
+// control.
+func TestUpdateAfterRehydrateMatchesControl(t *testing.T) {
+	dep := testDeployment(t)
+	control := newTestService(t, Config{})
+	if err := control.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := control.SnapshotZone("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycled := newTestService(t, Config{Store: store.NewMem()})
+	if _, err := cycled.RestoreZone(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := cycled.EvictZone("z"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cycled.RehydrateZone("z"); err != nil {
+		t.Fatal(err)
+	}
+	a, ok := control.System("z")
+	if !ok {
+		t.Fatal("control zone has no System")
+	}
+	b, ok := cycled.System("z")
+	if !ok {
+		t.Fatal("rehydrated zone has no System")
+	}
+	refCols, _ := dep.SurveyCells(a.References(), 30)
+	vac := dep.VacantCapture(30, 50)
+	for _, sys := range []*core.System{a, b} {
+		if _, err := sys.UpdateContext(context.Background(), refCols, vac); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ma, mb := a.Model(), b.Model()
+	if !mb.Fingerprints().Equal(ma.Fingerprints(), 0) {
+		t.Fatal("updated databases differ")
+	}
+	if !mb.Observed().Equal(ma.Observed(), 0) {
+		t.Fatal("updated observed masks differ")
+	}
+	if got, want := mb.References(), ma.References(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("references %v != %v", got, want)
+	}
+	for i := 0; i < 8; i++ {
+		y := dep.Channel.MeasureLive(geom.Point{X: 0.4 + 0.35*float64(i), Y: 0.5 + 0.2*float64(i%5)}, 30)
+		la, err1 := ma.Locate(y, nil)
+		lb, err2 := mb.Locate(y, nil)
+		if err1 != nil || err2 != nil || la != lb {
+			t.Fatalf("locate %d diverges: %+v (%v) vs %+v (%v)", i, la, err1, lb, err2)
+		}
+	}
+}
+
+// hotIndexMismatch cross-checks the residency accounting: HotZones,
+// the zones holding a System and the hot index must agree, and every
+// indexed zone must be registered, hold a System and appear once. It
+// returns "" when they do.
+func hotIndexMismatch(s *Service) string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.hotMu.Lock()
+	defer s.hotMu.Unlock()
+	resident := 0
+	for _, z := range s.zones {
+		if z.sys.Load() != nil {
+			resident++
+		}
+	}
+	seen := make(map[*zone]bool)
+	for _, z := range s.hot {
+		switch {
+		case seen[z]:
+			return fmt.Sprintf("zone %q indexed twice", z.id)
+		case s.zones[z.id] != z:
+			return fmt.Sprintf("indexed zone %q is not registered", z.id)
+		case z.sys.Load() == nil:
+			return fmt.Sprintf("indexed zone %q holds no System", z.id)
+		}
+		seen[z] = true
+	}
+	if hot := s.HotZones(); hot != resident || len(s.hot) != resident {
+		return fmt.Sprintf("HotZones %d, zones holding a System %d, hot index %d", hot, resident, len(s.hot))
+	}
+	return ""
+}
+
+// waitHotIndexConsistent waits for hotIndexMismatch to report nothing:
+// a task still in flight when a hammer stops may rehydrate or evict for
+// a moment longer.
+func waitHotIndexConsistent(t *testing.T, s *Service) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		msg := hotIndexMismatch(s)
+		if msg == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("residency accounting: %s", msg)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEnforceCapEvictsOldestTouched pins the victim rule: when a
+// rehydrate puts the service over its cap, the hot zone touched longest
+// ago is evicted, whatever order the zones were added in.
+func TestEnforceCapEvictsOldestTouched(t *testing.T) {
+	sys := testSystem(t, testDeployment(t))
+	ids := []string{"a", "b", "c", "d"}
+	for _, order := range [][]string{{"b", "c", "d"}, {"d", "b", "c"}, {"c", "d", "b"}} {
+		svc := newTestService(t, Config{MaxHotZones: 3, Store: store.NewMem()})
+		for _, id := range ids {
+			if err := svc.AddZone(id, sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !svc.Stats()["a"].Cold {
+			t.Fatal("adding a fourth zone to a cap of 3 did not evict the first")
+		}
+		for _, id := range order {
+			if err := svc.RehydrateZone(id); err != nil { // touches the hot zone
+				t.Fatal(err)
+			}
+		}
+		if err := svc.RehydrateZone("a"); err != nil {
+			t.Fatal(err)
+		}
+		stats := svc.Stats()
+		for _, id := range ids {
+			if got, want := stats[id].Cold, id == order[0]; got != want {
+				t.Errorf("touch order %v: zone %s cold = %v, want %v", order, id, got, want)
+			}
+		}
+		if msg := hotIndexMismatch(svc); msg != "" {
+			t.Errorf("touch order %v: %s", order, msg)
+		}
+	}
+}
+
+// TestRemoveZoneDuringOverCapPass races RemoveZone against an over-cap
+// enforceCap pass. The removed zone is the coldest hot one and still
+// holds its System, because its removal is held in the quiesce step by
+// a locate stuck in the zone's matcher. The pass must evict another
+// zone and return rather than spin on the removed one, and once the
+// removal completes the hot count must match the zones holding a
+// System.
+func TestRemoveZoneDuringOverCapPass(t *testing.T) {
+	dep := testDeployment(t)
+	gated, gm, release := newGatedSystem(t, dep, "residency-test-gated")
+	defer release()
+	other, extra := testSystem(t, dep), testSystem(t, dep)
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, MaxHotZones: 2, Store: store.NewMem()})
+	if err := svc.AddZone("v", gated); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddZone("w", other); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := svc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Ingest("v", targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})); err != nil {
+		t.Fatal(err)
+	}
+	awaitGate(t, gm.entered, "the locate never reached the gated matcher")
+	if err := svc.RehydrateZone("w"); err != nil { // v becomes the coldest hot zone
+		t.Fatal(err)
+	}
+
+	removed := make(chan error, 1)
+	go func() { removed <- svc.RemoveZone("v") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.zoneExists("v") {
+		if time.Now().After(deadline) {
+			t.Fatal("RemoveZone never unregistered the zone")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	added := make(chan error, 1)
+	go func() { added <- svc.AddZone("x", extra) }() // three Systems over a cap of 2
+	select {
+	case err := <-added:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the over-cap pass did not return while the removal was in flight")
+	}
+	release()
+	select {
+	case err := <-removed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RemoveZone did not return after the locate finished")
+	}
+	waitHotIndexConsistent(t, svc)
+	if got := svc.HotZones(); got != 1 {
+		t.Errorf("HotZones = %d after the removal, want 1 (x)", got)
+	}
+	if st := svc.Stats(); !st["w"].Cold || st["x"].Cold {
+		t.Errorf("w cold = %v, x cold = %v: want w evicted and x hot", st["w"].Cold, st["x"].Cold)
 	}
 }
 

@@ -364,6 +364,15 @@ type Service struct {
 	runCtx   context.Context // the Start context; parent of every task
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
+
+	// hot indexes the zones holding a resident System, so the victim
+	// scan covers at most MaxHotZones+1 zones, not the zone table. A
+	// zone joins it in the step that gives it a System, and leaves it in
+	// the step that drops the System or unregisters the zone.
+	//
+	//tafloc:lock-order 25 hot-zone index lock; nests inside resMu and wraps no lock
+	hotMu sync.Mutex
+	hot   []*zone
 }
 
 // NewService builds an empty service with the given configuration. An
@@ -499,8 +508,9 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
 	// A fresh zone is hot by construction; the caller runs enforceCap
-	// once s.mu is released (coldestHot read-locks it).
+	// once s.mu is released.
 	s.hotCount.Add(1)
+	s.hotAdd(z)
 	return nil
 }
 
@@ -524,6 +534,7 @@ func (s *Service) RemoveZone(id string) error {
 			break
 		}
 	}
+	s.hotDrop(z)
 	s.mu.Unlock()
 
 	// Quiesce outside the lock: an in-flight task may need it (its
@@ -538,11 +549,15 @@ func (s *Service) RemoveZone(id string) error {
 	// snapshot from the store — an eviction that raced the removal (its
 	// Put completing just before this lock) is erased here, and one that
 	// arrives after sees the stopped zone and writes nothing, so a
-	// removed zone can never resurrect on the next boot.
+	// removed zone can never resurrect on the next boot. A rehydrate
+	// through a stale reference may have put the zone back in the hot
+	// index since it was unregistered; no later one can, as it is
+	// stopped.
 	z.resMu.Lock()
 	if z.sys.Load() != nil {
 		s.hotCount.Add(-1)
 	}
+	s.hotDrop(z)
 	if s.store != nil {
 		_ = s.store.Delete(id) // best effort; List/Get failures surface elsewhere
 	}
@@ -623,6 +638,7 @@ func (s *Service) swapZoneLocked(z *zone, sys *core.System) {
 	if z.sys.Load() == nil {
 		s.hotCount.Add(1)
 	}
+	s.hotDrop(z)
 	z.resMu.Unlock()
 	nz := s.newZone(z.id, sys, z.zc, z.pub)
 	nz.folded = z.folded
@@ -638,6 +654,7 @@ func (s *Service) swapZoneLocked(z *zone, sys *core.System) {
 	nz.evictErrors.Store(z.evictErrors.Load())
 	s.touch(nz)
 	s.zones[z.id] = nz
+	s.hotAdd(nz)
 }
 
 // Zones returns the registered zone IDs in sorted order.

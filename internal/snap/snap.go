@@ -129,7 +129,12 @@ func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"snap: cannot encode version %d (this build writes %d..%d)", version, VersionPrev, Version)
 	}
-	var e encoder
+	// One buffer holds the header, the payload and the CRC. It is sized
+	// once; the length field is written from the payload actually encoded.
+	size := payloadSize(s, version)
+	e := encoder{buf: make([]byte, headerSize, headerSize+size+4)}
+	copy(e.buf, magic[:])
+	binary.LittleEndian.PutUint32(e.buf[8:12], version)
 	e.str(s.Zone)
 	e.i64(s.SavedAt.UnixNano())
 	e.i64(int64(s.Config.Window))
@@ -186,14 +191,43 @@ func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 		}
 	}
 
-	payload := e.buf
-	out := make([]byte, 0, headerSize+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return out, nil
+	payload := e.buf[headerSize:]
+	binary.LittleEndian.PutUint64(e.buf[12:headerSize], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(e.buf, crc32.Checksum(payload, castagnoli)), nil
+}
+
+// Encoded sizes of the fixed-width parts of a payload.
+const (
+	trackOptionsSize = 4 * 8
+	// options, two flags, two int64s and twelve float64s
+	trackerStateSize = trackOptionsSize + 2 + 2*8 + 12*8
+)
+
+// payloadSize is the exact length EncodeVersion's payload will have, so
+// its buffer is allocated once.
+func payloadSize(s *Snapshot, version uint32) int {
+	st := s.State
+	n := 4 + len(s.Zone) + 3*8 + 4 + len(s.Config.Detector) // zone, SavedAt, window, threshold, detector
+	n += 4 + 4*8*len(st.Links) + 4*8                        // links, grid and ellipse excess
+	n += 10*8 + 4*8                                         // LoLi and reference options
+	n += 4 + len(st.MatcherName) + 2*8                      // matcher, RecSigmaDB, MaskThresholdDB
+	n += matrixSize(st.Mask) + matrixSize(st.X) + matrixSize(st.Observed)
+	n += 4 + 8*len(st.Vacant) + 4 + 8*len(st.RefCells)
+	if version >= 2 {
+		n += 8 + trackOptionsSize + 1 // history, track options, tracker presence flag
+		if s.Track != nil {
+			n += trackerStateSize
+		}
+	}
+	return n
+}
+
+// matrixSize is the encoded length of a (possibly nil) matrix.
+func matrixSize(m *mat.Matrix) int {
+	if m == nil {
+		return 1
+	}
+	return 1 + 2*4 + 8*m.Rows()*m.Cols()
 }
 
 // Decode parses and validates a snapshot. Every failure carries a

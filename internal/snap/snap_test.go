@@ -1,7 +1,10 @@
 package snap
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -228,4 +231,123 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenSnapshot is a fixed snapshot built from literal values alone —
+// no survey, mask learning or reference selection runs — so its
+// encoding is the same on every platform. bare drops the optional
+// Observed matrix and the tracker state.
+func goldenSnapshot(bare bool) *Snapshot {
+	const m, n = 3, 4
+	mask, x, observed := mat.New(m, n), mat.New(m, n), mat.New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			x.Set(i, j, -40-float64(i)-0.25*float64(j))
+			if (i+j)%2 == 0 {
+				mask.Set(i, j, 1)
+				observed.Set(i, j, 1)
+			}
+		}
+	}
+	s := &Snapshot{
+		Zone:    "golden/zone",
+		SavedAt: time.Unix(1_700_000_000, 123456789).UTC(),
+		Config: ZoneConfig{
+			Window:            6,
+			DetectThresholdDB: 0.25,
+			Detector:          "rms",
+			History:           128,
+			Track:             track.Options{ProcessStd: 0.75, MeasurementStd: 1.5, GateSigma: 4, MaxCoast: 3},
+		},
+		State: &core.SystemState{
+			Links: []geom.Segment{
+				{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 1.5}},
+				{A: geom.Point{X: 0, Y: 1.5}, B: geom.Point{X: 2, Y: 0}},
+				{A: geom.Point{X: 1, Y: 0}, B: geom.Point{X: 1, Y: 1.5}},
+			},
+			GridWidth:       2,
+			GridHeight:      1,
+			GridCellSize:    0.5,
+			EllipseExcess:   0.6,
+			LoLi:            core.DefaultLoLiOptions(),
+			Refs:            core.DefaultReferenceOptions(),
+			MatcherName:     core.MatcherWKNN,
+			RecSigmaDB:      4,
+			MaskThresholdDB: 1.5,
+			Mask:            mask,
+			X:               x,
+			Observed:        observed,
+			Vacant:          []float64{-40, -41, -42},
+			RefCells:        []int{1, 3},
+		},
+		Track: &track.TrackerState{
+			Filter: track.FilterState{
+				Opts:        track.Options{ProcessStd: 0.75, MeasurementStd: 1.5, GateSigma: 4, MaxCoast: 3},
+				Initialized: true,
+				Coasts:      1,
+				X:           [2]float64{1.25, 0.5},
+				Y:           [2]float64{0.75, -0.125},
+				PX:          [2][2]float64{{0.5, 0.0625}, {0.0625, 0.25}},
+				PY:          [2][2]float64{{0.375, 0.03125}, {0.03125, 0.125}},
+			},
+			HasFix:  true,
+			LastFix: time.Unix(1_700_000_001, 5).UTC(),
+		},
+	}
+	if bare {
+		s.State.Observed = nil
+		s.Track = nil
+	}
+	return s
+}
+
+// TestEncodeGolden pins the encoder's bytes: Encode and EncodeVersion(…,
+// VersionPrev) of a fixed snapshot must reproduce the files under
+// testdata byte for byte, so a change to how the encoder builds its
+// buffer cannot move the format. The files were written by the
+// two-buffer encoder that first shipped versions 1 and 2. Each
+// encoding must also fill the one buffer it allocates exactly.
+func TestEncodeGolden(t *testing.T) {
+	for _, tc := range []struct {
+		file    string
+		bare    bool
+		version uint32
+	}{
+		{"golden_v2.snap", false, Version},
+		{"golden_v2_bare.snap", true, Version},
+		{"golden_v1.snap", false, VersionPrev},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeVersion(goldenSnapshot(tc.bare), tc.version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.version == Version {
+			enc, err := Encode(goldenSnapshot(tc.bare))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, got) {
+				t.Errorf("%s: Encode and EncodeVersion(%d) differ", tc.file, Version)
+			}
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%s: %d bytes encoded into a buffer sized %d", tc.file, len(got), cap(got))
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s: encoding (%d bytes) differs from the golden file (%d bytes) at offset %d",
+				tc.file, len(got), len(want), i)
+		}
+	}
+	sn := testSnapshot(t)
+	if n := testing.AllocsPerRun(20, func() { _, _ = Encode(sn) }); n != 1 {
+		t.Errorf("Encode made %v allocations, want 1", n)
+	}
 }

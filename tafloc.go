@@ -224,6 +224,8 @@ func NewModel(layout *Layout, x, observed *Matrix, vacant []float64, refs []int,
 // System.ExportState, skipping every calibration step (survey, mask
 // learning, reference selection) — the warm-start path. States decoded
 // from damaged snapshots fail closed with taflocerr.ErrSnapshotCorrupt.
+// It takes ownership of st: the System keeps st's matrices and slices
+// without copying them, so do not use or modify st afterwards.
 func RestoreSystem(st *SystemState) (*System, error) { return core.RestoreSystem(st) }
 
 // Baselines.
