@@ -124,7 +124,7 @@ func BenchmarkLoLiIRReconstruction(b *testing.B) {
 	vacant := dep.VacantCapture(45, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Update(refCols, vacant); err != nil {
+		if _, err := sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func BenchmarkParallelReconstruct(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Update(refCols, vacant); err != nil {
+				if _, err := sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
 					b.Fatal(err)
 				}
 			}

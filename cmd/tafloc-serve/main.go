@@ -181,19 +181,18 @@ func (f *zoneFactory) deployment(id string) (*tafloc.Deployment, bool) {
 // explicitly (so combination warnings fire only on deliberate choices,
 // not defaults).
 type config struct {
-	addr          string
-	zones         int
-	days          float64
-	interval      time.Duration
-	window        int
-	threshold     float64
-	matcher       string
-	detector      string
-	sim           bool
-	locateWorkers int
-	stateDir      string
-	checkpoint    time.Duration
-	maxHotZones   int
+	addr        string
+	zones       int
+	days        float64
+	interval    time.Duration
+	window      int
+	threshold   float64
+	matcher     string
+	detector    string
+	sim         bool
+	stateDir    string
+	checkpoint  time.Duration
+	maxHotZones int
 
 	set map[string]bool
 }
@@ -212,7 +211,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.detector, "detector", "mad",
 		fmt.Sprintf("presence detector %v", tafloc.DetectorNames()))
 	fs.BoolVar(&cfg.sim, "sim", true, "drive simulated targets through every zone via the client SDK")
-	fs.IntVar(&cfg.locateWorkers, "locate-workers", 0, "shared locate-executor pool size; zones are goroutine-free state machines scheduled onto it (0 = GOMAXPROCS, negative = single worker)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "directory for deployment snapshots: checkpoint zones there and warm-restore them on boot")
 	fs.DurationVar(&cfg.checkpoint, "checkpoint", 30*time.Second, "checkpoint interval when -state-dir is set")
 	fs.IntVar(&cfg.maxHotZones, "max-hot-zones", 0, "cap on zones holding a resident model; over the cap the least-recently-used zone is checkpointed and dropped, rehydrating transparently on its next request (0 = no cap)")
@@ -309,9 +307,6 @@ func run(cfg *config) error {
 		tafloc.WithDetectThreshold(cfg.threshold),
 		tafloc.WithDetector(cfg.detector),
 		tafloc.WithZoneFactory(factory.build),
-	}
-	if cfg.locateWorkers != 0 {
-		opts = append(opts, tafloc.WithLocateWorkers(cfg.locateWorkers))
 	}
 	if cfg.maxHotZones > 0 {
 		opts = append(opts, tafloc.WithMaxHotZones(cfg.maxHotZones))

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -50,7 +51,7 @@ func main() {
 
 	if *update {
 		refCols, cost := dep.SurveyCells(sys.References(), *days)
-		rec, err := sys.Update(refCols, dep.VacantCapture(*days, 100))
+		rec, err := sys.UpdateContext(context.Background(), refCols, dep.VacantCapture(*days, 100))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -160,8 +160,8 @@ func (rc *Reconstructor) Mask() *mat.Matrix { return rc.mask }
 // Layout returns the layout the reconstructor was built for.
 func (rc *Reconstructor) Layout() *Layout { return rc.layout }
 
-// Reconstruct runs LoLi-IR on the given update measurements and returns
-// the reconstructed fingerprint matrix.
+// ReconstructContext runs LoLi-IR on the given update measurements and
+// returns the reconstructed fingerprint matrix.
 //
 // The observation set is the union of (a) undistorted entries, valued at
 // the fresh vacant capture, and (b) every entry of the reference columns.
@@ -175,15 +175,11 @@ func (rc *Reconstructor) Layout() *Layout { return rc.layout }
 // low-rank structure the factorization captures is the target-induced
 // distortion pattern itself rather than a rank-1 baseline that would
 // otherwise dominate the spectrum and defeat rank selection.
-func (rc *Reconstructor) Reconstruct(in UpdateInput) (*Reconstruction, error) {
-	return rc.ReconstructContext(context.Background(), in)
-}
-
-// ReconstructContext is Reconstruct with cancellation: ctx is checked
-// before the expensive initialization and once per outer alternation, so
-// a long LoLi-IR run on a large deployment terminates within one
-// iteration of the context being cancelled. The returned error wraps
-// ctx.Err() and carries taflocerr.CodeCancelled.
+//
+// ctx is checked before the expensive initialization and once per outer
+// alternation, so a long LoLi-IR run on a large deployment terminates
+// within one iteration of the context being cancelled. The returned
+// error wraps ctx.Err() and carries taflocerr.CodeCancelled.
 func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput) (*Reconstruction, error) {
 	l := rc.layout
 	if err := in.Validate(l); err != nil {

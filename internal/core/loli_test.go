@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,7 +118,7 @@ func TestReconstructNoiselessRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := rc.Reconstruct(makeUpdateInput(l, truth, vac, refs))
+	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestReconstructObjectiveNonIncreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := rc.Reconstruct(makeUpdateInput(l, truth, vac, pickRefs(l, 12)))
+	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, pickRefs(l, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestReconstructObservedEntriesClamped(t *testing.T) {
 	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
 	refs := pickRefs(l, 10)
 	in := makeUpdateInput(l, truth, vac, refs)
-	rec, err := rc.Reconstruct(in)
+	rec, err := rc.ReconstructContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestReconstructWithNoisyInput(t *testing.T) {
 	}
 	in.Vacant = noisyVac
 	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
-	rec, err := rc.Reconstruct(in)
+	rec, err := rc.ReconstructContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestReconstructForcedRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := rc.Reconstruct(makeUpdateInput(l, truth, vac, pickRefs(l, 10)))
+	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, pickRefs(l, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestReconstructAblationSmoothersOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := rc.Reconstruct(makeUpdateInput(l, truth, vac, pickRefs(l, 12)))
+	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, pickRefs(l, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestReconstructSingleReference(t *testing.T) {
 	l := testLayout(t)
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(8)))
 	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
-	rec, err := rc.Reconstruct(makeUpdateInput(l, truth, vac, []int{l.N() / 2}))
+	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, []int{l.N() / 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestReconstructEndToEndWithChannelDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := rc.Reconstruct(UpdateInput{
+	rec, err := rc.ReconstructContext(context.Background(), UpdateInput{
 		RefIdx:  refs,
 		RefCols: truth.SelectCols(refs),
 		Vacant:  ch.TrueVacant(days),

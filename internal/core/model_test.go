@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -40,7 +41,7 @@ func TestLocateConsistentDuringUpdate(t *testing.T) {
 	}
 	expect[day0] = "day0"
 	for i, in := range inputs {
-		if _, err := f.sys.Update(in.refCols, in.vacant); err != nil {
+		if _, err := f.sys.UpdateContext(context.Background(), in.refCols, in.vacant); err != nil {
 			t.Fatal(err)
 		}
 		loc, err := f.sys.Locate(y)
@@ -79,7 +80,7 @@ func TestLocateConsistentDuringUpdate(t *testing.T) {
 	}
 	for round := 0; round < 4; round++ {
 		in := inputs[round%len(inputs)]
-		if _, err := f.sys.Update(in.refCols, in.vacant); err != nil {
+		if _, err := f.sys.UpdateContext(context.Background(), in.refCols, in.vacant); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +148,7 @@ func TestModelSurvivesUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	refCols, _ := f.dep.SurveyCells(f.sys.References(), 45)
-	if _, err := f.sys.Update(refCols, f.dep.VacantCapture(45, 50)); err != nil {
+	if _, err := f.sys.UpdateContext(context.Background(), refCols, f.dep.VacantCapture(45, 50)); err != nil {
 		t.Fatal(err)
 	}
 	if f.sys.Model() == old {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -29,12 +30,12 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 	in := makeUpdateInput(layout, truth, vac, pickRefs(layout, 10))
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serial, err := rc.Reconstruct(in)
+	serial, err := rc.ReconstructContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(8)
-	parallel, err := rc.Reconstruct(in)
+	parallel, err := rc.ReconstructContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

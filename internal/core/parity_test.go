@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -268,7 +269,7 @@ func TestSystemLocateParityWithPreRefactor(t *testing.T) {
 	f := newSystemFixture(t, 77)
 	refCols, _ := f.dep.SurveyCells(f.sys.References(), 30)
 	vacant := f.dep.VacantCapture(30, 50)
-	if _, err := f.sys.Update(refCols, vacant); err != nil {
+	if _, err := f.sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
 		t.Fatal(err)
 	}
 	m := f.sys.Model()

@@ -116,7 +116,7 @@ func TestRestoreAfterUpdateKeepsObservedMask(t *testing.T) {
 			refCols.Set(i, k, -41-float64(i)-0.7*float64(refs[k]%7))
 		}
 	}
-	if _, err := sys.Update(refCols, vac); err != nil {
+	if _, err := sys.UpdateContext(context.Background(), refCols, vac); err != nil {
 		t.Fatal(err)
 	}
 

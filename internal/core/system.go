@@ -176,19 +176,13 @@ func (s *System) Fingerprints() *mat.Matrix { return s.model.Load().Fingerprints
 // Vacant returns a copy of the current vacant baseline.
 func (s *System) Vacant() []float64 { return s.model.Load().Vacant() }
 
-// Update performs a TafLoc low-cost fingerprint update: given fresh
-// measurements at the reference locations (refCols, M x len(refs) in
-// the order returned by References) and a fresh vacant capture, it
+// UpdateContext performs a TafLoc low-cost fingerprint update: given
+// fresh measurements at the reference locations (refCols, M x len(refs)
+// in the order returned by References) and a fresh vacant capture, it
 // reconstructs the whole database with LoLi-IR and publishes it as a
-// new Model.
-func (s *System) Update(refCols *mat.Matrix, vacant []float64) (*Reconstruction, error) {
-	return s.UpdateContext(context.Background(), refCols, vacant)
-}
-
-// UpdateContext is Update with cancellation: the LoLi-IR solver checks
-// ctx once per outer iteration, so a long reconstruction terminates
-// promptly when ctx is cancelled and the previous Model stays
-// published. Measurements that are non-finite or outside [MinRSS,
+// new Model. The LoLi-IR solver checks ctx once per outer iteration,
+// so a long reconstruction terminates promptly when ctx is cancelled
+// and the previous Model stays published. Measurements that are non-finite or outside [MinRSS,
 // MaxRSS] are rejected with CodeBadRequest before any work, and the
 // previous Model stays published.
 func (s *System) UpdateContext(ctx context.Context, refCols *mat.Matrix, vacant []float64) (*Reconstruction, error) {

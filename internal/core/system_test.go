@@ -177,7 +177,7 @@ func TestSystemUpdateRestoresAccuracy(t *testing.T) {
 	refs := f.sys.References()
 	refCols, _ := f.dep.SurveyCells(refs, days)
 	vac := f.dep.VacantCapture(days, 100)
-	rec, err := f.sys.Update(refCols, vac)
+	rec, err := f.sys.UpdateContext(context.Background(), refCols, vac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSystemUpdateInstallsAtomically(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := f.sys.Update(refCols, vac); err != nil {
+	if _, err := f.sys.UpdateContext(context.Background(), refCols, vac); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -227,12 +227,12 @@ func TestSystemUpdateInstallsAtomically(t *testing.T) {
 
 func TestSystemUpdateRejectsBadInput(t *testing.T) {
 	f := newSystemFixture(t, 6)
-	if _, err := f.sys.Update(mat.New(1, 1), f.sys.Vacant()); err == nil {
+	if _, err := f.sys.UpdateContext(context.Background(), mat.New(1, 1), f.sys.Vacant()); err == nil {
 		t.Fatal("bad refCols accepted")
 	}
 	refs := f.sys.References()
 	refCols, _ := f.dep.SurveyCells(refs, 10)
-	if _, err := f.sys.Update(refCols, nil); err == nil {
+	if _, err := f.sys.UpdateContext(context.Background(), refCols, nil); err == nil {
 		t.Fatal("nil vacant accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -65,7 +66,7 @@ func reconstructionErrors(dep *testbed.Deployment, sys *core.System, layout *cor
 	refs := sys.References()
 	refCols, _ := dep.SurveyCells(refs, days)
 	vacant := dep.VacantCapture(days, 100)
-	rec, err := sys.Update(refCols, vacant)
+	rec, err := sys.UpdateContext(context.Background(), refCols, vacant)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +199,7 @@ func Fig5(cfg ExperimentConfig) (*Figure, error) {
 	refs := sys.References()
 	refCols, _ := dep.SurveyCells(refs, days)
 	vacant := dep.VacantCapture(days, 100)
-	rec, err := sys.Update(refCols, vacant)
+	rec, err := sys.UpdateContext(context.Background(), refCols, vacant)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +446,7 @@ func Ablation(cfg ExperimentConfig) (*Table, error) {
 			return 0, err
 		}
 		refCols, _ := dep.SurveyCells(refs, days)
-		rec, err := rc.Reconstruct(core.UpdateInput{
+		rec, err := rc.ReconstructContext(context.Background(), core.UpdateInput{
 			RefIdx:  refs,
 			RefCols: refCols,
 			Vacant:  dep.VacantCapture(days, 100),

@@ -6,8 +6,8 @@
 // a corridor, a floor section — each with its own link deployment and
 // fingerprint database). RSS reports enter through a bounded per-zone
 // work queue, but zones own no goroutines: each is a small run-state
-// machine scheduled onto a shared locate-executor pool of
-// Config.LocateWorkers goroutines (default GOMAXPROCS). A fold round
+// machine scheduled onto a shared locate-executor pool of GOMAXPROCS
+// goroutines, as the kernels in internal/mat size theirs. A fold round
 // drains the queue in batches and folds the samples into per-link live
 // windows; the match query runs once per round rather than once per
 // report, dispatched as a separate locate task, so a burst of traffic
@@ -55,6 +55,14 @@
 // and the track survive. Watch subscribes a buffered channel to a
 // zone's estimate stream, fed by the same per-zone publish that sets
 // the zone's position.
+//
+// Each serving job has one path. Every registration (AddZone, POST
+// /v2/zones/{id}, RestoreZone, RestoreStore, PUT
+// /v2/zones/{id}/snapshot) registers the zone and then runs the
+// hot-cap pass, so no door can leave the service over MaxHotZones.
+// Every shutdown (Stop, before or after Start, or the end of the
+// context passed to Start) closes the executor and then ends every
+// watch stream with a terminal Final estimate.
 //
 // The HTTP surface (Handler) serves two versions side by side. The
 // frozen /v1 routes (byte-identical responses, pinned by fixture

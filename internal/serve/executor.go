@@ -3,8 +3,8 @@ package serve
 // The locate executor: a small shared pool of workers that runs every
 // zone's fold and localization rounds. Zones are pure state machines —
 // an idle zone costs a map entry and a queue, not a goroutine — so the
-// goroutine count is Config.LocateWorkers regardless of whether the
-// service holds ten zones or ten thousand. Scheduling guarantees at
+// goroutine count is GOMAXPROCS, read at Start, regardless of whether
+// the service holds ten zones or ten thousand. Scheduling guarantees at
 // most one fold task and one locate task in flight per zone (see the
 // zone state machine in serve.go), so the fold state needs no locking
 // and per-zone estimate order is preserved, while a hot zone's next

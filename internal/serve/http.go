@@ -95,7 +95,7 @@ func (s *Service) handleZone(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "want /v1/zones/{id}/position")
 		return
 	}
-	if !s.zoneExists(id) {
+	if _, ok := s.lookup(id); !ok {
 		httpError(w, http.StatusNotFound, ErrUnknownZone.Error())
 		return
 	}

@@ -60,7 +60,7 @@ func (s *Service) handleReportStream(w http.ResponseWriter, r *http.Request, id 
 		methodNotAllowedV2(w, http.MethodPost)
 		return
 	}
-	if !s.zoneExists(id) {
+	if _, ok := s.lookup(id); !ok {
 		errorV2(w, ErrUnknownZone)
 		return
 	}

@@ -95,7 +95,7 @@ func (s *Service) handleZoneV2(w http.ResponseWriter, r *http.Request) {
 			methodNotAllowedV2(w, http.MethodGet)
 			return
 		}
-		if !s.zoneExists(id) {
+		if _, ok := s.lookup(id); !ok {
 			errorV2(w, ErrUnknownZone)
 			return
 		}

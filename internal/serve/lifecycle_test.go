@@ -287,58 +287,88 @@ func TestRemovingZoneHidesPosition(t *testing.T) {
 	}
 }
 
-// TestStoppedServiceRejectsMutations pins the post-Stop contract: zone
-// mutations, new subscriptions and report batches fail instead of
-// creating work that can never run, and existing watchers are
-// terminated.
+// TestStoppedServiceRejectsMutations pins the post-stop contract for
+// every way a service stops: Stop, the end of the Start context, and
+// Stop before Start. Each open watcher receives a terminal Final and is
+// closed, and zone mutations, new subscriptions, report batches and a
+// later Start fail instead of creating work that can never run.
 func TestStoppedServiceRejectsMutations(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
-	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := svc.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ch, stopWatch, err := svc.Watch("z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopWatch()
-	svc.Stop()
-	svc.Wait()
-
-	if err := svc.AddZone("late", testSystem(t, dep)); err == nil {
-		t.Error("AddZone on a stopped service accepted (reports would be black-holed)")
-	}
-	if err := svc.UpdateZone("z", testSystem(t, dep)); err == nil {
-		t.Error("UpdateZone on a stopped service accepted")
-	}
-	if _, _, err := svc.Watch("z"); err == nil {
-		t.Error("Watch on a stopped service accepted (would block forever)")
-	}
-	batch := targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})
-	if err := svc.Ingest("z", batch); !errors.Is(err, taflocerr.ErrStarted) {
-		t.Errorf("Ingest on a stopped service = %v, want a %s error (no worker would fold the batch)",
-			err, taflocerr.CodeStarted)
-	}
-	if st := svc.Stats()["z"]; st.Received != 0 || st.Dropped != uint64(len(batch)) || st.QueueLen != 0 {
-		t.Errorf("after a rejected batch: Received %d, Dropped %d, QueueLen %d; want 0, %d, 0",
-			st.Received, st.Dropped, st.QueueLen, len(batch))
-	}
-	// The pre-Stop watcher was terminated rather than left hanging.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, open := <-ch:
-			if !open {
-				return
+	for _, mode := range []struct {
+		name    string
+		started bool
+		stop    func(svc *Service, cancel context.CancelFunc)
+	}{
+		{"Stop", true, func(svc *Service, _ context.CancelFunc) { svc.Stop() }},
+		{"context", true, func(_ *Service, cancel context.CancelFunc) { cancel() }},
+		{"Stop before Start", false, func(svc *Service, _ context.CancelFunc) { svc.Stop() }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
+			if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+				t.Fatal(err)
 			}
-		case <-deadline:
-			t.Fatal("watcher not terminated by Stop")
-		}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if mode.started {
+				if err := svc.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var watchers []<-chan Estimate
+			for i := 0; i < 2; i++ {
+				ch, stopWatch, err := svc.Watch("z")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stopWatch()
+				watchers = append(watchers, ch)
+			}
+			mode.stop(svc, cancel)
+			svc.Wait()
+
+			// Every pre-stop watcher is terminated rather than left hanging.
+			for i, ch := range watchers {
+				final := false
+				deadline := time.After(5 * time.Second)
+			drain:
+				for {
+					select {
+					case e, open := <-ch:
+						if !open {
+							break drain
+						}
+						final = final || e.Final
+					case <-deadline:
+						t.Fatalf("watcher %d not closed by the stop", i)
+					}
+				}
+				if !final {
+					t.Errorf("watcher %d closed without a Final estimate", i)
+				}
+			}
+			if err := svc.AddZone("late", testSystem(t, dep)); err == nil {
+				t.Error("AddZone on a stopped service accepted (reports would be black-holed)")
+			}
+			if err := svc.UpdateZone("z", testSystem(t, dep)); err == nil {
+				t.Error("UpdateZone on a stopped service accepted")
+			}
+			if _, _, err := svc.Watch("z"); err == nil {
+				t.Error("Watch on a stopped service accepted (would block forever)")
+			}
+			batch := targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})
+			if err := svc.Ingest("z", batch); !errors.Is(err, taflocerr.ErrStarted) {
+				t.Errorf("Ingest on a stopped service = %v, want a %s error (no worker would fold the batch)",
+					err, taflocerr.CodeStarted)
+			}
+			if st := svc.Stats()["z"]; st.Received != 0 || st.Dropped != uint64(len(batch)) || st.QueueLen != 0 {
+				t.Errorf("after a rejected batch: Received %d, Dropped %d, QueueLen %d; want 0, %d, 0",
+					st.Received, st.Dropped, st.QueueLen, len(batch))
+			}
+			if err := svc.Start(context.Background()); !errors.Is(err, taflocerr.ErrStarted) {
+				t.Errorf("Start on a stopped service = %v, want a %s error", err, taflocerr.CodeStarted)
+			}
+		})
 	}
 }
 
@@ -353,7 +383,7 @@ func TestWaitOutlastsRunningGoroutines(t *testing.T) {
 	t.Run("executor", func(t *testing.T) {
 		sys, gm, release := newGatedSystem(t, dep, "wait-test-gated")
 		defer release()
-		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, LocateWorkers: 1})
+		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})
 		if err := svc.AddZone("z", sys); err != nil {
 			t.Fatal(err)
 		}

@@ -140,8 +140,9 @@ func TestLifecycleHammer(t *testing.T) {
 }
 
 // TestSnapshotWhileUpdating: exporting a snapshot concurrently with
-// System.Update must always yield a self-consistent snapshot (either the
-// old or the new database — never a torn mix that fails restore).
+// System.UpdateContext must always yield a self-consistent snapshot
+// (either the old or the new database — never a torn mix that fails
+// restore).
 func TestSnapshotWhileUpdating(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
@@ -164,7 +165,7 @@ func TestSnapshotWhileUpdating(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := sys.Update(refCols, vac); err != nil {
+			if _, err := sys.UpdateContext(context.Background(), refCols, vac); err != nil {
 				t.Errorf("update: %v", err)
 				return
 			}

@@ -222,9 +222,7 @@ func (s *Service) EvictZone(id string) error {
 		return taflocerr.Errorf(taflocerr.CodeUnsupported,
 			"serve: no snapshot store configured; set Config.Store or Config.MaxHotZones")
 	}
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return ErrUnknownZone
 	}
@@ -235,9 +233,7 @@ func (s *Service) EvictZone(id string) error {
 // one): the warm-up counterpart of EvictZone, for operators who want a
 // zone resident before its first request.
 func (s *Service) RehydrateZone(id string) error {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return ErrUnknownZone
 	}

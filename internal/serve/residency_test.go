@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -320,6 +322,69 @@ func waitHotIndexConsistent(t *testing.T, s *Service) {
 	}
 }
 
+// TestEveryRegistrationRunsCapPass: each way a zone registers runs the
+// hot-cap pass before it returns, so registering a second zone on a
+// service capped at one hot zone leaves one hot zone.
+func TestEveryRegistrationRunsCapPass(t *testing.T) {
+	dep := testDeployment(t)
+	src := newTestService(t, Config{})
+	if err := src.AddZone("b", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.SnapshotZone("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		register func(t *testing.T, svc *Service)
+	}{
+		{"AddZone", func(t *testing.T, svc *Service) {
+			if err := svc.AddZone("b", testSystem(t, dep)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"POST zone", func(t *testing.T, svc *Service) {
+			if code, _, _ := doReq(t, svc.Handler(), http.MethodPost, "/v2/zones/b", "{}"); code != http.StatusCreated {
+				t.Fatalf("POST /v2/zones/b: %d, want 201", code)
+			}
+		}},
+		{"RestoreZone", func(t *testing.T, svc *Service) {
+			if _, err := svc.RestoreZone(data); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"RestoreStore", func(t *testing.T, svc *Service) {
+			st := store.NewMem()
+			if err := st.Put("b", data); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.RestoreStore(st); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"PUT snapshot", func(t *testing.T, svc *Service) {
+			if code, _, _ := doReq(t, svc.Handler(), http.MethodPut, "/v2/zones/b/snapshot", string(data)); code != http.StatusCreated {
+				t.Fatalf("PUT /v2/zones/b/snapshot: %d, want 201", code)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newTestService(t, Config{MaxHotZones: 1, ZoneFactory: testFactory(t, dep)})
+			if err := svc.AddZone("a", testSystem(t, dep)); err != nil {
+				t.Fatal(err)
+			}
+			tc.register(t, svc)
+			if got := svc.HotZones(); got != 1 {
+				t.Errorf("HotZones = %d once the registration returned, want 1", got)
+			}
+			if msg := hotIndexMismatch(svc); msg != "" {
+				t.Error(msg)
+			}
+		})
+	}
+}
+
 // TestEnforceCapEvictsOldestTouched pins the victim rule: when a
 // rehydrate puts the service over its cap, the hot zone touched longest
 // ago is evicted, whatever order the zones were added in.
@@ -391,7 +456,7 @@ func TestRemoveZoneDuringOverCapPass(t *testing.T) {
 	removed := make(chan error, 1)
 	go func() { removed <- svc.RemoveZone("v") }()
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.zoneExists("v") {
+	for slices.Contains(svc.Zones(), "v") {
 		if time.Now().After(deadline) {
 			t.Fatal("RemoveZone never unregistered the zone")
 		}

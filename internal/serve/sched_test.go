@@ -74,12 +74,12 @@ func TestStarvedCounter(t *testing.T) {
 
 // TestZoneCountDoesNotScaleGoroutines pins the executor-pool tentpole:
 // registering hundreds of zones on a running service adds no goroutines
-// — zones are state machines, and compute concurrency is
-// Config.LocateWorkers, not the zone count.
+// — zones are state machines, and compute concurrency is the pool's
+// GOMAXPROCS workers, not the zone count.
 func TestZoneCountDoesNotScaleGoroutines(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 4})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := svc.Start(ctx); err != nil {
@@ -147,7 +147,7 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 	dep := testDeployment(t)
 	target := geom.Point{X: 1.2, Y: 0.9}
 	for round := 0; round < 20; round++ {
-		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
+		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 		if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
@@ -173,18 +173,13 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 	}
 }
 
-// TestLocateWorkersNormalization pins the new Config field's
-// unset-vs-explicit-minimum semantics alongside the existing ones.
-func TestLocateWorkersNormalization(t *testing.T) {
-	if got := (Config{}).withDefaults().LocateWorkers; got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default LocateWorkers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := (Config{LocateWorkers: -1}).withDefaults().LocateWorkers; got != 1 {
-		t.Errorf("explicit minimum LocateWorkers = %d, want 1", got)
-	}
-	if got := (Config{LocateWorkers: 7}).withDefaults().LocateWorkers; got != 7 {
-		t.Errorf("explicit LocateWorkers = %d, want 7", got)
-	}
+// withTwoWorkers sets GOMAXPROCS, which sizes the executor pool at
+// Start, to 2 for the rest of the test, as internal/mat's withWorkers
+// does for its kernels: a zone's fold and locate tasks overlap only
+// when a second worker is free to run one of them.
+func withTwoWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestHotZoneFoldOverlapsLocate exercises the pipelining path: batches
@@ -192,8 +187,9 @@ func TestLocateWorkersNormalization(t *testing.T) {
 // rather than blocking the fold stage, and the zone keeps publishing
 // (run with -race; the assertion is liveness plus monotonic freshness).
 func TestHotZoneFoldOverlapsLocate(t *testing.T) {
+	withTwoWorkers(t)
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +281,10 @@ func newGatedSystem(t *testing.T, dep *testbed.Deployment, name string) (sys *co
 // later one replacing the earlier, so the zone publishes the held
 // estimate and then only the freshest.
 func TestPendingSlotKeepsFreshest(t *testing.T) {
+	withTwoWorkers(t)
 	dep := testDeployment(t)
 	sys, gm, release := newGatedSystem(t, dep, "sched-test-gated")
-	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, LocateWorkers: 2})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}

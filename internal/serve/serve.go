@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -63,15 +64,6 @@ type Config struct {
 	// registry (default core.DetectorMAD). Unknown names fail NewService
 	// with a taflocerr error.
 	Detector string
-	// LocateWorkers is the size of the shared locate-executor pool that
-	// runs every zone's fold and match rounds. Zones are goroutine-free
-	// state machines, so this — not the zone count — is the service's
-	// compute concurrency (default GOMAXPROCS; negative = 1).
-	LocateWorkers int
-	// WatchBuffer is the per-watcher event buffer; a watcher that falls
-	// more than this many estimates behind misses the intermediate ones
-	// (default 16; negative = 1).
-	WatchBuffer int
 	// WatchHeartbeat is how often an idle SSE watch stream emits a
 	// ": heartbeat" comment so proxy and load-balancer idle timeouts do
 	// not kill it (default 15s; negative = no heartbeats).
@@ -82,10 +74,6 @@ type Config struct {
 	// history and trajectory tracking disabled, the routes answer
 	// unsupported).
 	History int
-	// Track configures the per-zone trajectory filter fed from the
-	// publish path. The zero value selects track.DefaultOptions();
-	// invalid options fail NewService with a taflocerr error.
-	Track track.Options
 	// ZoneFactory enables zone creation over the /v2 HTTP surface.
 	ZoneFactory ZoneFactory
 	// MaxHotZones caps how many zones may hold a resident Model at once
@@ -133,18 +121,6 @@ func (c Config) withDefaults() Config {
 		c.Detector = core.DetectorMAD
 	}
 	switch {
-	case c.LocateWorkers == 0:
-		c.LocateWorkers = runtime.GOMAXPROCS(0)
-	case c.LocateWorkers < 0:
-		c.LocateWorkers = 1
-	}
-	switch {
-	case c.WatchBuffer == 0:
-		c.WatchBuffer = 16
-	case c.WatchBuffer < 0:
-		c.WatchBuffer = 1
-	}
-	switch {
 	case c.WatchHeartbeat == 0:
 		c.WatchHeartbeat = 15 * time.Second
 	case c.WatchHeartbeat < 0:
@@ -155,9 +131,6 @@ func (c Config) withDefaults() Config {
 		c.History = 256
 	case c.History < 0:
 		c.History = 0
-	}
-	if c.Track == (track.Options{}) {
-		c.Track = track.DefaultOptions()
 	}
 	if c.MaxHotZones < 0 {
 		c.MaxHotZones = 1
@@ -198,6 +171,12 @@ type zoneConfig struct {
 	history  int           // normalized: 0 = history and tracking disabled
 	trk      track.Options // always concrete (zero value replaced by defaults)
 }
+
+// watchBuffer is the per-watcher event buffer: a watcher that falls
+// more than this many estimates behind misses the oldest ones. Sixteen
+// estimates ride out a consumer's scheduling hiccup of a few fold
+// rounds without holding stale positions long.
+const watchBuffer = 16
 
 // zone is one shard: a core.System plus ingest state, scheduled as a
 // run-state machine over the shared executor pool instead of owning a
@@ -359,7 +338,7 @@ type Service struct {
 	lruClock atomic.Int64
 	seq      atomic.Uint64
 	streams  atomic.Int64 // open NDJSON report streams (health gauge)
-	started  atomic.Bool
+	started  atomic.Bool  // set by Start, and by Stop: after either, Start fails
 	start    time.Time
 	runCtx   context.Context // the Start context; parent of every task
 	cancel   context.CancelFunc
@@ -380,7 +359,7 @@ type Service struct {
 // (matching taflocerr.ErrBadRequest) — the builder path never panics.
 func NewService(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	zc, err := newZoneConfig(cfg.Window, cfg.DetectThresholdDB, cfg.Detector, cfg.History, cfg.Track)
+	zc, err := newZoneConfig(cfg.Window, cfg.DetectThresholdDB, cfg.Detector, cfg.History, track.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -397,12 +376,18 @@ func NewService(cfg Config) (*Service, error) {
 // newZoneConfig validates and assembles a per-zone configuration.
 // window, thrDB, and history must already be normalized (window >= 1,
 // thrDB >= 0 with 0 meaning the gate is off, history >= 0 with 0
-// meaning history and tracking are disabled); trk with its zero value
+// meaning history and tracking are disabled); a non-finite thrDB is
+// rejected, as a zone gated on NaN or +Inf would never report a target
+// present. trk with its zero value, which a version-1 snapshot records,
 // selects the default trajectory filter options.
 func newZoneConfig(window int, thrDB float64, detector string, history int, trk track.Options) (zoneConfig, error) {
 	if window < 1 {
 		return zoneConfig{}, taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"serve: window must be at least 1, got %d", window)
+	}
+	if math.IsNaN(thrDB) || math.IsInf(thrDB, 0) {
+		return zoneConfig{}, taflocerr.Errorf(taflocerr.CodeBadRequest,
+			"serve: detection threshold must be finite, got %v", thrDB)
 	}
 	if thrDB < 0 {
 		thrDB = 0
@@ -477,16 +462,16 @@ func (z *zone) isStopped() bool {
 // stopped service rejects new zones — their reports could never be
 // processed.
 func (s *Service) AddZone(id string, sys *core.System) error {
-	if err := s.addZone(id, sys, s.defZC, nil); err != nil {
-		return err
-	}
-	s.enforceCap()
-	return nil
+	return s.addZone(id, sys, s.defZC, nil)
 }
 
-// addZone registers a zone under an explicit per-zone configuration
-// (AddZone passes the service default; RestoreZone the snapshot's,
-// along with the snapshot's trajectory-filter state).
+// addZone is the one registration step behind every way a zone joins
+// the service (AddZone, POST /v2/zones/{id}, RestoreZone, RestoreStore
+// and PUT /v2/zones/{id}/snapshot): register the zone under an explicit
+// per-zone configuration (AddZone passes the service default, a
+// restore the snapshot's, along with the snapshot's trajectory-filter
+// state), then run the hot-cap pass. A fresh zone is hot by
+// construction, so registering it can put the service over its cap.
 func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) error {
 	if id == "" {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: empty zone id")
@@ -495,22 +480,25 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: nil system for zone %q", id)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.stoppedLocked(); err != nil {
-		return err
+	err := s.stoppedLocked()
+	if _, ok := s.zones[id]; ok && err == nil {
+		err = ErrZoneExists
 	}
-	if _, ok := s.zones[id]; ok {
-		return ErrZoneExists
+	if err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	z := s.newZone(id, sys, zc, newPublication(zc, tracker))
 	s.touch(z)
 	s.zones[id] = z
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
-	// A fresh zone is hot by construction; the caller runs enforceCap
-	// once s.mu is released.
 	s.hotCount.Add(1)
 	s.hotAdd(z)
+	// The cap pass writes victims' snapshots to the store; holding the
+	// registry lock across that I/O would stall every lookup.
+	s.mu.Unlock()
+	s.enforceCap()
 	return nil
 }
 
@@ -665,15 +653,13 @@ func (s *Service) Zones() []string {
 }
 
 // System returns the core.System behind a zone, for fingerprint updates
-// (System.Update is safe to run while the zone keeps serving). A cold
+// (System.UpdateContext is safe to run while the zone keeps serving). A cold
 // zone is rehydrated first — the caller wants the live Model, and a
 // fingerprint update needs somewhere to land. ok is false when the zone
 // is unknown or when it is cold and its rehydrate failed (the zone
 // stays registered; retry once the store heals).
 func (s *Service) System(id string) (*core.System, bool) {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return nil, false
 	}
@@ -684,21 +670,22 @@ func (s *Service) System(id string) (*core.System, bool) {
 	return sys, true
 }
 
-// zoneExists is the cheap registration check for request routing: it
-// never touches residency, so asking "is this zone registered" (a
-// position read, a watch subscription) cannot fault a cold zone's
-// Model back in.
-func (s *Service) zoneExists(id string) bool {
+// lookup finds a registered zone under the registry read lock. It never
+// touches residency, so asking "is this zone registered" (a position
+// read, a watch subscription) cannot fault a cold zone's Model back in.
+func (s *Service) lookup(id string) (*zone, bool) {
 	s.mu.RLock()
-	_, ok := s.zones[id]
+	z, ok := s.zones[id]
 	s.mu.RUnlock()
-	return ok
+	return z, ok
 }
 
-// Start launches the shared locate-executor pool: Config.LocateWorkers
-// goroutines that run every zone's fold and match rounds. Reports
-// queued before Start are picked up immediately. The pool stops when
-// ctx is cancelled or Stop is called.
+// Start launches the shared locate-executor pool: GOMAXPROCS goroutines
+// that run every zone's fold and match rounds. Reports queued before
+// Start are picked up immediately. When ctx is cancelled or Stop is
+// called, the service shuts down (see shutdownLocked). A service
+// already started, or stopped before it ever started, fails with a
+// taflocerr.CodeStarted error.
 func (s *Service) Start(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
@@ -710,17 +697,17 @@ func (s *Service) Start(ctx context.Context) error {
 	s.cancel = cancel
 	s.runCtx = ctx
 	s.start = time.Now()
-	for i := 0; i < s.cfg.LocateWorkers; i++ {
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		s.wg.Add(1)
 		go s.execWorker()
 	}
-	// Close the executor when the run context ends; the workers drain
-	// the remaining queue (tasks become cheap no-ops) and exit.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		<-ctx.Done()
-		s.exec.close()
+		s.mu.Lock()
+		s.shutdownLocked()
+		s.mu.Unlock()
 	}()
 	for _, id := range s.order {
 		z := s.zones[id]
@@ -753,11 +740,12 @@ func (s *Service) runTask(t task) {
 	}
 }
 
-// stoppedLocked reports whether the service has been started and then
-// stopped (directly or via its Start context); zone mutations on a
-// stopped service would queue work that never runs. Caller holds s.mu.
+// stoppedLocked reports whether the service has been stopped (by Stop,
+// before or after Start, or by the end of its Start context); zone
+// mutations on a stopped service would queue work that never runs.
+// Caller holds s.mu.
 func (s *Service) stoppedLocked() error {
-	if s.started.Load() && s.runCtx != nil && s.runCtx.Err() != nil {
+	if s.started.Load() && (s.runCtx == nil || s.runCtx.Err() != nil) {
 		return taflocerr.Errorf(taflocerr.CodeStarted, "serve: service stopped")
 	}
 	return nil
@@ -769,23 +757,34 @@ func (s *Service) serviceStopped() bool {
 	return s.runCtx.Err() != nil
 }
 
-// Stop cancels the executor pool and ends every watch stream (each open
-// channel is closed after a terminal Final estimate, mirroring zone
-// removal). It does not wait for the workers; see Wait.
+// Stop stops the service for good: it cancels the Start context and
+// shuts the service down (see shutdownLocked), so every watch stream
+// has received its terminal Final and been closed when Stop returns. A
+// service stopped before Start never starts: Start, Watch, AddZone and
+// a non-empty Ingest then fail as they do after a running service
+// stops. Stop does not wait for the workers; see Wait.
 func (s *Service) Stop() {
-	s.mu.RLock()
-	cancel := s.cancel
-	s.mu.RUnlock()
-	if cancel != nil {
-		cancel()
-	}
-	// The write lock spans the sweep, so no Watch can subscribe to a
-	// zone already swept.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.started.Store(true)
+	if s.cancel != nil {
+		s.cancel()
+	}
+	s.shutdownLocked()
+}
+
+// shutdownLocked is the one shutdown path, run both by Stop and when
+// the Start context ends: close the executor (the workers drain the
+// remaining queue, whose tasks are now cheap no-ops, and exit), then
+// end every watch stream, each open channel closed after a terminal
+// Final estimate, as on zone removal. A second run finds the executor
+// closed and no watcher left. Caller holds s.mu for writing, so no
+// Watch can subscribe to a zone already swept.
+func (s *Service) shutdownLocked() {
+	s.exec.close()
 	for id, z := range s.zones {
 		z.pub.end(id, s.seq.Add)
 	}
-	s.mu.Unlock()
 }
 
 // Wait blocks until the executor pool has exited.
@@ -795,7 +794,7 @@ func (s *Service) Wait() { s.wg.Wait() }
 func (s *Service) Uptime() time.Duration {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.started.Load() {
+	if s.runCtx == nil {
 		return 0
 	}
 	return time.Since(s.start)
@@ -808,9 +807,7 @@ func (s *Service) Uptime() time.Duration {
 // on ingestion, reconstruction or other zones. ok is false when the
 // zone is unknown (or being removed) or has not published yet.
 func (s *Service) Position(id string) (Estimate, bool) {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return Estimate{}, false
 	}
@@ -835,15 +832,16 @@ func (s *Service) Positions() map[string]Estimate {
 // Watch subscribes to a zone's estimate stream. The returned channel
 // receives the zone's current estimate immediately (if one is
 // published), then every estimate the zone publishes. A watcher that
-// falls more than Config.WatchBuffer events behind misses the oldest
-// ones — the stream favours freshness over completeness. When the zone
-// is removed, the channel receives a terminal estimate with Final set
-// and is closed. The returned stop function detaches the subscription;
+// falls more than 16 events behind misses the oldest ones — the stream
+// favours freshness over completeness. When the zone is removed or the
+// service stops, the channel receives a terminal estimate with Final
+// set and is closed. The returned stop function detaches the subscription;
 // it is idempotent and must be called when the caller is done.
 func (s *Service) Watch(id string) (<-chan Estimate, func(), error) {
 	// Subscribe under the read lock: RemoveZone unregisters a zone and
-	// Stop sweeps the zones under the write lock, so a subscription
-	// either lands first and is ended with the others, or fails.
+	// the shutdown sweeps the zones under the write lock, so a
+	// subscription either lands first and is ended with the others, or
+	// fails.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if err := s.stoppedLocked(); err != nil {
@@ -856,7 +854,7 @@ func (s *Service) Watch(id string) (<-chan Estimate, func(), error) {
 		return nil, nil, ErrUnknownZone
 	}
 	p := z.pub
-	ch := make(chan Estimate, s.cfg.WatchBuffer)
+	ch := make(chan Estimate, watchBuffer)
 	p.mu.Lock()
 	p.watchers[ch] = struct{}{}
 	if p.has {

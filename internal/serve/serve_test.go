@@ -185,7 +185,7 @@ func TestQueryDuringUpdate(t *testing.T) {
 		defer wg.Done()
 		updSys, _ := svc.System("z")
 		for i := 0; i < 3; i++ {
-			if _, err := updSys.Update(refCols, vacant); err != nil {
+			if _, err := updSys.UpdateContext(context.Background(), refCols, vacant); err != nil {
 				t.Errorf("update: %v", err)
 				return
 			}

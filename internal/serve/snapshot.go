@@ -41,9 +41,7 @@ func (s *Service) SnapshotZone(id string) ([]byte, error) {
 }
 
 func (s *Service) snapshotZone(id string) (*snap.Snapshot, error) {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return nil, ErrUnknownZone
 	}
@@ -98,12 +96,7 @@ func (s *Service) RestoreZone(data []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id, err := s.restoreSnapshot(sn)
-	if err != nil {
-		return "", err
-	}
-	s.enforceCap()
-	return id, nil
+	return s.restoreSnapshot(sn)
 }
 
 // maxRestoreWindow bounds the per-link window length a snapshot may
@@ -142,8 +135,8 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot) (string, error) {
 	}
 	// History semantics: positive = the captured depth, -1 = the zone had
 	// tracking explicitly disabled, 0 = a version-1 snapshot that never
-	// recorded it (the restoring service's default applies). Same for the
-	// zero-valued track options.
+	// recorded it (the restoring service's default applies). Zero-valued
+	// track options, likewise unrecorded, select the default filter.
 	history := sn.Config.History
 	switch {
 	case history == 0:
@@ -151,15 +144,11 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot) (string, error) {
 	case history < 0:
 		history = 0
 	}
-	trkOpts := sn.Config.Track
-	if trkOpts == (track.Options{}) {
-		trkOpts = s.cfg.Track
-	}
-	zc, err := newZoneConfig(window, sn.Config.DetectThresholdDB, detector, history, trkOpts)
+	zc, err := newZoneConfig(window, sn.Config.DetectThresholdDB, detector, history, sn.Config.Track)
 	if err != nil {
-		// The snapshot names a detector (or filter configuration) this
-		// build does not accept; that is a property of the file, not of
-		// the request.
+		// The snapshot names a detector, threshold or filter
+		// configuration this build does not accept; that is a property
+		// of the file, not of the request.
 		return "", taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
 			"serve: snapshot for zone %q: %w", sn.Zone, err)
 	}
@@ -192,9 +181,7 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot) (string, error) {
 // pruned.
 func (s *Service) CheckpointStore(dst store.Store) error {
 	for _, id := range s.Zones() {
-		s.mu.RLock()
-		z, ok := s.zones[id]
-		s.mu.RUnlock()
+		z, ok := s.lookup(id)
 		if !ok {
 			continue // removed since Zones()
 		}
@@ -226,10 +213,7 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 	for _, id := range stored {
 		// Re-check liveness per entry rather than against the earlier
 		// Zones() slice, so a zone added mid-checkpoint is never pruned.
-		s.mu.RLock()
-		_, live := s.zones[id]
-		s.mu.RUnlock()
-		if !live {
+		if _, live := s.lookup(id); !live {
 			if err := dst.Delete(id); err != nil {
 				return err
 			}
@@ -264,7 +248,6 @@ func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 			continue
 		}
 		restored = append(restored, id)
-		s.enforceCap()
 	}
 	return restored, errors.Join(errs...)
 }

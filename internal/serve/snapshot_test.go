@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"tafloc/internal/geom"
 	"tafloc/internal/snap"
 	"tafloc/internal/store"
+	"tafloc/internal/testbed"
 	"tafloc/taflocerr"
 )
 
@@ -300,35 +302,75 @@ func TestRestoreRejectsOutOfRangeRadioMap(t *testing.T) {
 	}
 	sn.State.MatcherName = core.MatcherNN
 	sn.State.X.Fill(1e200)
+	requireRestoreCorrupt(t, dep, sn)
+}
+
+// TestRestoreRejectsNonFiniteServingState: CRC-valid snapshots whose
+// serving state is NaN or infinite fail closed through both RestoreZone
+// and the PUT route. Restored, a non-finite threshold would never report
+// a target present, a NaN filter option would pass a "<= 0" check, and
+// a NaN filter state would make GET /track answer 200 with an empty
+// body, as encoding/json refuses NaN.
+func TestRestoreRejectsNonFiniteServingState(t *testing.T) {
+	dep := testDeployment(t)
+	svc := newTestService(t, Config{})
+	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(sn *snap.Snapshot)
+	}{
+		{"threshold NaN", func(sn *snap.Snapshot) { sn.Config.DetectThresholdDB = math.NaN() }},
+		{"threshold +Inf", func(sn *snap.Snapshot) { sn.Config.DetectThresholdDB = math.Inf(1) }},
+		{"threshold -Inf", func(sn *snap.Snapshot) { sn.Config.DetectThresholdDB = math.Inf(-1) }},
+		{"track ProcessStd NaN", func(sn *snap.Snapshot) { sn.Config.Track.ProcessStd = math.NaN() }},
+		{"track GateSigma +Inf", func(sn *snap.Snapshot) { sn.Config.Track.GateSigma = math.Inf(1) }},
+		{"tracker state X NaN", func(sn *snap.Snapshot) { sn.Track.Filter.X[0] = math.NaN() }},
+		{"tracker covariance +Inf", func(sn *snap.Snapshot) { sn.Track.Filter.PY[1][1] = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sn, err := svc.snapshotZone("z")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(sn)
+			requireRestoreCorrupt(t, dep, sn)
+		})
+	}
+}
+
+// requireRestoreCorrupt encodes sn and restores it through RestoreZone
+// and through PUT /v2/zones/{id}/snapshot, each on a fresh service;
+// both must fail with taflocerr.CodeSnapshotCorrupt and register no
+// zone.
+func requireRestoreCorrupt(t *testing.T, dep *testbed.Deployment, sn *snap.Snapshot) {
+	t.Helper()
 	data, err := snap.Encode(sn)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	other := newTestService(t, Config{
-		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
-			return testSystem(t, dep), nil
-		},
-	})
-	if _, err := other.RestoreZone(data); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
+	direct := newTestService(t, Config{})
+	if _, err := direct.RestoreZone(data); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
 		t.Errorf("RestoreZone: %v, want ErrSnapshotCorrupt", err)
 	}
-	srv := httptest.NewServer(other.Handler())
-	defer srv.Close()
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v2/zones/z/snapshot", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	overHTTP := newTestService(t, Config{ZoneFactory: testFactory(t, dep)})
+	code, _, _ := doReq(t, overHTTP.Handler(), http.MethodPut, "/v2/zones/"+sn.Zone+"/snapshot", string(data))
+	if code != taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt) {
+		t.Errorf("PUT: %d, want %d", code, taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt))
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, svc := range []*Service{direct, overHTTP} {
+		if zones := svc.Zones(); len(zones) != 0 {
+			t.Errorf("rejected snapshot still registered zones: %v", zones)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt) {
-		t.Errorf("PUT: %d, want %d", resp.StatusCode, taflocerr.HTTPStatus(taflocerr.CodeSnapshotCorrupt))
-	}
-	if zones := other.Zones(); len(zones) != 0 {
-		t.Errorf("rejected snapshot still registered zones: %v", zones)
+}
+
+// testFactory is a ZoneFactory over dep. It also opens the /v2
+// snapshot routes, which a service without a factory answers 501.
+func testFactory(t *testing.T, dep *testbed.Deployment) ZoneFactory {
+	return func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
+		return testSystem(t, dep), nil
 	}
 }
 
@@ -550,7 +592,7 @@ func TestDisabledDetectionGate(t *testing.T) {
 func TestConfigNormalization(t *testing.T) {
 	def := Config{}.withDefaults()
 	if def.QueueDepth != 256 || def.Window != 8 ||
-		def.DetectThresholdDB != 1 || def.WatchBuffer != 16 ||
+		def.DetectThresholdDB != 1 ||
 		def.WatchHeartbeat != 15*time.Second || def.Detector != core.DetectorMAD {
 		t.Errorf("zero config defaults: %+v", def)
 	}
@@ -558,10 +600,9 @@ func TestConfigNormalization(t *testing.T) {
 		QueueDepth:        -1,
 		Window:            -1,
 		DetectThresholdDB: -1,
-		WatchBuffer:       -1,
 		WatchHeartbeat:    -1,
 	}.withDefaults()
-	if exp.QueueDepth != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
+	if exp.QueueDepth != 1 || exp.Window != 1 {
 		t.Errorf("explicit minimums: %+v", exp)
 	}
 	if exp.DetectThresholdDB != 0 {
@@ -575,8 +616,14 @@ func TestConfigNormalization(t *testing.T) {
 // TestNewServiceErrorNotPanic: the constructor surfaces configuration
 // errors as taflocerr values.
 func TestNewServiceErrorNotPanic(t *testing.T) {
-	if _, err := NewService(Config{Detector: "no-such"}); !errors.Is(err, taflocerr.ErrBadRequest) {
-		t.Errorf("NewService unknown detector: %v", err)
+	for _, cfg := range []Config{
+		{Detector: "no-such"},
+		{DetectThresholdDB: math.NaN()},
+		{DetectThresholdDB: math.Inf(1)},
+	} {
+		if _, err := NewService(cfg); !errors.Is(err, taflocerr.ErrBadRequest) {
+			t.Errorf("NewService(%+v): %v, want ErrBadRequest", cfg, err)
+		}
 	}
 }
 

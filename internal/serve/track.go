@@ -100,9 +100,7 @@ var errHistoryDisabled error = taflocerr.New(taflocerr.CodeUnsupported,
 // uncertainty after folding it. A zone with history disabled fails with
 // taflocerr.ErrUnsupported.
 func (s *Service) Track(id string, n int) ([]api.TrackPoint, error) {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return nil, ErrUnknownZone
 	}
@@ -121,9 +119,7 @@ func (s *Service) Track(id string, n int) ([]api.TrackPoint, error) {
 // evolved — including absent samples the track skips. A zone with
 // history disabled fails with taflocerr.ErrUnsupported.
 func (s *Service) History(id string, n int) ([]Estimate, error) {
-	s.mu.RLock()
-	z, ok := s.zones[id]
-	s.mu.RUnlock()
+	z, ok := s.lookup(id)
 	if !ok {
 		return nil, ErrUnknownZone
 	}

@@ -593,12 +593,13 @@ func (d *decoder) matrix() *mat.Matrix {
 		d.fail("truncated %dx%d matrix", r, c)
 		return nil
 	}
-	data := make([]float64, r*c)
+	m := mat.New(r, c)
+	data := m.Raw()
 	for i := range data {
 		data[i] = d.f64()
 	}
 	if d.err != nil {
 		return nil
 	}
-	return mat.NewFromSlice(r, c, data)
+	return m
 }

@@ -350,4 +350,13 @@ func TestEncodeGolden(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { _, _ = Encode(sn) }); n != 1 {
 		t.Errorf("Encode made %v allocations, want 1", n)
 	}
+	// Decode fills each matrix's own backing slice: one allocation per
+	// matrix, not a scratch slice plus a copy.
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = Decode(golden) }); n > 15 {
+		t.Errorf("Decode of golden_v2.snap made %v allocations, want at most 15", n)
+	}
 }

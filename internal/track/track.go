@@ -43,8 +43,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate reports the first invalid option, or nil.
+// Validate reports the first invalid option, or nil. NaN and ±Inf are
+// invalid everywhere: NaN passes every comparison below unnoticed.
 func (o Options) Validate() error {
+	for _, v := range [...]float64{o.ProcessStd, o.MeasurementStd, o.GateSigma} {
+		if !finite(v) {
+			return fmt.Errorf("track: options must be finite, got %+v", o)
+		}
+	}
 	switch {
 	case o.ProcessStd <= 0:
 		return fmt.Errorf("track: ProcessStd must be positive, got %g", o.ProcessStd)
@@ -233,14 +239,24 @@ func (f *Filter) Export() FilterState {
 }
 
 // NewFilterFromState rebuilds a filter from an exported state. The
-// options are re-validated, so a state decoded from a damaged snapshot
-// fails here instead of producing a filter that divides by zero.
+// options are re-validated and the state must be finite, so a state
+// decoded from a damaged snapshot fails here instead of producing a
+// filter that divides by zero or publishes NaN positions.
 func NewFilterFromState(st FilterState) (*Filter, error) {
 	if err := st.Opts.Validate(); err != nil {
 		return nil, err
 	}
 	if st.Coasts < 0 {
 		return nil, fmt.Errorf("track: negative coast count %d", st.Coasts)
+	}
+	for _, v := range [...]float64{
+		st.X[0], st.X[1], st.Y[0], st.Y[1],
+		st.PX[0][0], st.PX[0][1], st.PX[1][0], st.PX[1][1],
+		st.PY[0][0], st.PY[0][1], st.PY[1][0], st.PY[1][1],
+	} {
+		if !finite(v) {
+			return nil, fmt.Errorf("track: non-finite filter state %v", v)
+		}
 	}
 	return &Filter{
 		opts:        st.Opts,
@@ -252,6 +268,8 @@ func NewFilterFromState(st FilterState) (*Filter, error) {
 		py:          st.PY,
 	}, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // MinDT is the floor applied to the inter-fix interval when a Tracker
 // folds timestamped fixes: two estimates published in the same

@@ -18,6 +18,12 @@ func TestOptionsValidation(t *testing.T) {
 		func(o *Options) { o.MeasurementStd = -1 },
 		func(o *Options) { o.GateSigma = -1 },
 		func(o *Options) { o.MaxCoast = -1 },
+		func(o *Options) { o.ProcessStd = math.NaN() },
+		func(o *Options) { o.ProcessStd = math.Inf(1) },
+		func(o *Options) { o.MeasurementStd = math.NaN() },
+		func(o *Options) { o.MeasurementStd = math.Inf(1) },
+		func(o *Options) { o.GateSigma = math.NaN() },
+		func(o *Options) { o.GateSigma = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		o := DefaultOptions()
@@ -249,6 +255,18 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	bad.Coasts = -1
 	if _, err := NewFilterFromState(bad); err == nil {
 		t.Error("negative coast count restored successfully")
+	}
+	for _, edit := range []func(*FilterState){
+		func(s *FilterState) { s.X[0] = math.NaN() },
+		func(s *FilterState) { s.Y[1] = math.Inf(-1) },
+		func(s *FilterState) { s.PX[0][1] = math.NaN() },
+		func(s *FilterState) { s.PY[1][1] = math.Inf(1) },
+	} {
+		bad = st
+		edit(&bad)
+		if _, err := NewFilterFromState(bad); err == nil {
+			t.Errorf("non-finite state %+v restored successfully", bad)
+		}
 	}
 }
 

@@ -103,31 +103,11 @@ func WithDetectThreshold(db float64) ServiceOption {
 	return func(c *serve.Config) { c.DetectThresholdDB = db }
 }
 
-// WithLocateWorkers sets the size of the service's shared
-// locate-executor pool: the goroutines that run every zone's fold and
-// match rounds (default GOMAXPROCS). Zones are goroutine-free state
-// machines, so this — not the zone count — bounds the service's compute
-// concurrency; n <= 0 selects the minimum of one worker.
-func WithLocateWorkers(n int) ServiceOption {
-	if n <= 0 {
-		n = -1
-	}
-	return func(c *serve.Config) { c.LocateWorkers = n }
-}
-
 // WithDetector selects the presence detector by registry name — "mad",
 // "rms", "maxlink", or any name installed with RegisterDetector.
 // NewService returns a taflocerr error for an unknown name.
 func WithDetector(name string) ServiceOption {
 	return func(c *serve.Config) { c.Detector = name }
-}
-
-// WithWatchBuffer sets the per-watcher event buffer length (minimum 1).
-func WithWatchBuffer(n int) ServiceOption {
-	if n <= 0 {
-		n = -1
-	}
-	return func(c *serve.Config) { c.WatchBuffer = n }
 }
 
 // WithWatchHeartbeat sets how often idle SSE watch streams emit a
@@ -149,14 +129,6 @@ func WithHistory(n int) ServiceOption {
 		n = -1
 	}
 	return func(c *serve.Config) { c.History = n }
-}
-
-// WithTracking overrides the trajectory filter options used by every
-// zone's publish-path Kalman smoother (default tafloc.DefaultTrackOptions).
-// Invalid options fail NewService with a taflocerr error. Tracking is
-// on whenever history is (see WithHistory); this option only tunes it.
-func WithTracking(opts TrackOptions) ServiceOption {
-	return func(c *serve.Config) { c.Track = opts }
 }
 
 // WithZoneFactory enables zone creation over the /v2 HTTP surface

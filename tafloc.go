@@ -161,7 +161,7 @@ type (
 	// Model is a System's immutable read plane — radio map, geometry,
 	// observed mask, matcher, and vacant baseline frozen at one
 	// calibration instant — published via System.Model. Any number of
-	// goroutines may Locate against one Model without locks; Update
+	// goroutines may Locate against one Model without locks; UpdateContext
 	// swaps in a successor without disturbing readers.
 	Model = core.Model
 	// Scratch holds the reusable per-call buffers of the matchers;

@@ -1,6 +1,7 @@
 package tafloc_test
 
 import (
+	"context"
 	"testing"
 
 	"tafloc"
@@ -27,7 +28,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatalf("reference survey (%.2f h) is not a low-cost update vs %.2f h",
 			cost.Hours(), dep.FullSurveyCost().Hours())
 	}
-	rec, err := sys.Update(refCols, dep.VacantCapture(days, 100))
+	rec, err := sys.UpdateContext(context.Background(), refCols, dep.VacantCapture(days, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
