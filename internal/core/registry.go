@@ -113,8 +113,10 @@ func NewMatcherByName(name string) (Matcher, error) {
 	return f(), nil
 }
 
-// NewDetectorByName builds a presence detector from the registry.
-func NewDetectorByName(name string, vacant []float64, thresholdDB float64) (Presence, error) {
+// NewDetectorByName looks a detector factory up in the registry. A
+// caller that builds detectors for as long as it runs resolves the
+// name once and keeps the factory, as a System keeps its matcher.
+func NewDetectorByName(name string) (DetectorFactory, error) {
 	registry.mu.RLock()
 	f, ok := registry.detectors[name]
 	registry.mu.RUnlock()
@@ -122,7 +124,7 @@ func NewDetectorByName(name string, vacant []float64, thresholdDB float64) (Pres
 		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"core: unknown detector %q (registered: %v)", name, DetectorNames())
 	}
-	return f(vacant, thresholdDB), nil
+	return f, nil
 }
 
 // MatcherNames returns the registered matcher names, sorted.

@@ -21,10 +21,11 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 	vac := []float64{-40, -41, -42}
 	for _, name := range []string{DetectorMAD, DetectorRMS, DetectorMaxLink} {
-		d, err := NewDetectorByName(name, vac, 1)
+		f, err := NewDetectorByName(name)
 		if err != nil {
 			t.Fatalf("builtin detector %q: %v", name, err)
 		}
+		d := f(vac, 1)
 		if present, _ := d.Present(vac); present {
 			t.Errorf("detector %q: vacant baseline read as present", name)
 		}
@@ -39,7 +40,7 @@ func TestRegistryUnknownNames(t *testing.T) {
 	if _, err := NewMatcherByName("nope"); !errors.Is(err, taflocerr.ErrBadRequest) {
 		t.Errorf("unknown matcher: %v, want CodeBadRequest", err)
 	}
-	if _, err := NewDetectorByName("nope", nil, 1); !errors.Is(err, taflocerr.ErrBadRequest) {
+	if _, err := NewDetectorByName("nope"); !errors.Is(err, taflocerr.ErrBadRequest) {
 		t.Errorf("unknown detector: %v, want CodeBadRequest", err)
 	}
 	if err := RegisterMatcher("", nil); err == nil {

@@ -56,13 +56,17 @@
 // zone's estimate stream, fed by the same per-zone publish that sets
 // the zone's position.
 //
-// Each serving job has one path. Every registration (AddZone, POST
-// /v2/zones/{id}, RestoreZone, RestoreStore, PUT
-// /v2/zones/{id}/snapshot) registers the zone and then runs the
-// hot-cap pass, so no door can leave the service over MaxHotZones.
-// Every shutdown (Stop, before or after Start, or the end of the
-// context passed to Start) closes the executor and then ends every
-// watch stream with a terminal Final estimate.
+// Each serving job has one path. Every door that gives a zone a System
+// runs the hot-cap pass before it returns: each registration (AddZone,
+// POST /v2/zones/{id}, RestoreZone, RestoreStore, PUT
+// /v2/zones/{id}/snapshot) and UpdateZone, which can make a cold zone
+// hot. So no door can leave the service over MaxHotZones. The hot set,
+// the registered zones holding a System, is the one record of
+// residency: HotZones is its size, and a zone stops counting the
+// moment it is unregistered, evicted or swapped out. Every shutdown
+// (Stop, before or after Start, or the end of the context passed to
+// Start) closes the executor and then ends every watch stream with a
+// terminal Final estimate.
 //
 // The HTTP surface (Handler) serves two versions side by side. The
 // frozen /v1 routes (byte-identical responses, pinned by fixture

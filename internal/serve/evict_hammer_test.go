@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,6 +82,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 				evictAttempts.Add(1)
 			}
 			_ = hammered.RehydrateZone("z")
+			runtime.Gosched()
 		}
 	}()
 	// Read surface against the victim: every accessor that can trigger a
@@ -100,6 +102,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 			_, _ = hammered.SnapshotZone("z")
 			_ = hammered.Stats()
 			_ = hammered.HotZones()
+			runtime.Gosched()
 		}
 	}()
 	// Watch stream: subscribe, drain a few events, unsubscribe, repeat.
@@ -147,6 +150,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 				_ = hammered.RemoveZone("churn")
 				_ = hammered.AddZone("churn", next)
 			}
+			runtime.Gosched()
 		}
 	}()
 
@@ -226,7 +230,8 @@ func TestManyZonesOverCapServeAll(t *testing.T) {
 		waitForEstimate(t, svc, id, func(e Estimate) bool { return e.Seq > 0 })
 	}
 	waitForHotZones(t, svc, hotCap)
-	if got := svc.residentZones(); got > hotCap {
+	waitHotIndexConsistent(t, svc)
+	if got := svc.HotZones(); got > hotCap {
 		t.Errorf("%d resident Models after convergence, cap %d", got, hotCap)
 	}
 	if got := len(svc.Zones()); got != zones {

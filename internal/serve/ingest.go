@@ -57,17 +57,17 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		return nil
 	}
 	if stopped != nil {
-		z.dropped.Add(uint64(len(reports)))
+		z.cnt.dropped.Add(uint64(len(reports)))
 		return stopped
 	}
 	m := len(z.win)
 	for _, r := range reports {
 		if r.Link < 0 || r.Link >= m {
-			z.dropped.Add(uint64(len(reports)))
+			z.cnt.dropped.Add(uint64(len(reports)))
 			return fmt.Errorf("%w: link %d of %d in zone %q", ErrBadReport, r.Link, m, id)
 		}
 		if math.IsNaN(r.RSS) || r.RSS < core.MinRSS || r.RSS > core.MaxRSS {
-			z.dropped.Add(uint64(len(reports)))
+			z.cnt.dropped.Add(uint64(len(reports)))
 			return taflocerr.Errorf(taflocerr.CodeBadRequest,
 				"serve: report rss %v dBm on link %d outside [%v, %v] in zone %q", r.RSS, r.Link, core.MinRSS, core.MaxRSS, id)
 		}
@@ -80,13 +80,13 @@ func (s *Service) Ingest(id string, reports []Report) error {
 	// arriving. The zone stays registered either way; the next batch
 	// retries the store. Hot zones pay one atomic load and an LRU touch.
 	if _, err := s.ensureHot(z); err != nil {
-		z.dropped.Add(uint64(len(reports)))
+		z.cnt.dropped.Add(uint64(len(reports)))
 		return err
 	}
 	running := s.started.Load() && ctx != nil && ctx.Err() == nil
 	select {
 	case z.queue <- reports:
-		z.received.Add(uint64(len(reports)))
+		z.cnt.received.Add(uint64(len(reports)))
 		if !running {
 			// The run context was read before the enqueue; Start may have
 			// completed in between, after scanning this zone's then-empty
@@ -105,7 +105,7 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		}
 		return nil
 	default:
-		z.dropped.Add(uint64(len(reports)))
+		z.cnt.dropped.Add(uint64(len(reports)))
 		return ErrQueueFull
 	}
 }

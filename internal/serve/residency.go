@@ -23,7 +23,7 @@ package serve
 // is approximate by design — a per-zone logical timestamp bumped on
 // every touch, scanned only when the service is over cap — so the
 // publish hot path pays one atomic store, never an ordering structure.
-// The scan covers the hot index (Service.hot), the zones that hold a
+// The scan covers the hot set (Service.hot), the zones that hold a
 // System, so it costs O(MaxHotZones) however many zones are cold.
 
 import (
@@ -77,7 +77,7 @@ func (s *Service) rehydrateLocked(z *zone) (*core.System, error) {
 		return nil, ErrUnknownZone
 	}
 	fail := func(err error) (*core.System, error) {
-		z.rehydrateErrors.Add(1)
+		z.cnt.rehydrateErrors.Add(1)
 		return nil, taflocerr.Errorf(taflocerr.CodeRehydrateFailed,
 			"serve: rehydrate zone %q: %w", z.id, err)
 	}
@@ -102,8 +102,7 @@ func (s *Service) rehydrateLocked(z *zone) (*core.System, error) {
 	}
 	z.sys.Store(sys)
 	s.hotAdd(z)
-	z.rehydrates.Add(1)
-	s.hotCount.Add(1)
+	z.cnt.rehydrates.Add(1)
 	return sys, nil
 }
 
@@ -119,9 +118,8 @@ func (s *Service) evictZone(z *zone) error {
 	z.resMu.Lock()
 	defer z.resMu.Unlock()
 	if z.isStopped() {
-		// Being removed or swapped, which settles its hot count; nothing
-		// to demote. Leaving the hot index keeps enforceCap from picking
-		// it again.
+		// Being removed or swapped: nothing to demote. Leaving the hot
+		// set keeps enforceCap from picking it again.
 		s.hotDrop(z)
 		return nil
 	}
@@ -132,7 +130,7 @@ func (s *Service) evictZone(z *zone) error {
 	model := sys.Model()
 	sn := s.buildSnapshot(z, sys)
 	if err := snap.WriteStore(s.store, sn); err != nil {
-		z.evictErrors.Add(1)
+		z.cnt.evictErrors.Add(1)
 		return taflocerr.Errorf(taflocerr.CodeOf(err),
 			"serve: evict zone %q: %w", z.id, err)
 	}
@@ -142,26 +140,25 @@ func (s *Service) evictZone(z *zone) error {
 	}
 	z.sys.Store(nil)
 	s.hotDrop(z)
-	z.evictions.Add(1)
-	s.hotCount.Add(-1)
+	z.cnt.evictions.Add(1)
 	return nil
 }
 
-// enforceCap evicts least-recently-touched zones until the resident
-// count is back under Config.MaxHotZones. It runs off the publish and
-// rehydrate paths and costs one atomic load when the service is under
-// cap; over cap it scans the hot index per eviction (O(MaxHotZones),
-// paid only while actually evicting). It never spins: each victim is
-// evicted, or leaves the index because it is stopped, or its eviction
+// enforceCap evicts least-recently-touched zones until the hot set is
+// back within Config.MaxHotZones. It runs off the publish and rehydrate
+// paths and after every registration. Each step picks its victim in one
+// hotMu critical section, and only while the set is over the cap, so an
+// under-cap service pays one uncontended lock; over the cap the pick
+// scans the set (O(MaxHotZones)). It never spins: each victim is
+// evicted, or leaves the set because it is stopped, or its eviction
 // failure ends the pass — the next publish retries — so a wedged store
 // cannot spin a worker either.
 func (s *Service) enforceCap() {
-	max := int64(s.cfg.MaxHotZones)
-	if max <= 0 || s.store == nil {
+	if s.cfg.MaxHotZones <= 0 || s.store == nil {
 		return
 	}
-	for s.hotCount.Load() > max {
-		v := s.coldestHot()
+	for {
+		v := s.overCapVictim()
 		if v == nil {
 			return
 		}
@@ -171,11 +168,14 @@ func (s *Service) enforceCap() {
 	}
 }
 
-// coldestHot returns the hot zone with the oldest LRU timestamp, or nil
-// when no zone is hot.
-func (s *Service) coldestHot() *zone {
+// overCapVictim returns the hot zone with the oldest LRU timestamp while
+// the hot set is larger than the cap, and nil once it is not.
+func (s *Service) overCapVictim() *zone {
 	s.hotMu.Lock()
 	defer s.hotMu.Unlock()
+	if len(s.hot) <= s.cfg.MaxHotZones {
+		return nil
+	}
 	var best *zone
 	var bestTouch int64
 	for _, z := range s.hot {
@@ -186,15 +186,15 @@ func (s *Service) coldestHot() *zone {
 	return best
 }
 
-// hotAdd puts z in the hot index. Callers add a zone only in the step
-// that gives it a System, so it is never in the index twice.
+// hotAdd puts z in the hot set. Callers add a zone only in the step
+// that gives it a System, so it is never in the set twice.
 func (s *Service) hotAdd(z *zone) {
 	s.hotMu.Lock()
 	s.hot = append(s.hot, z)
 	s.hotMu.Unlock()
 }
 
-// hotDrop takes z out of the hot index, if it is there.
+// hotDrop takes z out of the hot set, if it is there.
 func (s *Service) hotDrop(z *zone) {
 	s.hotMu.Lock()
 	if i := slices.Index(s.hot, z); i >= 0 {
@@ -207,8 +207,12 @@ func (s *Service) hotDrop(z *zone) {
 }
 
 // HotZones reports how many registered zones currently hold a resident
-// Model.
-func (s *Service) HotZones() int { return int(s.hotCount.Load()) }
+// Model: the size of the hot set.
+func (s *Service) HotZones() int {
+	s.hotMu.Lock()
+	defer s.hotMu.Unlock()
+	return len(s.hot)
+}
 
 // EvictZone forces a zone cold right now, regardless of the LRU order
 // or the hot cap: checkpoint to the snapshot store, then drop the
@@ -239,18 +243,4 @@ func (s *Service) RehydrateZone(id string) error {
 	}
 	_, err := s.ensureHot(z)
 	return err
-}
-
-// residentZones counts hot zones directly from the zone table, so
-// tests can cross-check the running hotCount against ground truth.
-func (s *Service) residentZones() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, z := range s.zones {
-		if z.sys.Load() != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -83,7 +83,8 @@ func TestMaxHotZonesCapsResidentModels(t *testing.T) {
 	feed(2)
 	waitForHotZones(t, svc, hotCap)
 
-	if got := svc.residentZones(); got > hotCap {
+	waitHotIndexConsistent(t, svc)
+	if got := svc.HotZones(); got > hotCap {
 		t.Errorf("zone table holds %d resident Models, cap is %d", got, hotCap)
 	}
 	if got := len(svc.Zones()); got != zones {
@@ -271,10 +272,10 @@ func TestUpdateAfterRehydrateMatchesControl(t *testing.T) {
 	}
 }
 
-// hotIndexMismatch cross-checks the residency accounting: HotZones,
-// the zones holding a System and the hot index must agree, and every
-// indexed zone must be registered, hold a System and appear once. It
-// returns "" when they do.
+// hotIndexMismatch cross-checks the hot set against the zone table:
+// every zone in the set must be registered, hold a System and appear
+// once, and no registered zone holding a System may be missing from
+// it. It returns "" when the two agree.
 func hotIndexMismatch(s *Service) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -298,8 +299,8 @@ func hotIndexMismatch(s *Service) string {
 		}
 		seen[z] = true
 	}
-	if hot := s.HotZones(); hot != resident || len(s.hot) != resident {
-		return fmt.Sprintf("HotZones %d, zones holding a System %d, hot index %d", hot, resident, len(s.hot))
+	if len(s.hot) != resident {
+		return fmt.Sprintf("hot set %d, zones holding a System %d", len(s.hot), resident)
 	}
 	return ""
 }
@@ -324,7 +325,8 @@ func waitHotIndexConsistent(t *testing.T, s *Service) {
 
 // TestEveryRegistrationRunsCapPass: each way a zone registers runs the
 // hot-cap pass before it returns, so registering a second zone on a
-// service capped at one hot zone leaves one hot zone.
+// service capped at one hot zone leaves one hot zone. UpdateZone does
+// too: updating a cold zone makes it hot, before or after Start.
 func TestEveryRegistrationRunsCapPass(t *testing.T) {
 	dep := testDeployment(t)
 	src := newTestService(t, Config{})
@@ -334,6 +336,19 @@ func TestEveryRegistrationRunsCapPass(t *testing.T) {
 	data, err := src.SnapshotZone("b")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// updateCold registers b, which evicts a, and then gives a a new
+	// System.
+	updateCold := func(t *testing.T, svc *Service) {
+		if err := svc.AddZone("b", testSystem(t, dep)); err != nil {
+			t.Fatal(err)
+		}
+		if !svc.Stats()["a"].Cold {
+			t.Fatal("registering b left a hot")
+		}
+		if err := svc.UpdateZone("a", testSystem(t, dep)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		name     string
@@ -367,6 +382,15 @@ func TestEveryRegistrationRunsCapPass(t *testing.T) {
 			if code, _, _ := doReq(t, svc.Handler(), http.MethodPut, "/v2/zones/b/snapshot", string(data)); code != http.StatusCreated {
 				t.Fatalf("PUT /v2/zones/b/snapshot: %d, want 201", code)
 			}
+		}},
+		{"UpdateZone before Start", updateCold},
+		{"UpdateZone after Start", func(t *testing.T, svc *Service) {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			if err := svc.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			updateCold(t, svc)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -421,19 +445,21 @@ func TestEnforceCapEvictsOldestTouched(t *testing.T) {
 	}
 }
 
-// TestRemoveZoneDuringOverCapPass races RemoveZone against an over-cap
-// enforceCap pass. The removed zone is the coldest hot one and still
-// holds its System, because its removal is held in the quiesce step by
-// a locate stuck in the zone's matcher. The pass must evict another
-// zone and return rather than spin on the removed one, and once the
-// removal completes the hot count must match the zones holding a
-// System.
+// TestRemoveZoneDuringOverCapPass races RemoveZone against the cap
+// pass. The zone being removed, v, still holds its System, because its
+// removal is held in the quiesce step by a locate stuck in the zone's
+// matcher; but it left the hot set when it was unregistered, so it no
+// longer counts against the cap. Registering x then leaves two live
+// zones under a cap of 2 and evicts nothing. Registering y runs an
+// over-cap pass, which must return while the removal is still in
+// flight, evict the oldest-touched live zone (w) and never pick v.
 func TestRemoveZoneDuringOverCapPass(t *testing.T) {
 	dep := testDeployment(t)
 	gated, gm, release := newGatedSystem(t, dep, "residency-test-gated")
 	defer release()
-	other, extra := testSystem(t, dep), testSystem(t, dep)
-	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, MaxHotZones: 2, Store: store.NewMem()})
+	other, x, y := testSystem(t, dep), testSystem(t, dep), testSystem(t, dep)
+	faults := storetest.New(store.NewMem())
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1, MaxHotZones: 2, Store: faults})
 	if err := svc.AddZone("v", gated); err != nil {
 		t.Fatal(err)
 	}
@@ -462,15 +488,38 @@ func TestRemoveZoneDuringOverCapPass(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	added := make(chan error, 1)
-	go func() { added <- svc.AddZone("x", extra) }() // three Systems over a cap of 2
-	select {
-	case err := <-added:
-		if err != nil {
-			t.Fatal(err)
+	register := func(id string, sys *core.System) {
+		t.Helper()
+		added := make(chan error, 1)
+		go func() { added <- svc.AddZone(id, sys) }()
+		select {
+		case err := <-added:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("registering %s did not return while the removal was in flight", id)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the over-cap pass did not return while the removal was in flight")
+	}
+	register("x", x)
+	if st := svc.Stats(); st["w"].Cold || st["x"].Cold {
+		t.Errorf("w cold = %v, x cold = %v: two live zones under a cap of 2 must both stay hot", st["w"].Cold, st["x"].Cold)
+	}
+	if got := svc.HotZones(); got != 2 {
+		t.Errorf("HotZones = %d after registering x, want 2 (w, x)", got)
+	}
+	register("y", y) // three live zones over a cap of 2
+	if st := svc.Stats(); !st["w"].Cold || st["x"].Cold || st["y"].Cold {
+		t.Errorf("w cold = %v, x cold = %v, y cold = %v: want w, the oldest-touched live zone, evicted",
+			st["w"].Cold, st["x"].Cold, st["y"].Cold)
+	}
+	if n := faults.Calls(storetest.OpPut, "v"); n != 0 {
+		t.Errorf("the cap pass wrote %d snapshots of v, which is being removed", n)
+	}
+	select {
+	case err := <-removed:
+		t.Fatalf("RemoveZone returned (%v) before its locate was released", err)
+	default:
 	}
 	release()
 	select {
@@ -482,11 +531,8 @@ func TestRemoveZoneDuringOverCapPass(t *testing.T) {
 		t.Fatal("RemoveZone did not return after the locate finished")
 	}
 	waitHotIndexConsistent(t, svc)
-	if got := svc.HotZones(); got != 1 {
-		t.Errorf("HotZones = %d after the removal, want 1 (x)", got)
-	}
-	if st := svc.Stats(); !st["w"].Cold || st["x"].Cold {
-		t.Errorf("w cold = %v, x cold = %v: want w evicted and x hot", st["w"].Cold, st["x"].Cold)
+	if got := svc.HotZones(); got != 2 {
+		t.Errorf("HotZones = %d after the removal, want 2 (x, y)", got)
 	}
 }
 

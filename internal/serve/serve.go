@@ -167,9 +167,9 @@ type zoneConfig struct {
 	window   int
 	thrDB    float64 // normalized: 0 = presence gating disabled
 	detector string
-	det      core.DetectorFactory
-	history  int           // normalized: 0 = history and tracking disabled
-	trk      track.Options // always concrete (zero value replaced by defaults)
+	det      core.DetectorFactory // detector's factory, resolved when the config was built
+	history  int                  // normalized: 0 = history and tracking disabled
+	trk      track.Options        // always concrete (zero value replaced by defaults)
 }
 
 // watchBuffer is the per-watcher event buffer: a watcher that falls
@@ -210,9 +210,37 @@ type zone struct {
 	// per-link ring windows: win holds every sample (a vacant room is a
 	// valid live measurement); vwin holds only vacant-flagged samples and
 	// feeds the refreshed detection baseline. Fold-task-owned.
-	win    []ring[float64]
-	vwin   []ring[float64]
-	folded uint64 // reports folded so far (fold-task-owned)
+	win  []ring[float64]
+	vwin []ring[float64]
+
+	cnt *counters
+
+	// Run-state machine, guarded by schedMu. foldBusy marks a fold task
+	// scheduled or running; locBusy a locate task. pend holds the one
+	// coalesced estimate waiting for the locate chain (freshest wins —
+	// under sustained overload intermediate rounds are superseded, the
+	// same freshness-over-completeness rule the watch streams follow).
+	// stopped is set by RemoveZone and UpdateZone; tasks counts
+	// the in-flight tasks a lifecycle mutation must wait out.
+	//
+	//tafloc:lock-order 30 zone scheduler lock; nests inside resMu
+	schedMu  sync.Mutex
+	foldBusy bool
+	locBusy  bool
+	pend     task
+	hasPend  bool
+	stopped  bool
+	tasks    sync.WaitGroup
+
+	pub *publication
+}
+
+// counters is everything a zone counts: the ZoneStats counters and the
+// number of reports folded so far. UpdateZone hands the same record to
+// the replacement zone, as it does the publication, so the counts
+// carry over with no copy.
+type counters struct {
+	folded uint64 // fold-task-owned
 
 	received    atomic.Uint64
 	dropped     atomic.Uint64
@@ -227,25 +255,6 @@ type zone struct {
 	rehydrates      atomic.Uint64
 	rehydrateErrors atomic.Uint64
 	evictErrors     atomic.Uint64
-
-	// Run-state machine, guarded by schedMu. foldBusy marks a fold task
-	// scheduled or running; locBusy a locate task. pend holds the one
-	// coalesced estimate waiting for the locate chain (freshest wins —
-	// under sustained overload intermediate rounds are superseded, the
-	// same freshness-over-completeness rule the watch streams follow).
-	// stopped is set by RemoveZone/UpdateZone/zone swap; tasks counts
-	// the in-flight tasks a lifecycle mutation must wait out.
-	//
-	//tafloc:lock-order 30 zone scheduler lock; nests inside resMu
-	schedMu  sync.Mutex
-	foldBusy bool
-	locBusy  bool
-	pend     task
-	hasPend  bool
-	stopped  bool
-	tasks    sync.WaitGroup
-
-	pub *publication
 }
 
 // publication is everything a zone has published: its latest estimate
@@ -325,16 +334,14 @@ type Service struct {
 	defZC zoneConfig // zone configuration for zones added with AddZone
 
 	//tafloc:lock-order 10 service-wide registry lock; outermost in every nesting
-	mu    sync.RWMutex // guards the zone table (zones, order)
+	mu    sync.RWMutex // guards the zone table
 	zones map[string]*zone
-	order []string
 
 	exec *executor
-	// store/hotCount/lruClock drive the residency tier (residency.go):
-	// the snapshot store zones evict into, the count of zones holding a
-	// resident Model, and the logical clock behind the approximate LRU.
+	// store/lruClock drive the residency tier (residency.go): the
+	// snapshot store zones evict into, and the logical clock behind the
+	// approximate LRU.
 	store    store.Store
-	hotCount atomic.Int64
 	lruClock atomic.Int64
 	seq      atomic.Uint64
 	streams  atomic.Int64 // open NDJSON report streams (health gauge)
@@ -344,12 +351,14 @@ type Service struct {
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
 
-	// hot indexes the zones holding a resident System, so the victim
-	// scan covers at most MaxHotZones+1 zones, not the zone table. A
-	// zone joins it in the step that gives it a System, and leaves it in
-	// the step that drops the System or unregisters the zone.
+	// hot is the hot set: the registered zones holding a resident
+	// System, and the only record of them. HotZones is its length, and
+	// the victim scan covers it (at most MaxHotZones+1 zones), not the
+	// zone table. A zone joins it in the step that gives it a System,
+	// and leaves it in the step that drops the System or unregisters
+	// the zone.
 	//
-	//tafloc:lock-order 25 hot-zone index lock; nests inside resMu and wraps no lock
+	//tafloc:lock-order 25 hot-set lock; nests inside resMu and wraps no lock
 	hotMu sync.Mutex
 	hot   []*zone
 }
@@ -401,30 +410,29 @@ func newZoneConfig(window int, thrDB float64, detector string, history int, trk 
 	if err := trk.Validate(); err != nil {
 		return zoneConfig{}, taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: %v", err)
 	}
-	if _, err := core.NewDetectorByName(detector, nil, 1); err != nil {
+	det, err := core.NewDetectorByName(detector)
+	if err != nil {
 		return zoneConfig{}, err
 	}
 	return zoneConfig{
 		window:   window,
 		thrDB:    thrDB,
 		detector: detector,
-		det: func(vacant []float64, thr float64) core.Presence {
-			p, _ := core.NewDetectorByName(detector, vacant, thr)
-			return p
-		},
-		history: history,
-		trk:     trk,
+		det:      det,
+		history:  history,
+		trk:      trk,
 	}, nil
 }
 
 // newZone allocates the shard state for sys under id with the given
-// per-zone configuration, publishing into pub.
-func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publication) *zone {
+// per-zone configuration, publishing into pub and counting into cnt.
+func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publication, cnt *counters) *zone {
 	m := sys.Layout().M()
 	z := &zone{
 		id:    id,
 		zc:    zc,
 		pub:   pub,
+		cnt:   cnt,
 		queue: make(chan []Report, s.cfg.QueueDepth),
 		win:   make([]ring[float64], m),
 		vwin:  make([]ring[float64], m),
@@ -488,12 +496,9 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 		s.mu.Unlock()
 		return err
 	}
-	z := s.newZone(id, sys, zc, newPublication(zc, tracker))
+	z := s.newZone(id, sys, zc, newPublication(zc, tracker), new(counters))
 	s.touch(z)
 	s.zones[id] = z
-	s.order = append(s.order, id)
-	sort.Strings(s.order)
-	s.hotCount.Add(1)
 	s.hotAdd(z)
 	// The cap pass writes victims' snapshots to the store; holding the
 	// registry lock across that I/O would stall every lookup.
@@ -516,13 +521,7 @@ func (s *Service) RemoveZone(id string) error {
 		return ErrUnknownZone
 	}
 	delete(s.zones, id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.hotDrop(z)
+	s.hotDrop(z) // the zone stops counting against the cap now
 	s.mu.Unlock()
 
 	// Quiesce outside the lock: an in-flight task may need it (its
@@ -532,19 +531,15 @@ func (s *Service) RemoveZone(id string) error {
 	z.tasks.Wait()
 
 	// Residency cleanup, serialized with any in-flight eviction or
-	// rehydration through resMu: settle the hot accounting against the
-	// zone's final state, and make the removal durable by deleting its
-	// snapshot from the store — an eviction that raced the removal (its
-	// Put completing just before this lock) is erased here, and one that
-	// arrives after sees the stopped zone and writes nothing, so a
-	// removed zone can never resurrect on the next boot. A rehydrate
-	// through a stale reference may have put the zone back in the hot
-	// index since it was unregistered; no later one can, as it is
-	// stopped.
+	// rehydration through resMu. A rehydrate through a stale reference
+	// may have put the zone back in the hot set since it was
+	// unregistered; no later one can, as it is stopped. Then make the
+	// removal durable by deleting the zone's snapshot from the store —
+	// an eviction that raced the removal (its Put completing just
+	// before this lock) is erased here, and one that arrives after sees
+	// the stopped zone and writes nothing, so a removed zone can never
+	// resurrect on the next boot.
 	z.resMu.Lock()
-	if z.sys.Load() != nil {
-		s.hotCount.Add(-1)
-	}
 	s.hotDrop(z)
 	if s.store != nil {
 		_ = s.store.Delete(id) // best effort; List/Get failures surface elsewhere
@@ -558,10 +553,14 @@ func (s *Service) RemoveZone(id string) error {
 // UpdateZone swaps the core.System behind a zone: the zone's in-flight
 // tasks are quiesced (report batches still queued at that moment are
 // dropped, as on RemoveZone), the shard state is rebuilt for the new
-// system (window lengths follow the new deployment's link count), the
-// ingest counters carry over, and the fresh state machine picks up on
-// the next report. Watch subscriptions, the latest position, the
-// history and the track survive the swap. For an in-place fingerprint
+// system (window lengths follow the new deployment's link count), and
+// the fresh state machine picks up on the next report. The replacement
+// takes the old zone's configuration, counters and publication by
+// pointer — the zone is the same physical space, so its counters, watch
+// subscriptions, latest position, history and track survive the swap
+// with no copy, and a reader still holding the old zone reads the same
+// records. The new System is hot, so UpdateZone then runs the hot-cap
+// pass, as every registration does. For an in-place fingerprint
 // refresh that keeps the same System, use System(id) and call
 // UpdateContext on it instead — that path swaps the zone's Model
 // atomically and never pauses serving.
@@ -569,87 +568,59 @@ func (s *Service) UpdateZone(id string, sys *core.System) error {
 	if sys == nil {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: nil system for zone %q", id)
 	}
-	s.mu.Lock()
-	if err := s.stoppedLocked(); err != nil {
-		s.mu.Unlock()
+	s.mu.RLock()
+	err := s.stoppedLocked()
+	z, ok := s.zones[id]
+	s.mu.RUnlock()
+	if err != nil {
 		return err
 	}
-	z, ok := s.zones[id]
 	if !ok {
-		s.mu.Unlock()
 		return ErrUnknownZone
 	}
-	if !s.started.Load() {
-		// No task can have been scheduled before Start, so the swap is
-		// race-free right here.
-		s.swapZoneLocked(z, sys)
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
 
-	// Quiesce outside the lock, as RemoveZone does.
+	// Quiesce outside the lock, as RemoveZone does. Before Start there
+	// is no task to wait for.
 	z.stop()
 	z.tasks.Wait()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.stoppedLocked(); err != nil {
-		return err
-	}
-	if s.zones[id] != z {
+	err = s.stoppedLocked()
+	if err == nil && s.zones[id] != z {
 		// Lost a race with RemoveZone or another UpdateZone; the zone this
 		// call was asked to replace is gone.
-		return ErrUnknownZone
+		err = ErrUnknownZone
 	}
-	s.swapZoneLocked(z, sys)
-	return nil
-}
-
-// swapZoneLocked replaces z with a fresh zone over sys, carrying the
-// per-zone configuration, the counters (including the fold-task-owned
-// folded count, safe to read once the old zone's tasks have been waited
-// out or never ran), and the publication — the zone is the same
-// physical space, so its watchers, latest position and track survive a
-// fingerprint-database swap. The new zone takes the old one's
-// publication pointer: nothing is copied, and a reader still holding
-// the old zone reads the same publication under the same lock. Caller
-// holds s.mu.
-func (s *Service) swapZoneLocked(z *zone, sys *core.System) {
-	// Stop the old shard unconditionally (the running path already did;
-	// the pre-Start path has no tasks, so this only flips the flag) and
-	// settle residency: the replacement is hot by construction, so a
-	// cold old zone means one more resident Model. resMu serializes the
-	// read against an eviction that was mid-write when the swap began.
-	z.stop()
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	// resMu orders the old zone's exit from the hot set after any
+	// rehydrate that was mid-flight when it stopped.
 	z.resMu.Lock()
-	if z.sys.Load() == nil {
-		s.hotCount.Add(1)
-	}
 	s.hotDrop(z)
 	z.resMu.Unlock()
-	nz := s.newZone(z.id, sys, z.zc, z.pub)
-	nz.folded = z.folded
-	nz.received.Store(z.received.Load())
-	nz.dropped.Store(z.dropped.Load())
-	nz.batches.Store(z.batches.Load())
-	nz.estimates.Store(z.estimates.Load())
-	nz.matchErrors.Store(z.matchErrors.Load())
-	nz.starved.Store(z.starved.Load())
-	nz.evictions.Store(z.evictions.Load())
-	nz.rehydrates.Store(z.rehydrates.Load())
-	nz.rehydrateErrors.Store(z.rehydrateErrors.Load())
-	nz.evictErrors.Store(z.evictErrors.Load())
+	nz := s.newZone(id, sys, z.zc, z.pub, z.cnt)
 	s.touch(nz)
-	s.zones[z.id] = nz
+	s.zones[id] = nz
 	s.hotAdd(nz)
+	// As in addZone: the cap pass writes victims' snapshots to the store
+	// outside the registry lock.
+	s.mu.Unlock()
+	s.enforceCap()
+	return nil
 }
 
 // Zones returns the registered zone IDs in sorted order.
 func (s *Service) Zones() []string {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.order...)
+	ids := make([]string, 0, len(s.zones))
+	for id := range s.zones {
+		ids = append(ids, id)
+	}
+	s.mu.RUnlock()
+	sort.Strings(ids)
+	return ids
 }
 
 // System returns the core.System behind a zone, for fingerprint updates
@@ -709,8 +680,7 @@ func (s *Service) Start(ctx context.Context) error {
 		s.shutdownLocked()
 		s.mu.Unlock()
 	}()
-	for _, id := range s.order {
-		z := s.zones[id]
+	for _, z := range s.zones {
 		if len(z.queue) > 0 {
 			s.scheduleFold(z)
 		}
@@ -876,18 +846,18 @@ func (s *Service) Stats() map[string]ZoneStats {
 	out := make(map[string]ZoneStats, len(s.zones))
 	for id, z := range s.zones {
 		out[id] = ZoneStats{
-			Received:        z.received.Load(),
-			Dropped:         z.dropped.Load(),
-			Batches:         z.batches.Load(),
-			Estimates:       z.estimates.Load(),
-			MatchErrors:     z.matchErrors.Load(),
-			Starved:         z.starved.Load(),
+			Received:        z.cnt.received.Load(),
+			Dropped:         z.cnt.dropped.Load(),
+			Batches:         z.cnt.batches.Load(),
+			Estimates:       z.cnt.estimates.Load(),
+			MatchErrors:     z.cnt.matchErrors.Load(),
+			Starved:         z.cnt.starved.Load(),
 			QueueLen:        len(z.queue),
 			Cold:            z.sys.Load() == nil,
-			Evictions:       z.evictions.Load(),
-			Rehydrates:      z.rehydrates.Load(),
-			RehydrateErrors: z.rehydrateErrors.Load(),
-			EvictErrors:     z.evictErrors.Load(),
+			Evictions:       z.cnt.evictions.Load(),
+			Rehydrates:      z.cnt.rehydrates.Load(),
+			RehydrateErrors: z.cnt.rehydrateErrors.Load(),
+			EvictErrors:     z.cnt.evictErrors.Load(),
 		}
 	}
 	return out
@@ -972,7 +942,7 @@ func (s *Service) fold(z *zone, batch []Report) int {
 			z.vwin[r.Link].push(r.RSS)
 		}
 	}
-	z.folded += uint64(len(batch))
+	z.cnt.folded += uint64(len(batch))
 	return len(batch)
 }
 
@@ -984,11 +954,11 @@ func (s *Service) fold(z *zone, batch []Report) int {
 // chain, which keeps per-zone publish order strict.
 func (s *Service) prepareEstimate(z *zone) {
 	y := make([]float64, len(z.win))
-	z.batches.Add(1)
+	z.cnt.batches.Add(1)
 	for i := range z.win {
 		if z.win[i].n == 0 {
 			// Some link has never reported: no estimate is possible yet.
-			z.starved.Add(1)
+			z.cnt.starved.Add(1)
 			return
 		}
 		y[i] = windowMean(&z.win[i])
@@ -1010,7 +980,7 @@ func (s *Service) prepareEstimate(z *zone) {
 		Present:     present,
 		DeviationDB: dev,
 		Cell:        -1,
-		Reports:     z.folded,
+		Reports:     z.cnt.folded,
 	}
 	s.dispatchLocate(z, sys, y, e)
 }
@@ -1054,7 +1024,7 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 			if e.Present {
 				loc, err := sys.Locate(y)
 				if err != nil {
-					z.matchErrors.Add(1)
+					z.cnt.matchErrors.Add(1)
 					ok = false
 				} else {
 					e.Cell = loc.Cell
@@ -1065,7 +1035,7 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 			}
 			if ok {
 				s.publish(z, e)
-				z.estimates.Add(1)
+				z.cnt.estimates.Add(1)
 				published = true
 			}
 		}

@@ -21,35 +21,11 @@ func WithMatcher(name string) Option {
 	return func(c *core.SystemOptions) { c.MatcherName = name }
 }
 
-// WithLoLi overrides the LoLi-IR reconstruction hyperparameters.
-func WithLoLi(o LoLiOptions) Option {
-	return func(c *core.SystemOptions) { c.LoLi = o }
-}
-
-// WithReferences overrides reference-location selection.
-func WithReferences(o ReferenceOptions) Option {
-	return func(c *core.SystemOptions) { c.Refs = o }
-}
-
-// WithRecSigma sets the assumed error std (dB) of reconstructed entries
-// for the built-in weighted matcher.
-func WithRecSigma(db float64) Option {
-	return func(c *core.SystemOptions) { c.RecSigmaDB = db }
-}
-
-// WithMaskThreshold sets the |survey - vacant| deviation (dB) above
-// which an entry counts as distorted when the mask is learned from the
-// day-0 survey; negative forces the geometric ellipse mask.
-func WithMaskThreshold(db float64) Option {
-	return func(c *core.SystemOptions) { c.MaskThresholdDB = db }
-}
-
 // Open builds a System from a day-0 full survey with functional
 // options:
 //
 //	sys, err := tafloc.Open(layout, survey, vacant,
-//	    tafloc.WithMatcher("wknn"),
-//	    tafloc.WithLoLi(loli))
+//	    tafloc.WithMatcher("wknn"))
 func Open(layout *Layout, survey *Matrix, vacant []float64, opts ...Option) (*System, error) {
 	c := core.DefaultSystemOptions()
 	for _, o := range opts {
