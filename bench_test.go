@@ -713,7 +713,9 @@ func BenchmarkEvictRehydrate(b *testing.B) {
 // of running 1000 zones in the memory footprint of 64. rehydrates/op
 // is how many ingested batches found their zone cold; the loop is
 // closed, so it depends on how fast ingest runs relative to the folds
-// that publish (and so touch) each zone.
+// that publish (and so touch) each zone. allocs/op follows it, so
+// allocs/rehydrate divides the timed loop's heap allocations by the
+// rehydrates instead.
 func BenchmarkManyZonesColdStart(b *testing.B) {
 	const zones = 1000
 	const hotCap = 64
@@ -763,6 +765,8 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	var stream atomic.Int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(stream.Add(1)) * 7919
@@ -776,6 +780,7 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 		}
 	})
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	var received, rehydrates uint64
 	for _, st := range svc.Stats() {
 		received += st.Received
@@ -783,6 +788,9 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 	}
 	b.ReportMetric(float64(received)/b.Elapsed().Seconds(), "reports/s")
 	b.ReportMetric(float64(rehydrates)/float64(b.N), "rehydrates/op")
+	if rehydrates > 0 {
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rehydrates), "allocs/rehydrate")
+	}
 	cancel()
 	svc.Wait()
 }

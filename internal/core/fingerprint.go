@@ -148,13 +148,6 @@ type Smoother struct {
 	hPairs   int
 }
 
-// NewSmoother precomputes the pair structure from a layout's geometric
-// mask. Prefer NewSmootherFromMask with an empirically learned mask when
-// a day-0 survey exists.
-func NewSmoother(l *Layout) *Smoother {
-	return NewSmootherFromMask(l.Mask(), l.Grid)
-}
-
 // NewSmootherFromMask precomputes the pair structure from an explicit
 // undistorted-entry mask (1 = undistorted, 0 = largely distorted) over
 // the given grid.

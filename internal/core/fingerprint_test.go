@@ -79,7 +79,7 @@ func TestDistortedBandFollowsLoS(t *testing.T) {
 
 func TestSmootherPairCountsPositive(t *testing.T) {
 	l := testLayout(t)
-	s := NewSmoother(l)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
 	if s.GPairs() == 0 {
 		t.Fatal("no continuity pairs found")
 	}
@@ -92,7 +92,7 @@ func TestSmootherPairCountsPositive(t *testing.T) {
 // Laplacian operators: penalty(x) = <x, Apply(x)>.
 func TestSmootherQuadraticFormIdentity(t *testing.T) {
 	l := testLayout(t)
-	s := NewSmoother(l)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
 	rng := rand.New(rand.NewSource(1))
 	f := func(_ int64) bool {
 		x := mat.New(l.M(), l.N())
@@ -121,7 +121,7 @@ func TestSmootherQuadraticFormIdentity(t *testing.T) {
 
 func TestSmootherPenaltiesNonNegative(t *testing.T) {
 	l := testLayout(t)
-	s := NewSmoother(l)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		x := mat.New(l.M(), l.N())
@@ -134,7 +134,7 @@ func TestSmootherPenaltiesNonNegative(t *testing.T) {
 
 func TestSmootherZeroOnConstantMatrix(t *testing.T) {
 	l := testLayout(t)
-	s := NewSmoother(l)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
 	x := mat.New(l.M(), l.N())
 	x.Fill(-47)
 	if s.PenaltyG(x) != 0 {
@@ -150,7 +150,7 @@ func TestSmootherZeroOnConstantMatrix(t *testing.T) {
 
 func TestSmootherLinearity(t *testing.T) {
 	l := testLayout(t)
-	s := NewSmoother(l)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
 	rng := rand.New(rand.NewSource(3))
 	x := mat.New(l.M(), l.N())
 	y := mat.New(l.M(), l.N())

@@ -129,13 +129,6 @@ type Reconstructor struct {
 	smoother *Smoother
 }
 
-// NewReconstructor builds a Reconstructor with the layout's geometric
-// mask. Prefer NewReconstructorWithMask when a day-0 survey allows
-// learning the mask empirically (MaskFromSurvey).
-func NewReconstructor(l *Layout, opts LoLiOptions) (*Reconstructor, error) {
-	return NewReconstructorWithMask(l, l.Mask(), opts)
-}
-
 // NewReconstructorWithMask builds a Reconstructor over an explicit
 // undistorted-entry mask (1 = undistorted).
 func NewReconstructorWithMask(l *Layout, mask *mat.Matrix, opts LoLiOptions) (*Reconstructor, error) {

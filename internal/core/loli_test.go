@@ -110,7 +110,7 @@ func TestReconstructNoiselessRecovery(t *testing.T) {
 	// 2.7-4.1 dBm errors sit in exactly this regime.
 	l := testLayout(t)
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(2)))
-	rc, err := NewReconstructor(l, DefaultLoLiOptions())
+	rc, err := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestReconstructNoiselessRecovery(t *testing.T) {
 func TestReconstructObjectiveNonIncreasing(t *testing.T) {
 	l := testLayout(t)
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(3)))
-	rc, err := NewReconstructor(l, DefaultLoLiOptions())
+	rc, err := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReconstructObjectiveNonIncreasing(t *testing.T) {
 func TestReconstructObservedEntriesClamped(t *testing.T) {
 	l := testLayout(t)
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(4)))
-	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
+	rc, _ := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	refs := pickRefs(l, 10)
 	in := makeUpdateInput(l, truth, vac, refs)
 	rec, err := rc.ReconstructContext(context.Background(), in)
@@ -202,7 +202,7 @@ func TestReconstructWithNoisyInput(t *testing.T) {
 		noisyVac[i] += 0.3 * rng.NormFloat64()
 	}
 	in.Vacant = noisyVac
-	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
+	rc, _ := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	rec, err := rc.ReconstructContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestReconstructForcedRank(t *testing.T) {
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(6)))
 	opts := DefaultLoLiOptions()
 	opts.Rank = 3
-	rc, err := NewReconstructor(l, opts)
+	rc, err := NewReconstructorWithMask(l, l.Mask(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReconstructAblationSmoothersOff(t *testing.T) {
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(7)))
 	opts := DefaultLoLiOptions()
 	opts.Beta, opts.Gamma = 0, 0
-	rc, err := NewReconstructor(l, opts)
+	rc, err := NewReconstructorWithMask(l, l.Mask(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestReconstructSingleReference(t *testing.T) {
 	// Degenerate but legal: one reference column.
 	l := testLayout(t)
 	truth, vac := syntheticTruth(l, rand.New(rand.NewSource(8)))
-	rc, _ := NewReconstructor(l, DefaultLoLiOptions())
+	rc, _ := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	rec, err := rc.ReconstructContext(context.Background(), makeUpdateInput(l, truth, vac, []int{l.N() / 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestReconstructEndToEndWithChannelDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewReconstructor(l, DefaultLoLiOptions())
+	rc, err := NewReconstructorWithMask(l, l.Mask(), DefaultLoLiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestParallelReconstructMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth, vac := syntheticTruth(layout, rand.New(rand.NewSource(11)))
-	rc, err := NewReconstructor(layout, DefaultLoLiOptions())
+	rc, err := NewReconstructorWithMask(layout, layout.Mask(), DefaultLoLiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestReconstructContextCancelled(t *testing.T) {
 	opts := DefaultLoLiOptions()
 	opts.MaxIter = 1_000_000
 	opts.Tol = 1e-300
-	rc, err := NewReconstructor(f.l, opts)
+	rc, err := NewReconstructorWithMask(f.l, f.l.Mask(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

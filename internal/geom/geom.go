@@ -174,36 +174,6 @@ func (g *Grid) checkCell(j int) {
 	}
 }
 
-// PerimeterPositions returns n points evenly spaced along the rectangle
-// boundary of a w x h area, starting at the origin corner and proceeding
-// counter-clockwise. It is the canonical transceiver placement: the paper
-// deploys link endpoints "on the two sides of the monitoring area".
-func PerimeterPositions(w, h float64, n int) []Point {
-	if n <= 0 {
-		return nil
-	}
-	per := 2 * (w + h)
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		d := per * float64(i) / float64(n)
-		pts[i] = perimeterPoint(w, h, d)
-	}
-	return pts
-}
-
-func perimeterPoint(w, h, d float64) Point {
-	switch {
-	case d < w:
-		return Point{d, 0}
-	case d < w+h:
-		return Point{w, d - w}
-	case d < 2*w+h:
-		return Point{w - (d - w - h), h}
-	default:
-		return Point{0, h - (d - 2*w - h)}
-	}
-}
-
 // OppositeSidePairs places m links whose endpoints sit on the two long
 // sides of the area (y=0 and y=h), evenly spaced along x — the deployment
 // in the paper's Fig 2. Endpoint k on each side is at

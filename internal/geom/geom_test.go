@@ -197,30 +197,6 @@ func TestGridNeighborsSymmetric(t *testing.T) {
 	}
 }
 
-func TestPerimeterPositionsOnBoundary(t *testing.T) {
-	w, h := 12.0, 9.0
-	pts := PerimeterPositions(w, h, 20)
-	if len(pts) != 20 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		onX := math.Abs(p.X) < 1e-9 || math.Abs(p.X-w) < 1e-9
-		onY := math.Abs(p.Y) < 1e-9 || math.Abs(p.Y-h) < 1e-9
-		if !onX && !onY {
-			t.Fatalf("point %v not on boundary", p)
-		}
-		if p.X < -1e-9 || p.X > w+1e-9 || p.Y < -1e-9 || p.Y > h+1e-9 {
-			t.Fatalf("point %v outside rectangle", p)
-		}
-	}
-}
-
-func TestPerimeterPositionsEmpty(t *testing.T) {
-	if got := PerimeterPositions(5, 5, 0); got != nil {
-		t.Fatal("n=0 should return nil")
-	}
-}
-
 func TestOppositeSidePairs(t *testing.T) {
 	segs := OppositeSidePairs(12, 9, 10)
 	if len(segs) != 10 {

@@ -221,36 +221,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// SpectralNorm estimates the largest singular value of a by power
-// iteration on aᵀa, to relative tolerance ~1e-10 or 200 iterations.
-func SpectralNorm(a *Matrix) float64 {
-	if a.rows == 0 || a.cols == 0 {
-		return 0
-	}
-	x := make([]float64, a.cols)
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(len(x)))
-	}
-	var prev float64
-	for iter := 0; iter < 200; iter++ {
-		y := MulVec(a, x)
-		x = TMulVec(a, y)
-		n := Norm2(x)
-		if n == 0 {
-			return 0
-		}
-		for i := range x {
-			x[i] /= n
-		}
-		s := math.Sqrt(n)
-		if math.Abs(s-prev) <= 1e-10*math.Max(1, s) {
-			return s
-		}
-		prev = s
-	}
-	return prev
-}
-
 func sameDims(op string, a, b *Matrix) {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("mat: %s dimension mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))

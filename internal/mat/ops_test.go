@@ -102,24 +102,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestSpectralNormDiagonal(t *testing.T) {
-	a := NewFromRows([][]float64{{3, 0}, {0, -7}})
-	if got := SpectralNorm(a); math.Abs(got-7) > 1e-6 {
-		t.Fatalf("SpectralNorm = %g, want 7", got)
-	}
-}
-
-func TestSpectralNormMatchesSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		a := randomMatrix(rng, 6, 9)
-		s := SVDecompose(a)
-		if got := SpectralNorm(a); math.Abs(got-s.S[0]) > 1e-6*math.Max(1, s.S[0]) {
-			t.Fatalf("SpectralNorm = %g, SVD sigma1 = %g", got, s.S[0])
-		}
-	}
-}
-
 func TestDotNorm2(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot wrong")

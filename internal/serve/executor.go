@@ -2,15 +2,17 @@ package serve
 
 // The locate executor: a small shared pool of workers that runs every
 // zone's fold and localization rounds. Zones are pure state machines —
-// an idle zone costs a map entry and a queue, not a goroutine — so the
-// goroutine count is GOMAXPROCS, read at Start, regardless of whether
-// the service holds ten zones or ten thousand. Scheduling guarantees at
-// most one fold task and one locate task in flight per zone (see the
-// zone state machine in serve.go), so the fold state needs no locking
-// and per-zone estimate order is preserved, while a hot zone's next
-// fold can overlap its previous locate on another worker.
+// an idle zone costs a map entry and its run state, not a goroutine —
+// so the goroutine count is GOMAXPROCS, read at Start, regardless of
+// whether the service holds ten zones or ten thousand. Scheduling
+// guarantees at most one fold task and one locate task in flight per
+// zone (see the zone state machine in serve.go), so the fold state
+// needs no locking and per-zone estimate order is preserved, while a
+// hot zone's next fold can overlap its previous locate on another
+// worker. The run queue and each zone's report queue are one fifo type.
 
 import (
+	"slices"
 	"sync"
 
 	"tafloc/internal/core"
@@ -42,16 +44,14 @@ type task struct {
 	e    Estimate
 }
 
-// executor is a FIFO run queue drained by a fixed set of workers. The
-// queue is a mutex-guarded growable ring: at most one fold and one
-// locate entry can exist per zone, so its length is bounded by twice
-// the zone count.
+// executor is a FIFO run queue drained by a fixed set of workers. At
+// most one fold and one locate task can be queued per zone, so its
+// length is bounded by twice the zone count.
 type executor struct {
 	//tafloc:lock-order 50 executor queue lock; nests inside the zone locks
 	mu     sync.Mutex
 	cond   sync.Cond
-	queue  []task
-	head   int
+	queue  fifo[task]
 	closed bool
 }
 
@@ -66,18 +66,17 @@ func newExecutor() *executor {
 // anything: the workers may already have exited, and running the task
 // inline would deadlock — every call site holds the zone's schedMu,
 // which the task body re-locks. A rejected caller must unwind its own
-// scheduling state (busy flag, task count) under the lock it already
-// holds; the dropped work matches the shutdown contract, which discards
-// reports still queued when the service stops.
+// scheduling state (see submitLocked); the dropped work matches the
+// shutdown contract, which discards reports still queued when the
+// service stops.
 func (e *executor) submit(t task) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return false
 	}
-	e.queue = append(e.queue, t)
+	e.queue.push(t)
 	e.cond.Signal()
-	e.mu.Unlock()
 	return true
 }
 
@@ -85,32 +84,11 @@ func (e *executor) submit(t task) bool {
 // closed and the queue fully drained — the worker should exit.
 func (e *executor) next() (task, bool) {
 	e.mu.Lock()
-	for e.head == len(e.queue) && !e.closed {
+	defer e.mu.Unlock()
+	for e.queue.len() == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	if e.head == len(e.queue) {
-		e.mu.Unlock()
-		return task{}, false
-	}
-	t := e.queue[e.head]
-	e.queue[e.head] = task{}
-	e.head++
-	switch {
-	case e.head == len(e.queue):
-		e.queue = e.queue[:0]
-		e.head = 0
-	case e.head > len(e.queue)/2 && e.head >= 64:
-		// Compact the drained prefix so a queue under continuous load
-		// does not grow without bound.
-		n := copy(e.queue, e.queue[e.head:])
-		for i := n; i < len(e.queue); i++ {
-			e.queue[i] = task{}
-		}
-		e.queue = e.queue[:n]
-		e.head = 0
-	}
-	e.mu.Unlock()
-	return t, true
+	return e.queue.pop()
 }
 
 // close wakes every worker; they drain the remaining queue and exit.
@@ -119,4 +97,38 @@ func (e *executor) close() {
 	e.closed = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
+}
+
+// fifo is a first-in, first-out queue over a growable slice, guarded by
+// its owner's lock; the zero value is empty. Its backing array follows
+// the backlog: a queue never pushed to holds none, and once the popped
+// prefix is more than half the array and at least 64 slots, the
+// backlog moves to an array of its own size, so a drained burst leaves
+// only a small array behind.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+
+// pop removes and returns the oldest value; ok is false when the queue
+// is empty.
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	v = q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // drop the reference the popped slot held
+	q.head++
+	switch {
+	case q.head == len(q.buf):
+		q.buf, q.head = q.buf[:0], 0
+	case q.head > len(q.buf)/2 && q.head >= 64:
+		q.buf, q.head = slices.Clone(q.buf[q.head:]), 0
+	}
+	return v, true
 }

@@ -31,23 +31,23 @@ type Ingestor interface {
 // frame can carry (about ±2.1e6 dBm) rejects the whole batch with a
 // taflocerr.CodeBadRequest error: one such value would poison the
 // zone's live window, which would publish non-finite positions until
-// the sample aged out. When the zone's bounded queue is full the batch
-// is shed and ErrQueueFull returned — ingestion never blocks the
-// caller. A batch addressed to a cold zone (Model evicted to the
+// the sample aged out. When the zone's queue already holds QueueDepth
+// batches the batch is shed and ErrQueueFull returned — ingestion never
+// blocks the caller. A batch addressed to a cold zone (Model evicted to the
 // snapshot store) rehydrates it first; a failed rehydrate rejects the
 // batch with an error matching ErrRehydrate and
 // taflocerr.ErrRehydrateFailed while the zone stays registered for
 // retry. A stopped service rejects every non-empty batch with a
 // taflocerr.CodeStarted error: no worker is left to fold it. Rejected
 // and shed reports count into the zone's Dropped stat, accepted ones
-// into Received, for every transport alike. An accepted batch arms the
-// zone's fold round on the shared executor pool (a running service
-// folds promptly; before Start the queue simply fills, and Start
-// schedules the backlog).
+// into Received, for every transport alike. An accepted batch joins the
+// zone's queue and arms the zone's fold round on the shared executor
+// pool in one step under the zone's schedMu, so a running service
+// folds promptly. Before Start the queue only fills, and Start arms
+// every zone with a backlog.
 func (s *Service) Ingest(id string, reports []Report) error {
 	s.mu.RLock()
 	z, ok := s.zones[id]
-	ctx := s.runCtx
 	stopped := s.stoppedLocked()
 	s.mu.RUnlock()
 	if !ok {
@@ -83,31 +83,16 @@ func (s *Service) Ingest(id string, reports []Report) error {
 		z.cnt.dropped.Add(uint64(len(reports)))
 		return err
 	}
-	running := s.started.Load() && ctx != nil && ctx.Err() == nil
-	select {
-	case z.queue <- reports:
-		z.cnt.received.Add(uint64(len(reports)))
-		if !running {
-			// The run context was read before the enqueue; Start may have
-			// completed in between, after scanning this zone's then-empty
-			// backlog. Re-reading under the same mutex Start holds closes
-			// the window: either this re-check observes the started
-			// service and schedules, or Start's backlog scan (which runs
-			// after this enqueue) does. Duplicate scheduling is harmless —
-			// scheduleFold is idempotent while a fold is armed.
-			s.mu.RLock()
-			ctx = s.runCtx
-			s.mu.RUnlock()
-			running = s.started.Load() && ctx != nil && ctx.Err() == nil
-		}
-		if running {
-			s.scheduleFold(z)
-		}
-		return nil
-	default:
+	z.schedMu.Lock()
+	defer z.schedMu.Unlock()
+	if z.queue.len() >= s.cfg.QueueDepth {
 		z.cnt.dropped.Add(uint64(len(reports)))
 		return ErrQueueFull
 	}
+	z.queue.push(reports)
+	z.cnt.received.Add(uint64(len(reports)))
+	s.armFoldLocked(z)
+	return nil
 }
 
 // IngestSink adapts an Ingestor into a collector batch sink for one

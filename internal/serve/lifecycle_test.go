@@ -372,6 +372,51 @@ func TestStoppedServiceRejectsMutations(t *testing.T) {
 	}
 }
 
+// TestPreStartBacklogLifecycle pins that a zone holding queued reports
+// before Start can still be swapped or removed, also after a Stop that
+// came before Start. Both wait out the zone's in-flight tasks, so a
+// fold submitted before Start would leave them waiting on a worker that
+// never runs.
+func TestPreStartBacklogLifecycle(t *testing.T) {
+	dep := testDeployment(t)
+	sys := testSystem(t, dep) // a System's read plane is immutable, so zones may share it
+	batch := targetBatch(dep, geom.Point{X: 1.2, Y: 0.9})
+	for _, row := range []struct {
+		name string
+		stop bool
+		op   func(svc *Service) error
+	}{
+		{"UpdateZone before Start", false, func(svc *Service) error { return svc.UpdateZone("z", sys) }},
+		{"RemoveZone before Start", false, func(svc *Service) error { return svc.RemoveZone("z") }},
+		{"RemoveZone after Stop before Start", true, func(svc *Service) error { return svc.RemoveZone("z") }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
+			if err := svc.AddZone("z", sys); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := svc.Ingest("z", append([]Report(nil), batch...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.stop {
+				svc.Stop()
+			}
+			done := make(chan error, 1)
+			go func() { done <- row.op(svc) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the zone's backlog held the call past the deadline; was a fold submitted before Start?")
+			}
+		})
+	}
+}
+
 // TestWaitOutlastsRunningGoroutines pins Wait's contract: it returns
 // only once every goroutine the service started has exited, not once
 // they have been told to stop. Each half, on a fresh service, holds one

@@ -70,11 +70,11 @@ func TestMaxHotZonesCapsResidentModels(t *testing.T) {
 	feed := func(pass int) {
 		for zi := 0; zi < zones; zi++ {
 			id := fmt.Sprintf("zone-%d", zi)
-			prev := svc.Stats()[id].Estimates
+			prev, _ := svc.Position(id)
 			for svc.Ingest(id, append([]Report(nil), deps[zi].batch...)) == ErrQueueFull {
 				time.Sleep(time.Millisecond)
 			}
-			waitForEstimate(t, svc, id, func(e Estimate) bool { return e.Seq > prev })
+			waitForEstimate(t, svc, id, func(e Estimate) bool { return e.Seq > prev.Seq })
 			_ = pass
 		}
 	}

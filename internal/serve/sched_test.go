@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,8 +142,9 @@ func TestExecutorSubmitAfterClose(t *testing.T) {
 
 // TestIngestDuringStartNeverStrands races Report against Start: a batch
 // accepted in the handover window must still be folded — either by the
-// ingest path's post-enqueue re-check or by Start's backlog scan —
-// never counted into Received and then silently stranded.
+// ingest step, which arms the fold once Start has set started, or by
+// Start's backlog scan — never counted into Received and then silently
+// stranded.
 func TestIngestDuringStartNeverStrands(t *testing.T) {
 	dep := testDeployment(t)
 	target := geom.Point{X: 1.2, Y: 0.9}
@@ -173,13 +175,81 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 	}
 }
 
-// withTwoWorkers sets GOMAXPROCS, which sizes the executor pool at
-// Start, to 2 for the rest of the test, as internal/mat's withWorkers
-// does for its kernels: a zone's fold and locate tasks overlap only
-// when a second worker is free to run one of them.
-func withTwoWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
+// withWorkers sets GOMAXPROCS, which sizes the executor pool at Start,
+// to n for the rest of the test, as internal/mat's withWorkers does for
+// its kernels: a zone's fold and locate tasks overlap only when a
+// second worker is free to run one of them, and with one worker every
+// task runs in submission order.
+func withWorkers(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestFoldRoundsEndAtFoldBatch pins where fold rounds end. A backlog of
+// mixed-size batches, each covering every link, is queued before Start
+// and folded by one worker. A round submits its locate before it
+// re-arms, so with one worker each round's estimate publishes before
+// the next round starts and none is coalesced away. A round drains
+// whole batches until it holds foldBatch reports or the queue is
+// empty, so the Reports watermarks seen on Watch follow from the batch
+// sizes alone.
+func TestFoldRoundsEndAtFoldBatch(t *testing.T) {
+	withWorkers(t, 1)
+	dep := testDeployment(t)
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})
+	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
+		t.Fatal(err)
+	}
+	ch, stopWatch, err := svc.Watch("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopWatch()
+
+	// Batch sizes, grouped by the round that drains them. Each round ends
+	// at the first batch that brings it to 64 (foldBatch) reports, or at
+	// the empty queue; Reports is the running total at each round's end.
+	sizes := [][]int{
+		{6, 17, 24, 7, 38},     // 54, then 92
+		{6, 60},                // 66
+		{32, 32},               // exactly 64
+		{8, 12, 23, 6, 10, 71}, // 59, then 130
+		{64},                   // one batch of 64
+		{6, 6, 9, 64},          // 21, then 85
+		{6, 30, 41},            // 36, then 77
+		{13, 7},                // the queue empties at 20
+	}
+	want := []uint64{92, 158, 222, 352, 416, 501, 578, 598}
+	base := targetBatch(dep, geom.Point{X: 1.5, Y: 1.2})
+	for _, round := range sizes {
+		for _, size := range round {
+			batch := make([]Report, size) // size >= len(base): every link reports
+			for k := range batch {
+				batch[k] = base[k%len(base)]
+			}
+			if err := svc.Ingest("z", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := svc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Reports == want[len(want)-1] })
+	cancel()
+	svc.Wait()
+	var got []uint64
+	for e := range ch {
+		if !e.Final {
+			got = append(got, e.Reports)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("published Reports %v, want %v", got, want)
+	}
 }
 
 // TestHotZoneFoldOverlapsLocate exercises the pipelining path: batches
@@ -187,7 +257,7 @@ func withTwoWorkers(t *testing.T) {
 // rather than blocking the fold stage, and the zone keeps publishing
 // (run with -race; the assertion is liveness plus monotonic freshness).
 func TestHotZoneFoldOverlapsLocate(t *testing.T) {
-	withTwoWorkers(t)
+	withWorkers(t, 2)
 	dep := testDeployment(t)
 	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
@@ -281,7 +351,7 @@ func newGatedSystem(t *testing.T, dep *testbed.Deployment, name string) (sys *co
 // later one replacing the earlier, so the zone publishes the held
 // estimate and then only the freshest.
 func TestPendingSlotKeepsFreshest(t *testing.T) {
-	withTwoWorkers(t)
+	withWorkers(t, 2)
 	dep := testDeployment(t)
 	sys, gm, release := newGatedSystem(t, dep, "sched-test-gated")
 	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})

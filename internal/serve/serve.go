@@ -194,9 +194,8 @@ type zone struct {
 	// the resolved pointer, so a concurrent eviction can never yank a
 	// System out from under a running fold or locate. Transitions are
 	// serialized by resMu; see residency.go.
-	sys   atomic.Pointer[core.System]
-	zc    zoneConfig
-	queue chan []Report
+	sys atomic.Pointer[core.System]
+	zc  zoneConfig
 
 	// Residency machinery: resMu serializes evict/rehydrate transitions
 	// (never held on the steady-state hot path); lastTouch is the zone's
@@ -215,16 +214,19 @@ type zone struct {
 
 	cnt *counters
 
-	// Run-state machine, guarded by schedMu. foldBusy marks a fold task
-	// scheduled or running; locBusy a locate task. pend holds the one
-	// coalesced estimate waiting for the locate chain (freshest wins —
-	// under sustained overload intermediate rounds are superseded, the
-	// same freshness-over-completeness rule the watch streams follow).
-	// stopped is set by RemoveZone and UpdateZone; tasks counts
-	// the in-flight tasks a lifecycle mutation must wait out.
+	// Run-state machine, guarded by schedMu. queue holds the accepted
+	// report batches no fold round has drained yet, at most QueueDepth of
+	// them. foldBusy marks a fold task scheduled or running; locBusy a
+	// locate task. pend holds the one coalesced estimate waiting for the
+	// locate chain (freshest wins — under sustained overload intermediate
+	// rounds are superseded, the same freshness-over-completeness rule
+	// the watch streams follow). stopped is set by RemoveZone and
+	// UpdateZone; tasks counts the in-flight tasks a lifecycle mutation
+	// must wait out.
 	//
 	//tafloc:lock-order 30 zone scheduler lock; nests inside resMu
 	schedMu  sync.Mutex
+	queue    fifo[[]Report]
 	foldBusy bool
 	locBusy  bool
 	pend     task
@@ -429,13 +431,12 @@ func newZoneConfig(window int, thrDB float64, detector string, history int, trk 
 func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, pub *publication, cnt *counters) *zone {
 	m := sys.Layout().M()
 	z := &zone{
-		id:    id,
-		zc:    zc,
-		pub:   pub,
-		cnt:   cnt,
-		queue: make(chan []Report, s.cfg.QueueDepth),
-		win:   make([]ring[float64], m),
-		vwin:  make([]ring[float64], m),
+		id:   id,
+		zc:   zc,
+		pub:  pub,
+		cnt:  cnt,
+		win:  make([]ring[float64], m),
+		vwin: make([]ring[float64], m),
 	}
 	z.sys.Store(sys)
 	for i := range z.win {
@@ -681,9 +682,9 @@ func (s *Service) Start(ctx context.Context) error {
 		s.mu.Unlock()
 	}()
 	for _, z := range s.zones {
-		if len(z.queue) > 0 {
-			s.scheduleFold(z)
-		}
+		z.schedMu.Lock()
+		s.armFoldLocked(z)
+		z.schedMu.Unlock()
 	}
 	return nil
 }
@@ -736,11 +737,14 @@ func (s *Service) serviceStopped() bool {
 func (s *Service) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.started.Store(true)
 	if s.cancel != nil {
 		s.cancel()
 	}
 	s.shutdownLocked()
+	// Only now, with the executor closed: an Ingest that arms a fold on
+	// seeing started set by a Stop before Start must find its submit
+	// rejected, not queue a task for workers that never start.
+	s.started.Store(true)
 }
 
 // shutdownLocked is the one shutdown path, run both by Stop and when
@@ -845,6 +849,9 @@ func (s *Service) Stats() map[string]ZoneStats {
 	defer s.mu.RUnlock()
 	out := make(map[string]ZoneStats, len(s.zones))
 	for id, z := range s.zones {
+		z.schedMu.Lock()
+		queued := z.queue.len()
+		z.schedMu.Unlock()
 		out[id] = ZoneStats{
 			Received:        z.cnt.received.Load(),
 			Dropped:         z.cnt.dropped.Load(),
@@ -852,7 +859,7 @@ func (s *Service) Stats() map[string]ZoneStats {
 			Estimates:       z.cnt.estimates.Load(),
 			MatchErrors:     z.cnt.matchErrors.Load(),
 			Starved:         z.cnt.starved.Load(),
-			QueueLen:        len(z.queue),
+			QueueLen:        queued,
 			Cold:            z.sys.Load() == nil,
 			Evictions:       z.cnt.evictions.Load(),
 			Rehydrates:      z.cnt.rehydrates.Load(),
@@ -863,22 +870,28 @@ func (s *Service) Stats() map[string]ZoneStats {
 	return out
 }
 
-// scheduleFold arms the zone's fold stage if it is not already armed.
-// Called after a successful enqueue; before Start it is a no-op (Start
-// schedules every zone with pending reports).
-func (s *Service) scheduleFold(z *zone) {
-	z.schedMu.Lock()
-	if !z.stopped && !z.foldBusy {
-		z.foldBusy = true
-		z.tasks.Add(1)
-		if !s.exec.submit(task{z: z, kind: foldTask}) {
-			// Executor closed (service stopping): unwind. The queued
-			// reports are dropped on shutdown, per the stop contract.
-			z.foldBusy = false
-			z.tasks.Done()
-		}
+// armFoldLocked arms the zone's fold stage when reports are queued, no
+// fold is armed, and Start has set started. Before that it does
+// nothing: Start arms every zone with a backlog. Caller holds
+// z.schedMu.
+func (s *Service) armFoldLocked(z *zone) {
+	if !z.stopped && !z.foldBusy && z.queue.len() > 0 && s.started.Load() {
+		z.foldBusy = s.submitLocked(task{z: z, kind: foldTask})
 	}
-	z.schedMu.Unlock()
+}
+
+// submitLocked counts t as one of its zone's in-flight tasks and hands
+// it to the executor. Once the executor is closed (the service is
+// stopping) it uncounts the task and returns false, and the caller
+// leaves its busy flag down: the work is dropped, as shutdown drops
+// queued reports. Caller holds t.z.schedMu.
+func (s *Service) submitLocked(t task) bool {
+	t.z.tasks.Add(1)
+	if s.exec.submit(t) {
+		return true
+	}
+	t.z.tasks.Done()
+	return false
 }
 
 // foldBatch is the number of reports after which a fold round stops
@@ -889,44 +902,33 @@ const foldBatch = 64
 // zone's queue into the live windows, average them into a live vector,
 // gate on presence, and hand the prepared estimate to the locate stage.
 // The scheduling invariant (one fold task in flight per zone) makes the
-// fold state single-writer without locks.
+// fold state single-writer without locks; only the pops take schedMu.
+// The round then disarms the fold stage, or re-arms it when reports
+// arrived meanwhile (Ingest saw foldBusy and did not arm). On a stopped
+// service the round drains nothing and does not re-arm: the executor
+// is closing, and shutdown drops the queued reports.
 func (s *Service) runFold(z *zone) {
 	defer z.tasks.Done()
-	if s.serviceStopped() || z.isStopped() {
-		z.schedMu.Lock()
-		z.foldBusy = false
-		z.schedMu.Unlock()
-		return
-	}
+	live := !s.serviceStopped()
 	drained := 0
-drain:
-	for drained < foldBatch {
-		select {
-		case batch := <-z.queue:
-			drained += s.fold(z, batch)
-		default:
-			break drain
+	for live && drained < foldBatch {
+		z.schedMu.Lock()
+		batch, ok := z.queue.pop()
+		ok = ok && !z.stopped // a stopped zone folds nothing more
+		z.schedMu.Unlock()
+		if !ok {
+			break
 		}
+		drained += s.fold(z, batch)
 	}
 	if drained > 0 {
 		s.prepareEstimate(z)
 	}
-	s.foldDone(z)
-}
-
-// foldDone disarms the fold stage, or re-arms it when reports arrived
-// during the round (the ingest path saw foldBusy and did not schedule).
-func (s *Service) foldDone(z *zone) {
 	z.schedMu.Lock()
-	if !z.stopped && len(z.queue) > 0 && !s.serviceStopped() {
-		z.tasks.Add(1)
-		if s.exec.submit(task{z: z, kind: foldTask}) { // keep foldBusy armed
-			z.schedMu.Unlock()
-			return
-		}
-		z.tasks.Done() // executor closed mid-shutdown: unwind
-	}
 	z.foldBusy = false
+	if live {
+		s.armFoldLocked(z)
+	}
 	z.schedMu.Unlock()
 }
 
@@ -991,22 +993,15 @@ func (s *Service) prepareEstimate(z *zone) {
 // are slower than its ingest folds ahead without queueing unbounded
 // work — and the fold stage never blocks on the locate stage.
 func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estimate) {
+	t := task{z: z, kind: locateTask, sys: sys, y: y, e: e}
 	z.schedMu.Lock()
 	switch {
 	case z.stopped:
 		// A stopped zone publishes nothing more: drop the round.
 	case z.locBusy:
-		z.pend = task{sys: sys, y: y, e: e}
-		z.hasPend = true
+		z.pend, z.hasPend = t, true
 	default:
-		z.locBusy = true
-		z.tasks.Add(1)
-		if !s.exec.submit(task{z: z, kind: locateTask, sys: sys, y: y, e: e}) {
-			// Executor closed (service stopping): unwind and drop the
-			// round, as shutdown drops queued work.
-			z.locBusy = false
-			z.tasks.Done()
-		}
+		z.locBusy = s.submitLocked(t)
 	}
 	z.schedMu.Unlock()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -290,12 +291,12 @@ func TestPublishSkipsServiceLock(t *testing.T) {
 // publication and shares nothing with other zones but the Seq counter,
 // so its cost does not depend on the zone count: the two sub-benchmarks
 // should read alike. The zones share one small System, and history is
-// off and queues hold one batch so that 10,000 zones stay small.
+// off so that 10,000 zones stay small.
 func BenchmarkPublishFanout(b *testing.B) {
 	sys := testSystem(b, testDeployment(b))
 	for _, zones := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("zones=%d", zones), func(b *testing.B) {
-			svc := newTestService(b, Config{QueueDepth: -1, History: -1})
+			svc := newTestService(b, Config{History: -1})
 			zs := make([]*zone, zones)
 			for i := range zs {
 				id := fmt.Sprintf("zone-%05d", i)
@@ -338,6 +339,34 @@ func TestReportErrors(t *testing.T) {
 	}
 	if st := svc.Stats()["z"]; st.Dropped == 0 {
 		t.Errorf("dropped counter not incremented: %+v", st)
+	}
+}
+
+// TestIdleZoneHoldsNoQueue pins that a zone's report queue holds only
+// what waits in it: registering zones whose queues may hold 65,536
+// batches allocates no more per zone than with a one-batch bound. Any
+// allocation sized by the bound costs at least 8 B a slot, 512 KiB a
+// zone here; the 64 KiB allowed absorbs allocations by goroutines that
+// earlier tests left winding down.
+func TestIdleZoneHoldsNoQueue(t *testing.T) {
+	sys := testSystem(t, testDeployment(t))
+	perZone := func(depth int) uint64 {
+		svc := newTestService(t, Config{QueueDepth: depth})
+		const zones = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < zones; i++ {
+			if err := svc.AddZone(fmt.Sprintf("z%02d", i), sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / zones
+	}
+	one, deep := perZone(1), perZone(1<<16)
+	if deep > one+64<<10 {
+		t.Errorf("AddZone allocates %d B per zone with QueueDepth 65536 and %d B with QueueDepth 1; an idle zone should hold no queue",
+			deep, one)
 	}
 }
 
