@@ -199,6 +199,18 @@ func (s *Smoother) HPairs() int { return s.hPairs }
 // with Σ_pairs (x_a-x_b)² = <x, L_G(x)>.
 func (s *Smoother) ApplyG(x *mat.Matrix) *mat.Matrix {
 	out := mat.New(s.m, s.n)
+	s.addG(out, x)
+	return out
+}
+
+// ApplyGInto overwrites out (M x N, not sharing x's storage) with L_G(x).
+func (s *Smoother) ApplyGInto(out, x *mat.Matrix) {
+	clear(out.Raw())
+	s.addG(out, x)
+}
+
+// addG accumulates L_G(x) into out.
+func (s *Smoother) addG(out, x *mat.Matrix) {
 	for i := 0; i < s.m; i++ {
 		xi := x.RawRow(i)
 		oi := out.RawRow(i)
@@ -208,12 +220,23 @@ func (s *Smoother) ApplyG(x *mat.Matrix) *mat.Matrix {
 			oi[p.j2] -= d
 		}
 	}
-	return out
 }
 
 // ApplyH returns the similarity Laplacian applied to x.
 func (s *Smoother) ApplyH(x *mat.Matrix) *mat.Matrix {
 	out := mat.New(s.m, s.n)
+	s.addH(out, x)
+	return out
+}
+
+// ApplyHInto overwrites out (M x N, not sharing x's storage) with L_H(x).
+func (s *Smoother) ApplyHInto(out, x *mat.Matrix) {
+	clear(out.Raw())
+	s.addH(out, x)
+}
+
+// addH accumulates L_H(x) into out.
+func (s *Smoother) addH(out, x *mat.Matrix) {
 	for j := 0; j < s.n; j++ {
 		for _, p := range s.colPairs[j] {
 			d := x.At(p.i1, j) - x.At(p.i2, j)
@@ -221,7 +244,6 @@ func (s *Smoother) ApplyH(x *mat.Matrix) *mat.Matrix {
 			out.Add(p.i2, j, -d)
 		}
 	}
-	return out
 }
 
 // PenaltyG returns the continuity penalty Σ (x_a - x_b)².

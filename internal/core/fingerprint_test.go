@@ -148,6 +148,30 @@ func TestSmootherZeroOnConstantMatrix(t *testing.T) {
 	}
 }
 
+// TestSmootherIntoMatchesApply checks ApplyGInto and ApplyHInto against
+// ApplyG and ApplyH bit for bit, with out holding NaN before the call.
+func TestSmootherIntoMatchesApply(t *testing.T) {
+	l := testLayout(t)
+	s := NewSmootherFromMask(l.Mask(), l.Grid)
+	rng := rand.New(rand.NewSource(4))
+	x := mat.New(l.M(), l.N())
+	x.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
+	out := mat.New(l.M(), l.N())
+	for _, c := range []struct {
+		name  string
+		into  func(out, x *mat.Matrix)
+		apply func(x *mat.Matrix) *mat.Matrix
+	}{{"G", s.ApplyGInto, s.ApplyG}, {"H", s.ApplyHInto, s.ApplyH}} {
+		out.Fill(math.NaN())
+		c.into(out, x)
+		for i, v := range c.apply(x).Raw() {
+			if math.Float64bits(out.Raw()[i]) != math.Float64bits(v) {
+				t.Fatalf("Apply%sInto: element %d is %v, want %v", c.name, i, out.Raw()[i], v)
+			}
+		}
+	}
+}
+
 func TestSmootherLinearity(t *testing.T) {
 	l := testLayout(t)
 	s := NewSmootherFromMask(l.Mask(), l.Grid)

@@ -160,6 +160,8 @@ func (rc *Reconstructor) Layout() *Layout { return rc.layout }
 // the fresh vacant capture, and (b) every entry of the reference columns.
 // The solver alternates: closed-form ridge update of the correlation
 // matrix Z, then conjugate-gradient solves of the two factor subproblems.
+// The alternation allocates no matrix: it writes into one workspace
+// allocated when the call starts.
 //
 // Implementation note: internally the solver works in attenuation space,
 // A = vacant·1ᵀ - X. The affine shift leaves the paper's objective
@@ -225,11 +227,35 @@ func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput)
 	}
 	lf, rf := svd.Truncate(rank)
 
-	// Initial Z against the initial estimate.
-	z, err := mat.RidgeSolve(xr, mat.MulT(lf, rf), o.Mu)
+	// Every step of the alternation below writes into ws; CG updates lf
+	// and rf in place.
+	ws := newWorkspace(m, n, rank, len(in.RefIdx))
+	mat.HadamardInto(ws.obsXi, obs, xi)
+
+	// Z's ridge system X_RᵀX_R + μI is fixed for the run: factor it once.
+	ridge, err := mat.NewRidge(xr, o.Mu)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial Z solve: %w", err)
 	}
+	// Initial Z against the initial estimate.
+	mat.MulTInto(ws.xhat, lf, rf)
+	ridge.SolveInto(ws.z, ws.xhat)
+	mat.MulInto(ws.xrz, xr, ws.z)
+
+	// The factor subproblems' operators: A_L(v) with X̂ = v·Rᵀ (v is
+	// M x r), and A_R(v) with X̂ = L·vᵀ (v is N x r).
+	opL := mat.LinOpFunc(func(dst, v *mat.Matrix) {
+		mat.MulTInto(ws.xh, v, rf)
+		rc.normalX(ws, obs)
+		mat.MulInto(dst, ws.acc, rf)
+		mat.AXPY(dst, o.Lambda, v)
+	})
+	opR := mat.LinOpFunc(func(dst, v *mat.Matrix) {
+		mat.MulTInto(ws.xh, lf, v)
+		rc.normalX(ws, obs)
+		mat.TMulInto(dst, ws.acc, lf)
+		mat.AXPY(dst, o.Lambda, v)
+	})
 
 	maxIter := o.MaxIter
 	if maxIter <= 0 {
@@ -247,54 +273,25 @@ func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput)
 			return nil, taflocerr.Errorf(taflocerr.CodeCancelled,
 				"core: reconstruction cancelled after %d iterations: %w", iter, err)
 		}
-		xrz := mat.Mul(xr, z)
 
 		// ---- L update: solve A_L(L) = b_L by CG ----
-		opL := mat.LinOpFunc(func(v *mat.Matrix) *mat.Matrix {
-			xh := mat.MulT(v, rf) // M x N
-			acc := mat.Hadamard(obs, xh)
-			mat.AXPY(acc, o.Alpha, xh)
-			if o.Beta > 0 {
-				mat.AXPY(acc, o.Beta, rc.smoother.ApplyG(xh))
-			}
-			if o.Gamma > 0 {
-				mat.AXPY(acc, o.Gamma, rc.smoother.ApplyH(xh))
-			}
-			out := mat.Mul(acc, rf) // M x r
-			mat.AXPY(out, o.Lambda, v)
-			return out
-		})
-		bL := mat.Mul(mat.Hadamard(obs, xi), rf)
-		mat.AXPY(bL, o.Alpha, mat.Mul(xrz, rf))
-		lf, _ = mat.CG(opL, bL, lf, o.CGTol, o.CGMaxIter)
+		mat.MulInto(ws.bL, ws.obsXi, rf)
+		mat.MulInto(ws.tL, ws.xrz, rf)
+		mat.AXPY(ws.bL, o.Alpha, ws.tL)
+		mat.CG(opL, ws.bL, lf, ws.cgL, o.CGTol, o.CGMaxIter)
 
-		// ---- R update: solve A_R(R) = b_R by CG (v is N x r, X̂ = L·vᵀ) ----
-		opR := mat.LinOpFunc(func(v *mat.Matrix) *mat.Matrix {
-			xh := mat.MulT(lf, v) // M x N
-			acc := mat.Hadamard(obs, xh)
-			mat.AXPY(acc, o.Alpha, xh)
-			if o.Beta > 0 {
-				mat.AXPY(acc, o.Beta, rc.smoother.ApplyG(xh))
-			}
-			if o.Gamma > 0 {
-				mat.AXPY(acc, o.Gamma, rc.smoother.ApplyH(xh))
-			}
-			out := mat.TMul(acc, lf) // N x r
-			mat.AXPY(out, o.Lambda, v)
-			return out
-		})
-		bR := mat.TMul(mat.Hadamard(obs, xi), lf)
-		mat.AXPY(bR, o.Alpha, mat.TMul(xrz, lf))
-		rf, _ = mat.CG(opR, bR, rf, o.CGTol, o.CGMaxIter)
+		// ---- R update: solve A_R(R) = b_R by CG ----
+		mat.TMulInto(ws.bR, ws.obsXi, lf)
+		mat.TMulInto(ws.tR, ws.xrz, lf)
+		mat.AXPY(ws.bR, o.Alpha, ws.tR)
+		mat.CG(opR, ws.bR, rf, ws.cgR, o.CGTol, o.CGMaxIter)
 
 		// ---- Z update (closed form) ----
-		xhat := mat.MulT(lf, rf)
-		z, err = mat.RidgeSolve(xr, xhat, o.Mu)
-		if err != nil {
-			return nil, fmt.Errorf("core: Z solve at iter %d: %w", iter, err)
-		}
+		mat.MulTInto(ws.xhat, lf, rf)
+		ridge.SolveInto(ws.z, ws.xhat)
+		mat.MulInto(ws.xrz, xr, ws.z)
 
-		obj := rc.objective(lf, rf, obs, xi, mat.Mul(xr, z))
+		obj := rc.objective(ws, lf, rf, obs, xi)
 		rec.Objective = append(rec.Objective, obj)
 		rec.Iterations = iter + 1
 		if prevObj-obj <= tol*math.Max(1, math.Abs(prevObj)) && iter > 0 {
@@ -305,8 +302,9 @@ func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput)
 	}
 
 	// Convert back to fingerprint space: X = vacant·1ᵀ - Â, clamping
-	// observed entries exactly — they were measured, not inferred.
-	ahat := mat.MulT(lf, rf)
+	// observed entries exactly — they were measured, not inferred. The
+	// last iteration left Â = L·Rᵀ of the final factors in ws.xhat.
+	ahat := ws.xhat
 	xhat := mat.New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -390,19 +388,74 @@ func (rc *Reconstructor) initColumn(obs, xi, xr, out *mat.Matrix, j, m, nr int) 
 	}
 }
 
-// objective evaluates the full LoLi-IR objective.
-func (rc *Reconstructor) objective(lf, rf, obs, xi, xrz *mat.Matrix) float64 {
+// workspace holds every buffer one LoLi-IR run's alternation writes. It
+// is allocated once per ReconstructContext call from M, N, the rank r
+// and the reference count, and every iteration overwrites it in place.
+type workspace struct {
+	obsXi    *mat.Matrix // B∘X_I, fixed for the run (M x N)
+	xhat     *mat.Matrix // L·Rᵀ (M x N)
+	xrz      *mat.Matrix // X_R·Z (M x N)
+	xh       *mat.Matrix // an operator's X̂ (M x N)
+	acc      *mat.Matrix // normalX's output; the objective's residual (M x N)
+	lap      *mat.Matrix // a smoother Laplacian (M x N)
+	z        *mat.Matrix // correlation matrix Z (refs x N)
+	bL, tL   *mat.Matrix // L system's right-hand side and its X_R·Z term (M x r)
+	bR, tR   *mat.Matrix // R system's (N x r)
+	cgL, cgR *mat.CGWork // CG buffers for the L and R systems
+}
+
+func newWorkspace(m, n, r, refs int) *workspace {
+	return &workspace{
+		obsXi: mat.New(m, n),
+		xhat:  mat.New(m, n),
+		xrz:   mat.New(m, n),
+		xh:    mat.New(m, n),
+		acc:   mat.New(m, n),
+		lap:   mat.New(m, n),
+		z:     mat.New(refs, n),
+		bL:    mat.New(m, r),
+		tL:    mat.New(m, r),
+		bR:    mat.New(n, r),
+		tR:    mat.New(n, r),
+		cgL:   mat.NewCGWork(m, r),
+		cgR:   mat.NewCGWork(n, r),
+	}
+}
+
+// normalX overwrites ws.acc with the normal operator of the objective's
+// X̂ terms applied to ws.xh: B∘X̂ + α·X̂ + β·L_G(X̂) + γ·L_H(X̂). Both
+// factor operators chain it between their two products.
+func (rc *Reconstructor) normalX(ws *workspace, obs *mat.Matrix) {
 	o := rc.opts
-	xhat := mat.MulT(lf, rf)
-	obj := o.Lambda * (mat.FrobNorm2(lf) + mat.FrobNorm2(rf))
-	diff := mat.Hadamard(obs, mat.Sub(xhat, xi))
-	obj += mat.FrobNorm2(diff)
-	obj += o.Alpha * mat.FrobNorm2(mat.Sub(xhat, xrz))
+	mat.HadamardInto(ws.acc, obs, ws.xh)
+	mat.AXPY(ws.acc, o.Alpha, ws.xh)
 	if o.Beta > 0 {
-		obj += o.Beta * rc.smoother.PenaltyG(xhat)
+		rc.smoother.ApplyGInto(ws.lap, ws.xh)
+		mat.AXPY(ws.acc, o.Beta, ws.lap)
 	}
 	if o.Gamma > 0 {
-		obj += o.Gamma * rc.smoother.PenaltyH(xhat)
+		rc.smoother.ApplyHInto(ws.lap, ws.xh)
+		mat.AXPY(ws.acc, o.Gamma, ws.lap)
+	}
+}
+
+// objective evaluates the full LoLi-IR objective at the factors lf, rf,
+// reading X̂ = L·Rᵀ and X_R·Z from ws.xhat and ws.xrz, which the loop has
+// just computed from them.
+func (rc *Reconstructor) objective(ws *workspace, lf, rf, obs, xi *mat.Matrix) float64 {
+	o := rc.opts
+	obj := o.Lambda * (mat.FrobNorm2(lf) + mat.FrobNorm2(rf))
+	diff := ws.acc
+	mat.SubInto(diff, ws.xhat, xi)
+	mat.HadamardInto(diff, obs, diff)
+	obj += mat.FrobNorm2(diff)
+	mat.SubInto(diff, ws.xhat, ws.xrz)
+	obj += o.Alpha * mat.FrobNorm2(diff)
+	if o.Beta > 0 {
+		obj += o.Beta * rc.smoother.PenaltyG(ws.xhat)
+	}
+	if o.Gamma > 0 {
+		obj += o.Gamma * rc.smoother.PenaltyH(ws.xhat)
 	}
 	return obj
 }

@@ -4,6 +4,15 @@
 // Jacobi SVD, Cholesky factorization, ridge least squares, and a
 // matrix-free conjugate-gradient solver.
 //
+// The products and element-wise operations have destination forms
+// (MulInto, MulTInto, TMulInto, HadamardInto, SubInto) that overwrite a
+// caller's matrix, so an iterative solver can reuse one set of buffers.
+// Mul, MulT, TMul, Hadamard and Sub allocate the result and run the same
+// kernel, so both forms give the same bits. A LinOp writes its product
+// into a destination, and CG iterates in place on a caller's iterate
+// and CGWork buffers. Ridge factors one ridge system once and solves it
+// for many right-hand sides.
+//
 // The package is self-contained (stdlib only) and deterministic: no
 // operation consults a random source. All matrices are dense, row-major
 // float64. Dimensions are validated eagerly; mismatches panic, because a

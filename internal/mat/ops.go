@@ -8,19 +8,33 @@ import (
 // Mul returns the matrix product a*b. Large products fan out over the
 // package worker pool, partitioned by output row.
 func Mul(a, b *Matrix) *Matrix {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
 	out := New(a.rows, b.cols)
-	ParallelFor(a.rows, ChunkFor(2*a.cols*b.cols), func(lo, hi int) {
-		mulRange(a, b, out, lo, hi)
-	})
+	mulAdd(out, a, b)
 	return out
 }
 
-// mulRange computes rows [lo, hi) of out = a*b with a cache-blocked ikj
-// kernel: k is tiled so the active band of b stays resident while the
-// row block streams over it.
+// MulInto overwrites out with a*b. out must be a.Rows() x b.Cols() and
+// must not share storage with a or b.
+func MulInto(out, a, b *Matrix) {
+	dstDims("MulInto", out, a.rows, b.cols)
+	clear(out.data)
+	mulAdd(out, a, b)
+}
+
+// mulAdd accumulates a*b into out, fanning out over the worker pool by
+// output row.
+func mulAdd(out, a, b *Matrix) {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	ParallelFor(a.rows, ChunkFor(2*a.cols*b.cols), func(lo, hi int) {
+		mulRange(a, b, out, lo, hi)
+	})
+}
+
+// mulRange accumulates rows [lo, hi) of a*b into out with a
+// cache-blocked ikj kernel: k is tiled so the active band of b stays
+// resident while the row block streams over it.
 func mulRange(a, b, out *Matrix, lo, hi int) {
 	const kTile = 128
 	for k0 := 0; k0 < a.cols; k0 += kTile {
@@ -45,10 +59,18 @@ func mulRange(a, b, out *Matrix, lo, hi int) {
 // MulT returns a * bᵀ without materializing the transpose, partitioned by
 // output row across the worker pool.
 func MulT(a, b *Matrix) *Matrix {
+	out := New(a.rows, b.rows)
+	MulTInto(out, a, b)
+	return out
+}
+
+// MulTInto overwrites out with a * bᵀ. out must be a.Rows() x b.Rows()
+// and must not share storage with a or b.
+func MulTInto(out, a, b *Matrix) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d * (%dx%d)T", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New(a.rows, b.rows)
+	dstDims("MulTInto", out, a.rows, b.rows)
 	ParallelFor(a.rows, ChunkFor(2*a.cols*b.rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.data[i*a.cols : (i+1)*a.cols]
@@ -63,17 +85,30 @@ func MulT(a, b *Matrix) *Matrix {
 			}
 		}
 	})
-	return out
 }
 
 // TMul returns aᵀ * b without materializing the transpose, partitioned by
 // output row (a column) across the worker pool; every worker streams the
 // shared rows of a and b in the same k order as the serial kernel.
 func TMul(a, b *Matrix) *Matrix {
+	out := New(a.cols, b.cols)
+	tmulAdd(out, a, b)
+	return out
+}
+
+// TMulInto overwrites out with aᵀ * b. out must be a.Cols() x b.Cols()
+// and must not share storage with a or b.
+func TMulInto(out, a, b *Matrix) {
+	dstDims("TMulInto", out, a.cols, b.cols)
+	clear(out.data)
+	tmulAdd(out, a, b)
+}
+
+// tmulAdd accumulates aᵀ * b into out.
+func tmulAdd(out, a, b *Matrix) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: TMul dimension mismatch (%dx%d)T * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New(a.cols, b.cols)
 	ParallelFor(a.cols, ChunkFor(2*a.rows*b.cols), func(lo, hi int) {
 		for k := 0; k < a.rows; k++ {
 			ak := a.data[k*a.cols : (k+1)*a.cols]
@@ -90,7 +125,6 @@ func TMul(a, b *Matrix) *Matrix {
 			}
 		}
 	})
-	return out
 }
 
 // AddM returns a + b.
@@ -105,12 +139,19 @@ func AddM(a, b *Matrix) *Matrix {
 
 // Sub returns a - b.
 func Sub(a, b *Matrix) *Matrix {
-	sameDims("Sub", a, b)
 	out := New(a.rows, a.cols)
+	SubInto(out, a, b)
+	return out
+}
+
+// SubInto overwrites out with a - b, element by element; out may be a or
+// b.
+func SubInto(out, a, b *Matrix) {
+	sameDims("Sub", a, b)
+	dstDims("SubInto", out, a.rows, a.cols)
 	for i, v := range a.data {
 		out.data[i] = v - b.data[i]
 	}
-	return out
 }
 
 // Scale returns s * a.
@@ -125,12 +166,19 @@ func Scale(s float64, a *Matrix) *Matrix {
 // Hadamard returns the element-wise product a∘b (the B∘X mask product in
 // the TafLoc objective).
 func Hadamard(a, b *Matrix) *Matrix {
-	sameDims("Hadamard", a, b)
 	out := New(a.rows, a.cols)
+	HadamardInto(out, a, b)
+	return out
+}
+
+// HadamardInto overwrites out with a∘b, element by element; out may be a
+// or b.
+func HadamardInto(out, a, b *Matrix) {
+	sameDims("Hadamard", a, b)
+	dstDims("HadamardInto", out, a.rows, a.cols)
 	for i, v := range a.data {
 		out.data[i] = v * b.data[i]
 	}
-	return out
 }
 
 // AXPY computes a += s*b in place.
@@ -224,5 +272,11 @@ func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 func sameDims(op string, a, b *Matrix) {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("mat: %s dimension mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))
+	}
+}
+
+func dstDims(op string, out *Matrix, r, c int) {
+	if out.rows != r || out.cols != c {
+		panic(fmt.Sprintf("mat: %s destination is %dx%d, want %dx%d", op, out.rows, out.cols, r, c))
 	}
 }

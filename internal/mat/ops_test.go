@@ -161,3 +161,70 @@ func TestFrobNormProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIntoKernelsMatchAllocatingForms checks each destination kernel
+// against its allocating form bit for bit. out holds NaN before every
+// call, so a kernel that accumulates without zeroing out first, or
+// leaves an entry unwritten, shows. The shapes straddle the fan-out
+// threshold, and a carries zeros to take the kernels' skip branches.
+func TestIntoKernelsMatchAllocatingForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	operand := func(r, c int) *Matrix {
+		m := randomMatrix(rng, r, c)
+		for i := range m.data {
+			if rng.Intn(5) == 0 {
+				m.data[i] = 0
+			}
+		}
+		return m
+	}
+	garbage := func(r, c int) *Matrix {
+		m := New(r, c)
+		m.Fill(math.NaN())
+		return m
+	}
+	for _, sh := range []struct{ r, k, c int }{{3, 4, 5}, {17, 400, 15}, {400, 17, 15}} {
+		a, b := operand(sh.r, sh.k), operand(sh.k, sh.c)
+		out := garbage(sh.r, sh.c)
+		MulInto(out, a, b)
+		sameBits(t, "MulInto", out, Mul(a, b))
+
+		bt := operand(sh.c, sh.k)
+		out = garbage(sh.r, sh.c)
+		MulTInto(out, a, bt)
+		sameBits(t, "MulTInto", out, MulT(a, bt))
+
+		at := operand(sh.k, sh.r)
+		out = garbage(sh.r, sh.c)
+		TMulInto(out, at, b)
+		sameBits(t, "TMulInto", out, TMul(at, b))
+
+		x, y := operand(sh.r, sh.k), operand(sh.r, sh.k)
+		out = garbage(sh.r, sh.k)
+		HadamardInto(out, x, y)
+		sameBits(t, "HadamardInto", out, Hadamard(x, y))
+		out = garbage(sh.r, sh.k)
+		SubInto(out, x, y)
+		sameBits(t, "SubInto", out, Sub(x, y))
+
+		// The element-wise forms may write over an operand.
+		yc := y.Clone()
+		HadamardInto(yc, x, yc)
+		sameBits(t, "HadamardInto over b", yc, Hadamard(x, y))
+		xc := x.Clone()
+		SubInto(xc, xc, y)
+		sameBits(t, "SubInto over a", xc, Sub(x, y))
+	}
+}
+
+func sameBits(t *testing.T, op string, got, want *Matrix) {
+	t.Helper()
+	if got.rows != want.rows || got.cols != want.cols {
+		t.Fatalf("%s: %dx%d, want %dx%d", op, got.rows, got.cols, want.rows, want.cols)
+	}
+	for i, v := range want.data {
+		if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: element %d is %v, want %v", op, i, got.data[i], v)
+		}
+	}
+}

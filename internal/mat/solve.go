@@ -47,25 +47,32 @@ func CholeskySolveVec(l *Matrix, b []float64) []float64 {
 	if len(b) != n {
 		panic(fmt.Sprintf("mat: CholeskySolveVec length %d != %d", len(b), n))
 	}
-	// forward: L·y = b
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// backward: Lᵀ·x = y
 	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
+	copy(x, b)
+	cholSubst(l, x)
 	return x
+}
+
+// cholSubst overwrites v with the solution of L·Lᵀ·x = v: forward
+// substitution L·y = v, then backward substitution Lᵀ·x = y. Each pass
+// reads v[i] before it writes it and reads only entries it has already
+// written, so both run in place.
+func cholSubst(l *Matrix, v []float64) {
+	n := len(v)
+	for i := 0; i < n; i++ {
+		s := v[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * v[k]
+		}
+		v[i] = s / l.At(i, i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := v[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * v[k]
+		}
+		v[i] = s / l.At(i, i)
+	}
 }
 
 // CholeskySolve solves A·X = B column-by-column given the Cholesky factor
@@ -75,25 +82,44 @@ func CholeskySolve(l, b *Matrix) *Matrix {
 	if b.Rows() != n {
 		panic(fmt.Sprintf("mat: CholeskySolve rows %d != %d", b.Rows(), n))
 	}
-	x := New(n, b.Cols())
-	for j := 0; j < b.Cols(); j++ {
-		x.SetCol(j, CholeskySolveVec(l, b.Col(j)))
-	}
+	x := b.Clone()
+	cholSubstCols(l, x, make([]float64, n))
 	return x
 }
 
-// RidgeSolve solves the ridge-regression problem
-// min ‖A·X - B‖²_F + mu‖X‖²_F via the normal equations
-// (AᵀA + mu·I)·X = AᵀB, factored once with Cholesky.
+// cholSubstCols overwrites every column of x with the solution of
+// L·Lᵀ·y = that column, staging each column through col (length
+// x.Rows()).
+func cholSubstCols(l, x *Matrix, col []float64) {
+	for j := 0; j < x.cols; j++ {
+		for i := range col {
+			col[i] = x.data[i*x.cols+j]
+		}
+		cholSubst(l, col)
+		for i, v := range col {
+			x.data[i*x.cols+j] = v
+		}
+	}
+}
+
+// Ridge solves ridge-regression problems min ‖A·X - B‖²_F + mu‖X‖²_F
+// against one fixed A via the normal equations (AᵀA + mu·I)·X = AᵀB.
+// NewRidge factors AᵀA + mu·I once with Cholesky; every SolveInto reuses
+// the factor and allocates no matrix.
 //
 // This is the closed-form update for TafLoc's correlation matrix Z
-// (X̂ ≈ X_R·Z with A = X_R, B = X̂).
-func RidgeSolve(a, b *Matrix, mu float64) (*Matrix, error) {
-	if a.Rows() != b.Rows() {
-		return nil, fmt.Errorf("mat: RidgeSolve rows mismatch %d vs %d", a.Rows(), b.Rows())
-	}
+// (X̂ ≈ X_R·Z with A = X_R, B = X̂): X_R is fixed for a whole LoLi-IR
+// run, so the run factors it once.
+type Ridge struct {
+	a   *Matrix
+	l   *Matrix   // Cholesky factor of AᵀA + mu·I
+	col []float64 // one column of the solution, solved in place
+}
+
+// NewRidge factors AᵀA + mu·I for a.
+func NewRidge(a *Matrix, mu float64) (*Ridge, error) {
 	if mu < 0 {
-		return nil, fmt.Errorf("mat: RidgeSolve negative regularizer %g", mu)
+		return nil, fmt.Errorf("mat: negative ridge regularizer %g", mu)
 	}
 	g := TMul(a, a)
 	n := g.Rows()
@@ -113,22 +139,45 @@ func RidgeSolve(a, b *Matrix, mu float64) (*Matrix, error) {
 			return nil, err
 		}
 	}
-	return CholeskySolve(l, TMul(a, b)), nil
+	return &Ridge{a: a, l: l, col: make([]float64, n)}, nil
+}
+
+// SolveInto overwrites x (A.Cols() x B.Cols()) with the ridge solution
+// for b (A.Rows() rows).
+func (r *Ridge) SolveInto(x, b *Matrix) {
+	TMulInto(x, r.a, b)
+	cholSubstCols(r.l, x, r.col)
+}
+
+// RidgeSolve solves the ridge-regression problem
+// min ‖A·X - B‖²_F + mu‖X‖²_F for one B; see Ridge.
+func RidgeSolve(a, b *Matrix, mu float64) (*Matrix, error) {
+	if a.Rows() != b.Rows() {
+		return nil, fmt.Errorf("mat: RidgeSolve rows mismatch %d vs %d", a.Rows(), b.Rows())
+	}
+	r, err := NewRidge(a, mu)
+	if err != nil {
+		return nil, err
+	}
+	x := TMul(a, b)
+	cholSubstCols(r.l, x, r.col)
+	return x, nil
 }
 
 // LinOp is a symmetric positive semi-definite linear operator on matrices,
 // used by the matrix-free conjugate-gradient solver. Implementations apply
 // the Hessian of one LoLi-IR subproblem without ever materializing it.
 type LinOp interface {
-	// Apply returns the operator applied to x (same shape as x).
-	Apply(x *Matrix) *Matrix
+	// Apply overwrites dst with the operator applied to x (dst has the
+	// shape of x and does not share its storage).
+	Apply(dst, x *Matrix)
 }
 
 // LinOpFunc adapts a function to the LinOp interface.
-type LinOpFunc func(x *Matrix) *Matrix
+type LinOpFunc func(dst, x *Matrix)
 
 // Apply implements LinOp.
-func (f LinOpFunc) Apply(x *Matrix) *Matrix { return f(x) }
+func (f LinOpFunc) Apply(dst, x *Matrix) { f(dst, x) }
 
 // CGResult reports how a conjugate-gradient solve terminated.
 type CGResult struct {
@@ -137,29 +186,42 @@ type CGResult struct {
 	Converged  bool
 }
 
-// CG solves op(X) = B for X by conjugate gradients, starting from x0
-// (cloned; pass nil for a zero start). op must be symmetric positive
-// (semi-)definite. Iteration stops when the relative residual drops below
-// tol or maxIter is reached.
-func CG(op LinOp, b *Matrix, x0 *Matrix, tol float64, maxIter int) (*Matrix, CGResult) {
+// CGWork is the scratch one conjugate-gradient solve iterates with: the
+// residual, the search direction and the operator's product, each the
+// shape of the system's right-hand side. A caller that solves many
+// systems of one shape allocates it once.
+type CGWork struct {
+	r, p, ap *Matrix
+}
+
+// NewCGWork allocates CG scratch for rows x cols systems.
+func NewCGWork(rows, cols int) *CGWork {
+	return &CGWork{r: New(rows, cols), p: New(rows, cols), ap: New(rows, cols)}
+}
+
+// CG solves op(X) = B by conjugate gradients, in place: x holds the
+// starting iterate on entry and the solution on return, and w supplies
+// every buffer, so a solve allocates nothing. op must be symmetric
+// positive (semi-)definite. Iteration stops when the relative residual
+// drops below tol or maxIter is reached.
+func CG(op LinOp, b, x *Matrix, w *CGWork, tol float64, maxIter int) CGResult {
 	if tol <= 0 {
 		tol = 1e-8
 	}
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	var x *Matrix
-	if x0 != nil {
-		x = x0.Clone()
-	} else {
-		x = New(b.Rows(), b.Cols())
-	}
+	dstDims("CG iterate", x, b.rows, b.cols)
+	dstDims("CG work", w.r, b.rows, b.cols)
 	bn := FrobNorm(b)
 	if bn == 0 {
-		return New(b.Rows(), b.Cols()), CGResult{Converged: true}
+		clear(x.data)
+		return CGResult{Converged: true}
 	}
-	r := Sub(b, op.Apply(x))
-	p := r.Clone()
+	r, p, ap := w.r, w.p, w.ap
+	op.Apply(ap, x)
+	SubInto(r, b, ap)
+	copy(p.data, r.data)
 	rs := FrobNorm2(r)
 	res := CGResult{}
 	for k := 0; k < maxIter; k++ {
@@ -168,14 +230,14 @@ func CG(op LinOp, b *Matrix, x0 *Matrix, tol float64, maxIter int) (*Matrix, CGR
 		res.Residual = rn
 		if rn < tol {
 			res.Converged = true
-			return x, res
+			return res
 		}
-		ap := op.Apply(p)
+		op.Apply(ap, p)
 		den := dotM(p, ap)
 		if den <= 0 {
 			// Operator lost definiteness numerically; stop with the best
 			// iterate so far rather than diverging.
-			return x, res
+			return res
 		}
 		alpha := rs / den
 		AXPY(x, alpha, p)
@@ -190,7 +252,7 @@ func CG(op LinOp, b *Matrix, x0 *Matrix, tol float64, maxIter int) (*Matrix, CGR
 	}
 	res.Residual = math.Sqrt(rs) / bn
 	res.Converged = res.Residual < tol
-	return x, res
+	return res
 }
 
 func dotM(a, b *Matrix) float64 {

@@ -140,6 +140,29 @@ func TestRidgeSolveShrinksWithMu(t *testing.T) {
 	}
 }
 
+// TestRidgeSolveIntoMatchesRidgeSolve checks that one factored Ridge
+// solves several right-hand sides into a reused destination with the
+// bits RidgeSolve gives for each alone.
+func TestRidgeSolveIntoMatchesRidgeSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	a := randomMatrix(rng, 17, 6)
+	r, err := NewRidge(a, 1e-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := New(6, 40)
+	for trial := 0; trial < 3; trial++ {
+		b := randomMatrix(rng, 17, 40)
+		x.Fill(math.NaN())
+		r.SolveInto(x, b)
+		want, err := RidgeSolve(a, b, 1e-2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "Ridge.SolveInto", x, want)
+	}
+}
+
 func TestRidgeSolveErrors(t *testing.T) {
 	if _, err := RidgeSolve(New(3, 2), New(4, 2), 1); err == nil {
 		t.Fatal("expected rows-mismatch error")
@@ -155,8 +178,9 @@ func TestCGSolvesSPDSystem(t *testing.T) {
 	a := randomSPD(rng, n)
 	xTrue := randomMatrix(rng, n, 2)
 	b := Mul(a, xTrue)
-	op := LinOpFunc(func(x *Matrix) *Matrix { return Mul(a, x) })
-	x, res := CG(op, b, nil, 1e-10, 500)
+	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+	x := New(n, 2)
+	res := CG(op, b, x, NewCGWork(n, 2), 1e-10, 500)
 	if !res.Converged {
 		t.Fatalf("CG did not converge: %+v", res)
 	}
@@ -171,8 +195,9 @@ func TestCGMatchesCholesky(t *testing.T) {
 		n := rng.Intn(6) + 2
 		a := randomSPD(rng, n)
 		b := randomMatrix(rng, n, 1)
-		op := LinOpFunc(func(x *Matrix) *Matrix { return Mul(a, x) })
-		xcg, res := CG(op, b, nil, 1e-12, 1000)
+		op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+		xcg := New(n, 1)
+		res := CG(op, b, xcg, NewCGWork(n, 1), 1e-12, 1000)
 		if !res.Converged {
 			return false
 		}
@@ -194,8 +219,9 @@ func TestCGMatchesCholesky(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	op := LinOpFunc(func(x *Matrix) *Matrix { return x })
-	x, res := CG(op, New(4, 2), nil, 1e-8, 10)
+	op := LinOpFunc(func(dst, x *Matrix) { copy(dst.Raw(), x.Raw()) })
+	x := NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
+	res := CG(op, New(4, 2), x, NewCGWork(4, 2), 1e-8, 10)
 	if !res.Converged || FrobNorm(x) != 0 {
 		t.Fatal("CG on zero rhs should return zero immediately")
 	}
@@ -207,11 +233,33 @@ func TestCGWarmStart(t *testing.T) {
 	a := randomSPD(rng, n)
 	xTrue := randomMatrix(rng, n, 1)
 	b := Mul(a, xTrue)
-	op := LinOpFunc(func(x *Matrix) *Matrix { return Mul(a, x) })
+	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
 	// Warm start from the exact solution: should converge instantly.
-	_, res := CG(op, b, xTrue, 1e-8, 100)
+	res := CG(op, b, xTrue.Clone(), NewCGWork(n, 1), 1e-8, 100)
 	if res.Iterations > 1 {
 		t.Fatalf("warm-started CG took %d iterations", res.Iterations)
+	}
+}
+
+// TestCGAllocatesNothing pins the in-place solve: with a caller's
+// buffers and an operator that allocates nothing, CG allocates nothing.
+func TestCGAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	b := randomMatrix(rng, 30, 3)
+	op := LinOpFunc(func(dst, x *Matrix) {
+		for i, v := range x.data {
+			dst.data[i] = float64(1+i%7) * v
+		}
+	})
+	x, w := New(30, 3), NewCGWork(30, 3)
+	allocs := testing.AllocsPerRun(10, func() {
+		x.Fill(0)
+		if res := CG(op, b, x, w, 1e-10, 100); !res.Converged {
+			t.Fatalf("CG did not converge: %+v", res)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CG allocated %v times per solve", allocs)
 	}
 }
 
@@ -219,9 +267,9 @@ func TestCGDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	a := randomSPD(rng, 4)
 	b := randomMatrix(rng, 4, 1)
-	op := LinOpFunc(func(x *Matrix) *Matrix { return Mul(a, x) })
+	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
 	// tol<=0 and maxIter<=0 must fall back to defaults and still work.
-	_, res := CG(op, b, nil, 0, 0)
+	res := CG(op, b, New(4, 1), NewCGWork(4, 1), 0, 0)
 	if !res.Converged {
 		t.Fatal("CG with default params did not converge")
 	}

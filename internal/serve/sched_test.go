@@ -389,7 +389,7 @@ func TestPendingSlotKeepsFreshest(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			z.schedMu.Lock()
-			got, has := z.pend.e.Reports, z.hasPend
+			got, has := z.pend.e.Reports, z.pend.z != nil
 			z.schedMu.Unlock()
 			if has && got == reports {
 				return

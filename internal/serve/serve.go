@@ -220,7 +220,8 @@ type zone struct {
 	// locate task. pend holds the one coalesced estimate waiting for the
 	// locate chain (freshest wins — under sustained overload intermediate
 	// rounds are superseded, the same freshness-over-completeness rule
-	// the watch streams follow). stopped is set by RemoveZone and
+	// the watch streams follow); pend.z is nil when the slot is empty.
+	// stopped is set by RemoveZone and
 	// UpdateZone; tasks counts the in-flight tasks a lifecycle mutation
 	// must wait out.
 	//
@@ -230,7 +231,6 @@ type zone struct {
 	foldBusy bool
 	locBusy  bool
 	pend     task
-	hasPend  bool
 	stopped  bool
 	tasks    sync.WaitGroup
 
@@ -453,7 +453,6 @@ func (z *zone) stop() {
 	z.schedMu.Lock()
 	z.stopped = true
 	z.pend = task{}
-	z.hasPend = false
 	z.schedMu.Unlock()
 }
 
@@ -999,7 +998,7 @@ func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estim
 	case z.stopped:
 		// A stopped zone publishes nothing more: drop the round.
 	case z.locBusy:
-		z.pend, z.hasPend = t, true
+		z.pend = t
 	default:
 		z.locBusy = s.submitLocked(t)
 	}
@@ -1035,7 +1034,7 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 			}
 		}
 		z.schedMu.Lock()
-		if z.stopped || !z.hasPend {
+		if z.stopped || z.pend.z == nil {
 			z.locBusy = false
 			z.schedMu.Unlock()
 			// Publishing marked this zone recently used; evict colder
@@ -1048,7 +1047,6 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 		}
 		sys, y, e = z.pend.sys, z.pend.y, z.pend.e
 		z.pend = task{}
-		z.hasPend = false
 		z.schedMu.Unlock()
 	}
 }
