@@ -138,14 +138,12 @@ type linkPair struct{ i1, i2 int }
 //   - H (similarity): for every cell j and every pair of links whose
 //     paths both cover j, the entries should be close — ‖H·X_D‖²_F.
 //
-// Both penalties are quadratic forms X ↦ Σ (x_a - x_b)²; Apply* computes
-// the gradient-defining Laplacian L(X) with penalty = <X, L(X)>.
+// Both penalties are quadratic forms X ↦ Σ (x_a - x_b)²; Apply*Into
+// computes the gradient-defining Laplacian L(X) with penalty = <X, L(X)>.
 type Smoother struct {
 	m, n     int
 	rowPairs [][]cellPair // per link i: adjacent distorted cell pairs
 	colPairs [][]linkPair // per cell j: co-distorted link pairs
-	gPairs   int
-	hPairs   int
 }
 
 // NewSmootherFromMask precomputes the pair structure from an explicit
@@ -168,7 +166,6 @@ func NewSmootherFromMask(mask *mat.Matrix, grid *geom.Grid) *Smoother {
 			for _, nb := range grid.Neighbors4(j) {
 				if nb > j && distorted(i, nb) {
 					s.rowPairs[i] = append(s.rowPairs[i], cellPair{j, nb})
-					s.gPairs++
 				}
 			}
 		}
@@ -181,7 +178,6 @@ func NewSmootherFromMask(mask *mat.Matrix, grid *geom.Grid) *Smoother {
 			for i2 := i1 + 1; i2 < m; i2++ {
 				if distorted(i2, j) {
 					s.colPairs[j] = append(s.colPairs[j], linkPair{i1, i2})
-					s.hPairs++
 				}
 			}
 		}
@@ -189,28 +185,11 @@ func NewSmootherFromMask(mask *mat.Matrix, grid *geom.Grid) *Smoother {
 	return s
 }
 
-// GPairs returns the number of continuity (along-link) pairs.
-func (s *Smoother) GPairs() int { return s.gPairs }
-
-// HPairs returns the number of similarity (across-link) pairs.
-func (s *Smoother) HPairs() int { return s.hPairs }
-
-// ApplyG returns the continuity Laplacian applied to x: the matrix L_G(x)
-// with Σ_pairs (x_a-x_b)² = <x, L_G(x)>.
-func (s *Smoother) ApplyG(x *mat.Matrix) *mat.Matrix {
-	out := mat.New(s.m, s.n)
-	s.addG(out, x)
-	return out
-}
-
-// ApplyGInto overwrites out (M x N, not sharing x's storage) with L_G(x).
+// ApplyGInto overwrites out (M x N, not sharing x's storage) with the
+// continuity Laplacian applied to x: the matrix L_G(x) with
+// Σ_pairs (x_a-x_b)² = <x, L_G(x)>.
 func (s *Smoother) ApplyGInto(out, x *mat.Matrix) {
 	clear(out.Raw())
-	s.addG(out, x)
-}
-
-// addG accumulates L_G(x) into out.
-func (s *Smoother) addG(out, x *mat.Matrix) {
 	for i := 0; i < s.m; i++ {
 		xi := x.RawRow(i)
 		oi := out.RawRow(i)
@@ -222,21 +201,10 @@ func (s *Smoother) addG(out, x *mat.Matrix) {
 	}
 }
 
-// ApplyH returns the similarity Laplacian applied to x.
-func (s *Smoother) ApplyH(x *mat.Matrix) *mat.Matrix {
-	out := mat.New(s.m, s.n)
-	s.addH(out, x)
-	return out
-}
-
-// ApplyHInto overwrites out (M x N, not sharing x's storage) with L_H(x).
+// ApplyHInto overwrites out (M x N, not sharing x's storage) with the
+// similarity Laplacian applied to x.
 func (s *Smoother) ApplyHInto(out, x *mat.Matrix) {
 	clear(out.Raw())
-	s.addH(out, x)
-}
-
-// addH accumulates L_H(x) into out.
-func (s *Smoother) addH(out, x *mat.Matrix) {
 	for j := 0; j < s.n; j++ {
 		for _, p := range s.colPairs[j] {
 			d := x.At(p.i1, j) - x.At(p.i2, j)

@@ -80,12 +80,27 @@ func TestDistortedBandFollowsLoS(t *testing.T) {
 func TestSmootherPairCountsPositive(t *testing.T) {
 	l := testLayout(t)
 	s := NewSmootherFromMask(l.Mask(), l.Grid)
-	if s.GPairs() == 0 {
+	var gPairs, hPairs int
+	for _, p := range s.rowPairs {
+		gPairs += len(p)
+	}
+	for _, p := range s.colPairs {
+		hPairs += len(p)
+	}
+	if gPairs == 0 {
 		t.Fatal("no continuity pairs found")
 	}
-	if s.HPairs() == 0 {
+	if hPairs == 0 {
 		t.Fatal("no similarity pairs found")
 	}
+}
+
+// laplacian returns apply(x) (s.ApplyGInto or s.ApplyHInto) in a new
+// matrix.
+func laplacian(apply func(out, x *mat.Matrix), x *mat.Matrix) *mat.Matrix {
+	out := mat.New(x.Dims())
+	apply(out, x)
+	return out
 }
 
 // Property: the smoothness penalties equal the quadratic form of their
@@ -101,8 +116,8 @@ func TestSmootherQuadraticFormIdentity(t *testing.T) {
 				x.Set(i, j, rng.NormFloat64())
 			}
 		}
-		gx := s.ApplyG(x)
-		hx := s.ApplyH(x)
+		gx := laplacian(s.ApplyGInto, x)
+		hx := laplacian(s.ApplyHInto, x)
 		var ipG, ipH float64
 		for i := 0; i < l.M(); i++ {
 			for j := 0; j < l.N(); j++ {
@@ -143,13 +158,16 @@ func TestSmootherZeroOnConstantMatrix(t *testing.T) {
 	if s.PenaltyH(x) != 0 {
 		t.Fatal("constant matrix must have zero similarity penalty")
 	}
-	if mat.FrobNorm(s.ApplyG(x)) != 0 || mat.FrobNorm(s.ApplyH(x)) != 0 {
+	if mat.FrobNorm(laplacian(s.ApplyGInto, x)) != 0 || mat.FrobNorm(laplacian(s.ApplyHInto, x)) != 0 {
 		t.Fatal("Laplacian of constant matrix must vanish")
 	}
 }
 
-// TestSmootherIntoMatchesApply checks ApplyGInto and ApplyHInto against
-// ApplyG and ApplyH bit for bit, with out holding NaN before the call.
+// TestSmootherIntoMatchesApply checks ApplyGInto and ApplyHInto entry by
+// entry against PenaltyG and PenaltyH, with out holding NaN before the
+// call. Each penalty is the quadratic form <x, L(x)> of its symmetric
+// Laplacian L, so polarizing it gives every entry of L(x):
+// L(x)_k = (penalty(x + e_k) - penalty(x - e_k)) / 4.
 func TestSmootherIntoMatchesApply(t *testing.T) {
 	l := testLayout(t)
 	s := NewSmootherFromMask(l.Mask(), l.Grid)
@@ -158,15 +176,22 @@ func TestSmootherIntoMatchesApply(t *testing.T) {
 	x.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
 	out := mat.New(l.M(), l.N())
 	for _, c := range []struct {
-		name  string
-		into  func(out, x *mat.Matrix)
-		apply func(x *mat.Matrix) *mat.Matrix
-	}{{"G", s.ApplyGInto, s.ApplyG}, {"H", s.ApplyHInto, s.ApplyH}} {
+		name    string
+		into    func(out, x *mat.Matrix)
+		penalty func(x *mat.Matrix) float64
+	}{{"G", s.ApplyGInto, s.PenaltyG}, {"H", s.ApplyHInto, s.PenaltyH}} {
 		out.Fill(math.NaN())
 		c.into(out, x)
-		for i, v := range c.apply(x).Raw() {
-			if math.Float64bits(out.Raw()[i]) != math.Float64bits(v) {
-				t.Fatalf("Apply%sInto: element %d is %v, want %v", c.name, i, out.Raw()[i], v)
+		xs := x.Raw()
+		for k, got := range out.Raw() {
+			v := xs[k]
+			xs[k] = v + 1
+			up := c.penalty(x)
+			xs[k] = v - 1
+			down := c.penalty(x)
+			xs[k] = v
+			if want := (up - down) / 4; !(math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))) {
+				t.Fatalf("Apply%sInto: element %d is %v, want %v", c.name, k, got, want)
 			}
 		}
 	}
@@ -180,14 +205,18 @@ func TestSmootherLinearity(t *testing.T) {
 	y := mat.New(l.M(), l.N())
 	x.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
 	y.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
-	lhs := s.ApplyG(mat.AddM(x, y))
-	rhs := mat.AddM(s.ApplyG(x), s.ApplyG(y))
+	xy := x.Clone()
+	mat.AXPY(xy, 1, y)
+	lhs := laplacian(s.ApplyGInto, xy)
+	rhs := laplacian(s.ApplyGInto, x)
+	mat.AXPY(rhs, 1, laplacian(s.ApplyGInto, y))
 	if !lhs.Equal(rhs, 1e-10) {
-		t.Fatal("ApplyG is not linear")
+		t.Fatal("ApplyGInto is not linear")
 	}
-	lhsH := s.ApplyH(mat.AddM(x, y))
-	rhsH := mat.AddM(s.ApplyH(x), s.ApplyH(y))
+	lhsH := laplacian(s.ApplyHInto, xy)
+	rhsH := laplacian(s.ApplyHInto, x)
+	mat.AXPY(rhsH, 1, laplacian(s.ApplyHInto, y))
 	if !lhsH.Equal(rhsH, 1e-10) {
-		t.Fatal("ApplyH is not linear")
+		t.Fatal("ApplyHInto is not linear")
 	}
 }

@@ -55,6 +55,11 @@ func DefaultLoLiOptions() LoLiOptions {
 
 // Validate reports the first invalid option, or nil.
 func (o LoLiOptions) Validate() error {
+	for _, v := range [...]float64{o.Lambda, o.Alpha, o.Beta, o.Gamma, o.Mu, o.Tol, o.CGTol} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: LoLi weights and tolerances must be finite, have %g", v)
+		}
+	}
 	switch {
 	case o.Lambda < 0 || o.Alpha < 0 || o.Beta < 0 || o.Gamma < 0 || o.Mu < 0:
 		return fmt.Errorf("core: LoLi weights must be non-negative")
@@ -244,18 +249,18 @@ func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput)
 
 	// The factor subproblems' operators: A_L(v) with X̂ = v·Rᵀ (v is
 	// M x r), and A_R(v) with X̂ = L·vᵀ (v is N x r).
-	opL := mat.LinOpFunc(func(dst, v *mat.Matrix) {
+	opL := func(dst, v *mat.Matrix) {
 		mat.MulTInto(ws.xh, v, rf)
 		rc.normalX(ws, obs)
 		mat.MulInto(dst, ws.acc, rf)
 		mat.AXPY(dst, o.Lambda, v)
-	})
-	opR := mat.LinOpFunc(func(dst, v *mat.Matrix) {
+	}
+	opR := func(dst, v *mat.Matrix) {
 		mat.MulTInto(ws.xh, lf, v)
 		rc.normalX(ws, obs)
 		mat.TMulInto(dst, ws.acc, lf)
 		mat.AXPY(dst, o.Lambda, v)
-	})
+	}
 
 	maxIter := o.MaxIter
 	if maxIter <= 0 {
@@ -326,23 +331,25 @@ func (rc *Reconstructor) ReconstructContext(ctx context.Context, in UpdateInput)
 // initialize fills unobserved entries by per-column ridge regression onto
 // the reference columns using only that column's observed rows. Columns
 // are independent work items, so the fill fans out across the mat worker
-// pool: each worker owns a disjoint column range of out.
+// pool: each worker owns a disjoint column range of out, and one slice
+// for the observed rows of the column in hand.
 func (rc *Reconstructor) initialize(obs, xi, xr *mat.Matrix) *mat.Matrix {
 	m, n := xi.Dims()
-	nr := xr.Cols()
 	out := xi.Clone()
 	mat.ParallelFor(n, 8, func(lo, hi int) {
+		rows := make([]int, 0, m)
 		for j := lo; j < hi; j++ {
-			rc.initColumn(obs, xi, xr, out, j, m, nr)
+			rc.initColumn(obs, xi, xr, out, j, rows)
 		}
 	})
 	return out
 }
 
-// initColumn fills the unobserved entries of column j of out.
-func (rc *Reconstructor) initColumn(obs, xi, xr, out *mat.Matrix, j, m, nr int) {
-	// Gather observed rows of column j.
-	var rows []int
+// initColumn fills the unobserved entries of column j of out, gathering
+// the column's observed rows into rows (capacity M).
+func (rc *Reconstructor) initColumn(obs, xi, xr, out *mat.Matrix, j int, rows []int) {
+	m, nr := xi.Rows(), xr.Cols()
+	rows = rows[:0]
 	for i := 0; i < m; i++ {
 		if obs.At(i, j) == 1 {
 			rows = append(rows, i)
@@ -351,20 +358,19 @@ func (rc *Reconstructor) initColumn(obs, xi, xr, out *mat.Matrix, j, m, nr int) 
 	if len(rows) == m {
 		return // fully observed
 	}
-	var zj []float64
+	var zj *mat.Matrix
 	if len(rows) >= 1 {
 		a := mat.New(len(rows), nr)
-		b := make([]float64, len(rows))
+		b := mat.New(len(rows), 1)
 		for k, i := range rows {
 			for c := 0; c < nr; c++ {
 				a.Set(k, c, xr.At(i, c))
 			}
-			b[k] = xi.At(i, j)
+			b.Set(k, 0, xi.At(i, j))
 		}
-		bm := mat.New(len(rows), 1)
-		bm.SetCol(0, b)
-		if sol, err := mat.RidgeSolve(a, bm, 0.5); err == nil {
-			zj = sol.Col(0)
+		if ridge, err := mat.NewRidge(a, 0.5); err == nil {
+			zj = mat.New(nr, 1)
+			ridge.SolveInto(zj, b)
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -374,7 +380,7 @@ func (rc *Reconstructor) initColumn(obs, xi, xr, out *mat.Matrix, j, m, nr int) 
 		var v float64
 		if zj != nil {
 			for c := 0; c < nr; c++ {
-				v += xr.At(i, c) * zj[c]
+				v += xr.At(i, c) * zj.At(c, 0)
 			}
 		} else {
 			// No observations in this column at all: fall back to the

@@ -75,6 +75,26 @@ func TestLoLiOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative rank accepted")
 	}
+	// Non-finite weights and tolerances; -Inf weights already fail the
+	// sign rule.
+	bad = DefaultLoLiOptions()
+	for name, f := range map[string]*float64{
+		"Lambda": &bad.Lambda, "Alpha": &bad.Alpha, "Beta": &bad.Beta, "Gamma": &bad.Gamma,
+		"Mu": &bad.Mu, "Tol": &bad.Tol, "CGTol": &bad.CGTol,
+	} {
+		vs := []float64{math.NaN(), math.Inf(1)}
+		if name == "Tol" || name == "CGTol" {
+			vs = append(vs, math.Inf(-1))
+		}
+		for _, v := range vs {
+			was := *f
+			*f = v
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+			*f = was
+		}
+	}
 }
 
 func TestUpdateInputValidation(t *testing.T) {

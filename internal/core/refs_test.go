@@ -13,7 +13,8 @@ func lowRankMatrix(rng *rand.Rand, m, n, r int, noise float64) *mat.Matrix {
 	rr := mat.New(n, r)
 	l.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
 	rr.Apply(func(i, j int, v float64) float64 { return rng.NormFloat64() })
-	x := mat.MulT(l, rr)
+	x := mat.New(m, n)
+	mat.MulTInto(x, l, rr)
 	if noise > 0 {
 		x.Apply(func(i, j int, v float64) float64 { return v + noise*rng.NormFloat64() })
 	}
@@ -53,11 +54,15 @@ func TestSelectReferencesSpansColumnSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	xr := x.SelectCols(refs)
-	z, err := mat.RidgeSolve(xr, x, 1e-10)
+	ridge, err := mat.NewRidge(xr, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resid := mat.Sub(x, mat.Mul(xr, z))
+	z := mat.New(4, 40)
+	ridge.SolveInto(z, x)
+	resid := mat.New(12, 40)
+	mat.MulInto(resid, xr, z)
+	mat.SubInto(resid, x, resid)
 	if mat.FrobNorm(resid) > 1e-6*mat.FrobNorm(x) {
 		t.Fatalf("reference columns do not span: residual %g", mat.FrobNorm(resid))
 	}

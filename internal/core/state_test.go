@@ -250,6 +250,18 @@ func TestRestoreSystemFailsClosed(t *testing.T) {
 		"invalid LoLi options": func(st *SystemState) {
 			st.LoLi.Lambda = -1
 		},
+		"infinite LoLi Mu": func(st *SystemState) {
+			st.LoLi.Mu = math.Inf(1)
+		},
+		"NaN LoLi Lambda": func(st *SystemState) {
+			st.LoLi.Lambda = math.NaN()
+		},
+		"NaN RecSigmaDB": func(st *SystemState) {
+			st.RecSigmaDB = math.NaN()
+		},
+		"infinite RecSigmaDB": func(st *SystemState) {
+			st.RecSigmaDB = math.Inf(1)
+		},
 	}
 	for name, corrupt := range cases {
 		st := *base // shallow copy; corruptors replace fields rather than mutate shared ones

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"tafloc/internal/mat"
+	"tafloc/taflocerr"
 )
 
 // SystemOptions configures a System.
@@ -133,8 +135,13 @@ func NewSystem(layout *Layout, survey *mat.Matrix, vacant []float64, opts System
 // registry name, for NewSystem and RestoreSystem alike, so the name a
 // snapshot records is the matcher that runs. "wknn" and the empty name
 // select the built-in mask-aware weighted matcher at opts.RecSigmaDB
-// (the observed mask itself travels in each Model).
+// (the observed mask itself travels in each Model). A non-finite
+// RecSigmaDB is rejected whatever the name, as a snapshot records it.
 func resolveMatcher(opts SystemOptions) (Matcher, error) {
+	if math.IsNaN(opts.RecSigmaDB) || math.IsInf(opts.RecSigmaDB, 0) {
+		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
+			"core: RecSigmaDB must be finite, have %g", opts.RecSigmaDB)
+	}
 	if opts.MatcherName == "" || opts.MatcherName == MatcherWKNN {
 		return WeightedKNNMatcher{RecSigmaDB: opts.RecSigmaDB}, nil
 	}

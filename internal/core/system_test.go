@@ -64,6 +64,20 @@ func TestNewSystemValidation(t *testing.T) {
 			t.Fatalf("invalid LoLi options accepted (MaskThresholdDB %v)", thr)
 		}
 	}
+	for name, set := range map[string]func(*SystemOptions){
+		"NaN Mu":            func(o *SystemOptions) { o.LoLi.Mu = math.NaN() },
+		"infinite Lambda":   func(o *SystemOptions) { o.LoLi.Lambda = math.Inf(1) },
+		"NaN RecSigmaDB":    func(o *SystemOptions) { o.RecSigmaDB = math.NaN() },
+		"+Inf RecSigmaDB":   func(o *SystemOptions) { o.RecSigmaDB = math.Inf(1) },
+		"-Inf RecSigmaDB":   func(o *SystemOptions) { o.RecSigmaDB = math.Inf(-1) },
+		"NaN RecSigmaDB nn": func(o *SystemOptions) { o.MatcherName, o.RecSigmaDB = MatcherNN, math.NaN() },
+	} {
+		opts := DefaultSystemOptions()
+		set(&opts)
+		if _, err := NewSystem(f.l, survey, vac, opts); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 // TestSystemRejectsOutOfRangeRSS pins the range rule at the two

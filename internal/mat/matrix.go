@@ -1,17 +1,16 @@
 // Package mat implements the dense linear-algebra substrate used by the
-// TafLoc reconstruction pipeline: basic matrix arithmetic, Frobenius and
-// spectral norms, Householder QR (plain and column-pivoted), one-sided
-// Jacobi SVD, Cholesky factorization, ridge least squares, and a
-// matrix-free conjugate-gradient solver.
+// TafLoc reconstruction pipeline: basic matrix arithmetic, Frobenius
+// norms, Householder QR (plain and column-pivoted), one-sided Jacobi
+// SVD, Cholesky factorization, ridge least squares, and a matrix-free
+// conjugate-gradient solver.
 //
-// The products and element-wise operations have destination forms
-// (MulInto, MulTInto, TMulInto, HadamardInto, SubInto) that overwrite a
-// caller's matrix, so an iterative solver can reuse one set of buffers.
-// Mul, MulT, TMul, Hadamard and Sub allocate the result and run the same
-// kernel, so both forms give the same bits. A LinOp writes its product
-// into a destination, and CG iterates in place on a caller's iterate
-// and CGWork buffers. Ridge factors one ridge system once and solves it
-// for many right-hand sides.
+// The products and element-wise operations write into a caller's matrix
+// (MulInto, MulTInto, TMulInto, HadamardInto, SubInto), so an iterative
+// solver reuses one set of buffers; TMul allocates its result and runs
+// TMulInto. CG iterates in place on a caller's iterate and CGWork
+// buffers, applying an operator func that writes its product into a
+// destination. Ridge factors one ridge system once and solves it for
+// many right-hand sides.
 //
 // The package is self-contained (stdlib only) and deterministic: no
 // operation consults a random source. All matrices are dense, row-major

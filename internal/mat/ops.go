@@ -5,29 +5,16 @@ import (
 	"math"
 )
 
-// Mul returns the matrix product a*b. Large products fan out over the
-// package worker pool, partitioned by output row.
-func Mul(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.cols)
-	mulAdd(out, a, b)
-	return out
-}
-
-// MulInto overwrites out with a*b. out must be a.Rows() x b.Cols() and
-// must not share storage with a or b.
+// MulInto overwrites out with a*b, fanning out over the worker pool by
+// output row. out must be a.Rows() x b.Cols() and must not share
+// storage with a or b.
 func MulInto(out, a, b *Matrix) {
-	dstDims("MulInto", out, a.rows, b.cols)
-	clear(out.data)
-	mulAdd(out, a, b)
-}
-
-// mulAdd accumulates a*b into out, fanning out over the worker pool by
-// output row.
-func mulAdd(out, a, b *Matrix) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	ParallelFor(a.rows, ChunkFor(2*a.cols*b.cols), func(lo, hi int) {
+	dstDims("MulInto", out, a.rows, b.cols)
+	clear(out.data)
+	ParallelFor(a.rows, chunkFor(2*a.cols*b.cols), func(lo, hi int) {
 		mulRange(a, b, out, lo, hi)
 	})
 }
@@ -56,22 +43,15 @@ func mulRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MulT returns a * bᵀ without materializing the transpose, partitioned by
-// output row across the worker pool.
-func MulT(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.rows)
-	MulTInto(out, a, b)
-	return out
-}
-
-// MulTInto overwrites out with a * bᵀ. out must be a.Rows() x b.Rows()
-// and must not share storage with a or b.
+// MulTInto overwrites out with a * bᵀ without materializing the
+// transpose, partitioned by output row across the worker pool. out must
+// be a.Rows() x b.Rows() and must not share storage with a or b.
 func MulTInto(out, a, b *Matrix) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d * (%dx%d)T", a.rows, a.cols, b.rows, b.cols))
 	}
 	dstDims("MulTInto", out, a.rows, b.rows)
-	ParallelFor(a.rows, ChunkFor(2*a.cols*b.rows), func(lo, hi int) {
+	ParallelFor(a.rows, chunkFor(2*a.cols*b.rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.data[i*a.cols : (i+1)*a.cols]
 			oi := out.data[i*out.cols:]
@@ -87,29 +67,25 @@ func MulTInto(out, a, b *Matrix) {
 	})
 }
 
-// TMul returns aᵀ * b without materializing the transpose, partitioned by
-// output row (a column) across the worker pool; every worker streams the
-// shared rows of a and b in the same k order as the serial kernel.
+// TMul returns aᵀ * b; see TMulInto.
 func TMul(a, b *Matrix) *Matrix {
 	out := New(a.cols, b.cols)
-	tmulAdd(out, a, b)
+	TMulInto(out, a, b)
 	return out
 }
 
-// TMulInto overwrites out with aᵀ * b. out must be a.Cols() x b.Cols()
-// and must not share storage with a or b.
+// TMulInto overwrites out with aᵀ * b without materializing the
+// transpose, partitioned by output row (a column) across the worker
+// pool; every worker streams the shared rows of a and b in the same k
+// order as the serial kernel. out must be a.Cols() x b.Cols() and must
+// not share storage with a or b.
 func TMulInto(out, a, b *Matrix) {
-	dstDims("TMulInto", out, a.cols, b.cols)
-	clear(out.data)
-	tmulAdd(out, a, b)
-}
-
-// tmulAdd accumulates aᵀ * b into out.
-func tmulAdd(out, a, b *Matrix) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: TMul dimension mismatch (%dx%d)T * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	ParallelFor(a.cols, ChunkFor(2*a.rows*b.cols), func(lo, hi int) {
+	dstDims("TMulInto", out, a.cols, b.cols)
+	clear(out.data)
+	ParallelFor(a.cols, chunkFor(2*a.rows*b.cols), func(lo, hi int) {
 		for k := 0; k < a.rows; k++ {
 			ak := a.data[k*a.cols : (k+1)*a.cols]
 			bk := b.data[k*b.cols : (k+1)*b.cols]
@@ -127,23 +103,6 @@ func tmulAdd(out, a, b *Matrix) {
 	})
 }
 
-// AddM returns a + b.
-func AddM(a, b *Matrix) *Matrix {
-	sameDims("AddM", a, b)
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out
-}
-
-// Sub returns a - b.
-func Sub(a, b *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	SubInto(out, a, b)
-	return out
-}
-
 // SubInto overwrites out with a - b, element by element; out may be a or
 // b.
 func SubInto(out, a, b *Matrix) {
@@ -152,23 +111,6 @@ func SubInto(out, a, b *Matrix) {
 	for i, v := range a.data {
 		out.data[i] = v - b.data[i]
 	}
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = s * v
-	}
-	return out
-}
-
-// Hadamard returns the element-wise product a∘b (the B∘X mask product in
-// the TafLoc objective).
-func Hadamard(a, b *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	HadamardInto(out, a, b)
-	return out
 }
 
 // HadamardInto overwrites out with a∘b, element by element; out may be a
@@ -206,25 +148,6 @@ func MulVec(a *Matrix, x []float64) []float64 {
 	return out
 }
 
-// TMulVec returns aᵀ*x.
-func TMulVec(a *Matrix, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic(fmt.Sprintf("mat: TMulVec dimension mismatch (%dx%d)T * %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.cols)
-	for i := 0; i < a.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		ai := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range ai {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
 // FrobNorm returns the Frobenius norm ‖a‖_F.
 func FrobNorm(a *Matrix) float64 {
 	var s float64
@@ -253,21 +176,6 @@ func MaxAbs(a *Matrix) float64 {
 	}
 	return m
 }
-
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
 func sameDims(op string, a, b *Matrix) {
 	if a.rows != b.rows || a.cols != b.cols {

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -11,18 +12,18 @@ func TestMulKnown(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b := NewFromRows([][]float64{{5, 6}, {7, 8}})
 	want := NewFromRows([][]float64{{19, 22}, {43, 50}})
-	if got := Mul(a, b); !got.Equal(want, 1e-12) {
-		t.Fatalf("Mul = %v, want %v", got, want)
+	if got := mul(a, b); !got.Equal(want, 1e-12) {
+		t.Fatalf("MulInto = %v, want %v", got, want)
 	}
 }
 
 func TestMulDimPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Mul with mismatched dims did not panic")
+			t.Fatal("MulInto with mismatched dims did not panic")
 		}
 	}()
-	Mul(New(2, 3), New(2, 3))
+	MulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestMulTAndTMulAgreeWithExplicitTranspose(t *testing.T) {
@@ -31,38 +32,49 @@ func TestMulTAndTMulAgreeWithExplicitTranspose(t *testing.T) {
 		m, n, k := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
 		a := randomMatrix(rng, m, k)
 		b := randomMatrix(rng, n, k)
-		if !MulT(a, b).Equal(Mul(a, b.T()), 1e-12) {
-			t.Fatal("MulT disagrees with explicit transpose")
+		abt := New(m, n)
+		MulTInto(abt, a, b)
+		if !abt.Equal(mul(a, b.T()), 1e-12) {
+			t.Fatal("MulTInto disagrees with explicit transpose")
 		}
 		c := randomMatrix(rng, k, m)
 		d := randomMatrix(rng, k, n)
-		if !TMul(c, d).Equal(Mul(c.T(), d), 1e-12) {
+		if !TMul(c, d).Equal(mul(c.T(), d), 1e-12) {
 			t.Fatal("TMul disagrees with explicit transpose")
 		}
 	}
 }
 
+// TestAddSubScale checks a+b and 2a through AXPY, and a-b through
+// SubInto.
 func TestAddSubScale(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b := NewFromRows([][]float64{{4, 3}, {2, 1}})
-	if got := AddM(a, b); !got.Equal(NewFromRows([][]float64{{5, 5}, {5, 5}}), 0) {
-		t.Fatalf("AddM = %v", got)
+	sum := a.Clone()
+	AXPY(sum, 1, b)
+	if !sum.Equal(NewFromRows([][]float64{{5, 5}, {5, 5}}), 0) {
+		t.Fatalf("a+b = %v", sum)
 	}
-	if got := Sub(a, b); !got.Equal(NewFromRows([][]float64{{-3, -1}, {1, 3}}), 0) {
-		t.Fatalf("Sub = %v", got)
+	diff := New(2, 2)
+	SubInto(diff, a, b)
+	if !diff.Equal(NewFromRows([][]float64{{-3, -1}, {1, 3}}), 0) {
+		t.Fatalf("a-b = %v", diff)
 	}
-	if got := Scale(2, a); !got.Equal(NewFromRows([][]float64{{2, 4}, {6, 8}}), 0) {
-		t.Fatalf("Scale = %v", got)
+	twice := New(2, 2)
+	AXPY(twice, 2, a)
+	if !twice.Equal(NewFromRows([][]float64{{2, 4}, {6, 8}}), 0) {
+		t.Fatalf("2a = %v", twice)
 	}
 }
 
 func TestHadamardMaskSemantics(t *testing.T) {
 	x := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b := NewFromRows([][]float64{{1, 0}, {0, 1}})
-	got := Hadamard(b, x)
+	got := New(2, 2)
+	HadamardInto(got, b, x)
 	want := NewFromRows([][]float64{{1, 0}, {0, 4}})
 	if !got.Equal(want, 0) {
-		t.Fatalf("Hadamard = %v, want %v", got, want)
+		t.Fatalf("HadamardInto = %v, want %v", got, want)
 	}
 }
 
@@ -75,6 +87,8 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
+// TestMulVecTMulVec checks a·x with MulVec and aᵀ·y with TMul, y as a
+// one-column matrix.
 func TestMulVecTMulVec(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	x := []float64{1, 0, -1}
@@ -82,10 +96,9 @@ func TestMulVecTMulVec(t *testing.T) {
 	if got[0] != -2 || got[1] != -2 {
 		t.Fatalf("MulVec = %v", got)
 	}
-	y := []float64{1, 1}
-	got2 := TMulVec(a, y)
-	if got2[0] != 5 || got2[1] != 7 || got2[2] != 9 {
-		t.Fatalf("TMulVec = %v", got2)
+	y := NewFromSlice(2, 1, []float64{1, 1})
+	if got2 := TMul(a, y); !got2.Equal(NewFromSlice(3, 1, []float64{5, 7, 9}), 0) {
+		t.Fatalf("TMul by a vector = %v", got2)
 	}
 }
 
@@ -97,17 +110,19 @@ func TestNorms(t *testing.T) {
 	if got := FrobNorm2(a); math.Abs(got-25) > 1e-12 {
 		t.Fatalf("FrobNorm2 = %g, want 25", got)
 	}
-	if got := MaxAbs(Scale(-1, a)); got != 4 {
+	if got := MaxAbs(NewFromRows([][]float64{{-3, 0}, {0, -4}})); got != 4 {
 		t.Fatalf("MaxAbs = %g, want 4", got)
 	}
 }
 
+// TestDotNorm2 checks the inner product CG takes of two matrices, and
+// the Euclidean norm FrobNorm gives a vector-shaped one.
 func TestDotNorm2(t *testing.T) {
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
+	if dotM(NewFromRows([][]float64{{1, 2}}), NewFromRows([][]float64{{3, 4}})) != 11 {
+		t.Fatal("dotM wrong")
 	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Fatal("Norm2 wrong")
+	if FrobNorm(NewFromRows([][]float64{{3, 4}})) != 5 {
+		t.Fatal("FrobNorm of a vector wrong")
 	}
 }
 
@@ -120,9 +135,13 @@ func TestMulPropertyBased(t *testing.T) {
 		a := randomMatrix(rng, m, n)
 		b := randomMatrix(rng, n, k)
 		c := randomMatrix(rng, k, p)
-		assoc := Mul(Mul(a, b), c).Equal(Mul(a, Mul(b, c)), 1e-9)
+		assoc := mul(mul(a, b), c).Equal(mul(a, mul(b, c)), 1e-9)
 		d := randomMatrix(rng, n, k)
-		dist := Mul(a, AddM(b, d)).Equal(AddM(Mul(a, b), Mul(a, d)), 1e-9)
+		bd := b.Clone()
+		AXPY(bd, 1, d)
+		abad := mul(a, b)
+		AXPY(abad, 1, mul(a, d))
+		dist := mul(a, bd).Equal(abad, 1e-9)
 		return assoc && dist
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -137,7 +156,7 @@ func TestMulTransposeProperty(t *testing.T) {
 		m, n, k := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1
 		a := randomMatrix(rng, m, n)
 		b := randomMatrix(rng, n, k)
-		return Mul(a, b).T().Equal(Mul(b.T(), a.T()), 1e-10)
+		return mul(a, b).T().Equal(mul(b.T(), a.T()), 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -155,7 +174,9 @@ func TestFrobNormProperties(t *testing.T) {
 		if math.Abs(FrobNorm(a)-FrobNorm(a.T())) > 1e-12 {
 			return false
 		}
-		return FrobNorm(AddM(a, b)) <= FrobNorm(a)+FrobNorm(b)+1e-12
+		ab := a.Clone()
+		AXPY(ab, 1, b)
+		return FrobNorm(ab) <= FrobNorm(a)+FrobNorm(b)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -163,11 +184,18 @@ func TestFrobNormProperties(t *testing.T) {
 }
 
 // TestIntoKernelsMatchAllocatingForms checks each destination kernel
-// against its allocating form bit for bit. out holds NaN before every
-// call, so a kernel that accumulates without zeroing out first, or
-// leaves an entry unwritten, shows. The shapes straddle the fan-out
-// threshold, and a carries zeros to take the kernels' skip branches.
+// bit for bit against an allocating form written here entry by entry.
+// Each product entry is one sum over k in k order, the order the kernels
+// sum in, so for finite operands the two agree to the bit, zero entries
+// included: a kernel that skips a zero term skips adding ±0 to a sum
+// that is never -0. out holds NaN before every call, so a kernel that
+// accumulates without zeroing out first, or leaves an entry unwritten,
+// shows. The shapes straddle the fan-out threshold and mulRange's k
+// tile, and a carries zeros to take the kernels' skip branches.
 func TestIntoKernelsMatchAllocatingForms(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit-for-bit sums are checked on amd64; on %s the compiler may fuse x*y+z into one FMA in one loop and not the other", runtime.GOARCH)
+	}
 	rng := rand.New(rand.NewSource(81))
 	operand := func(r, c int) *Matrix {
 		m := randomMatrix(rng, r, c)
@@ -183,37 +211,63 @@ func TestIntoKernelsMatchAllocatingForms(t *testing.T) {
 		m.Fill(math.NaN())
 		return m
 	}
+	// sum returns the r x c matrix whose (i, j) entry is the sum of
+	// term(i, j, k) over k = 0, …, n-1, added in that order.
+	sum := func(r, c, n int, term func(i, j, k int) float64) *Matrix {
+		m := New(r, c)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				var s float64
+				for k := 0; k < n; k++ {
+					s += term(i, j, k)
+				}
+				m.data[i*c+j] = s
+			}
+		}
+		return m
+	}
 	for _, sh := range []struct{ r, k, c int }{{3, 4, 5}, {17, 400, 15}, {400, 17, 15}} {
 		a, b := operand(sh.r, sh.k), operand(sh.k, sh.c)
 		out := garbage(sh.r, sh.c)
 		MulInto(out, a, b)
-		sameBits(t, "MulInto", out, Mul(a, b))
+		sameBits(t, "MulInto", out, sum(sh.r, sh.c, sh.k, func(i, j, k int) float64 {
+			return a.At(i, k) * b.At(k, j)
+		}))
 
 		bt := operand(sh.c, sh.k)
 		out = garbage(sh.r, sh.c)
 		MulTInto(out, a, bt)
-		sameBits(t, "MulTInto", out, MulT(a, bt))
+		sameBits(t, "MulTInto", out, sum(sh.r, sh.c, sh.k, func(i, j, k int) float64 {
+			return a.At(i, k) * bt.At(j, k)
+		}))
 
 		at := operand(sh.k, sh.r)
 		out = garbage(sh.r, sh.c)
 		TMulInto(out, at, b)
-		sameBits(t, "TMulInto", out, TMul(at, b))
+		sameBits(t, "TMulInto", out, sum(sh.r, sh.c, sh.k, func(i, j, k int) float64 {
+			return at.At(k, i) * b.At(k, j)
+		}))
 
 		x, y := operand(sh.r, sh.k), operand(sh.r, sh.k)
+		prod, diff := New(sh.r, sh.k), New(sh.r, sh.k)
+		for i := range x.data {
+			prod.data[i] = x.data[i] * y.data[i]
+			diff.data[i] = x.data[i] - y.data[i]
+		}
 		out = garbage(sh.r, sh.k)
 		HadamardInto(out, x, y)
-		sameBits(t, "HadamardInto", out, Hadamard(x, y))
+		sameBits(t, "HadamardInto", out, prod)
 		out = garbage(sh.r, sh.k)
 		SubInto(out, x, y)
-		sameBits(t, "SubInto", out, Sub(x, y))
+		sameBits(t, "SubInto", out, diff)
 
 		// The element-wise forms may write over an operand.
 		yc := y.Clone()
 		HadamardInto(yc, x, yc)
-		sameBits(t, "HadamardInto over b", yc, Hadamard(x, y))
+		sameBits(t, "HadamardInto over b", yc, prod)
 		xc := x.Clone()
 		SubInto(xc, xc, y)
-		sameBits(t, "SubInto over a", xc, Sub(x, y))
+		sameBits(t, "SubInto over a", xc, diff)
 	}
 }
 

@@ -63,11 +63,11 @@ func parChunks(n, minChunk int) int {
 	return chunks
 }
 
-// ChunkFor returns the minimum ParallelFor chunk length such that one
+// chunkFor returns the minimum ParallelFor chunk length such that one
 // chunk carries enough floating-point work to amortize its goroutine,
-// given the per-item flop count. It is the single fan-out granularity
-// heuristic for every parallel kernel, in this package and above it.
-func ChunkFor(flopsPerItem int) int {
+// given the per-item flop count. It is the fan-out granularity
+// heuristic of every parallel kernel in this package.
+func chunkFor(flopsPerItem int) int {
 	if flopsPerItem <= 0 {
 		return 1
 	}

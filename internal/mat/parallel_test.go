@@ -51,26 +51,30 @@ func TestParallelForCoversRange(t *testing.T) {
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	a := New(67, 129)
 	b := New(129, 83)
-	c := New(67, 129) // for MulT: c * aᵀ-shaped partner
+	c := New(67, 129) // for MulTInto: a * cᵀ
 	fill(a, 1)
 	fill(b, 2)
 	fill(c, 3)
 
+	products := func() (ab, act, ata *Matrix) {
+		act = New(67, 67)
+		MulTInto(act, a, c)
+		return mul(a, b), act, TMul(a, a)
+	}
 	var mulS, mulTS, tmulS *Matrix
 	withWorkers(t, 1, func() {
-		mulS = Mul(a, b)
-		mulTS = MulT(a, c)
-		tmulS = TMul(a, a)
+		mulS, mulTS, tmulS = products()
 	})
 	for _, workers := range []int{2, 5, 16} {
 		withWorkers(t, workers, func() {
-			if !Mul(a, b).Equal(mulS, 0) {
-				t.Errorf("workers=%d: Mul differs from serial", workers)
+			ab, act, ata := products()
+			if !ab.Equal(mulS, 0) {
+				t.Errorf("workers=%d: MulInto differs from serial", workers)
 			}
-			if !MulT(a, c).Equal(mulTS, 0) {
-				t.Errorf("workers=%d: MulT differs from serial", workers)
+			if !act.Equal(mulTS, 0) {
+				t.Errorf("workers=%d: MulTInto differs from serial", workers)
 			}
-			if !TMul(a, a).Equal(tmulS, 0) {
+			if !ata.Equal(tmulS, 0) {
 				t.Errorf("workers=%d: TMul differs from serial", workers)
 			}
 		})

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // QR holds a Householder QR factorization A = Q·R with Q (m×m orthogonal,
 // stored implicitly) and R (m×n upper triangular).
@@ -113,54 +110,6 @@ func (f *QR) Q() *Matrix {
 	return q
 }
 
-// QTVec applies Qᵀ to a vector of length m in place and returns it.
-func (f *QR) QTVec(b []float64) []float64 {
-	if len(b) != f.m {
-		panic(fmt.Sprintf("mat: QTVec length %d != rows %d", len(b), f.m))
-	}
-	k := min(f.m, f.n)
-	for j := 0; j < k; j++ {
-		tau := f.tau[j]
-		if tau == 0 {
-			continue
-		}
-		w := b[j]
-		for i := j + 1; i < f.m; i++ {
-			w += f.qr.At(i, j) * b[i]
-		}
-		w *= tau
-		b[j] -= w
-		for i := j + 1; i < f.m; i++ {
-			b[i] -= w * f.qr.At(i, j)
-		}
-	}
-	return b
-}
-
-// SolveVec solves the least-squares problem min ‖Ax-b‖₂ for x using the
-// factorization (requires m >= n and full column rank).
-func (f *QR) SolveVec(b []float64) ([]float64, error) {
-	if f.m < f.n {
-		return nil, fmt.Errorf("mat: QR solve requires rows >= cols, have %dx%d", f.m, f.n)
-	}
-	c := make([]float64, len(b))
-	copy(c, b)
-	f.QTVec(c)
-	x := make([]float64, f.n)
-	for i := f.n - 1; i >= 0; i-- {
-		s := c[i]
-		for j := i + 1; j < f.n; j++ {
-			s -= f.qr.At(i, j) * x[j]
-		}
-		d := f.qr.At(i, i)
-		if math.Abs(d) < 1e-14 {
-			return nil, fmt.Errorf("mat: rank-deficient matrix in QR solve (pivot %d ~ 0)", i)
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}
-
 // PivotedQR holds a column-pivoted (rank-revealing) QR factorization
 // A·P = Q·R computed with the Businger–Golub algorithm. The pivot order is
 // the maximal-linear-independence column ordering TafLoc uses to choose
@@ -221,36 +170,6 @@ func QRPivoted(a *Matrix) *PivotedQR {
 	return &PivotedQR{qr: qr, tau: tau, Pivot: piv, m: m, n: n}
 }
 
-// RDiag returns the absolute values of R's diagonal, which decrease in the
-// pivoted factorization and reveal numerical rank.
-func (f *PivotedQR) RDiag() []float64 {
-	k := min(f.m, f.n)
-	d := make([]float64, k)
-	for i := 0; i < k; i++ {
-		d[i] = math.Abs(f.qr.At(i, i))
-	}
-	return d
-}
-
-// Rank returns the numerical rank at relative tolerance tol (diagonal
-// entries below tol*|r11| count as zero). tol <= 0 defaults to 1e-10.
-func (f *PivotedQR) Rank(tol float64) int {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	d := f.RDiag()
-	if len(d) == 0 || d[0] == 0 {
-		return 0
-	}
-	r := 0
-	for _, v := range d {
-		if v > tol*d[0] {
-			r++
-		}
-	}
-	return r
-}
-
 // LeadingPivots returns the first k pivot column indices — the k most
 // linearly independent columns of the original matrix.
 func (f *PivotedQR) LeadingPivots(k int) []int {
@@ -266,11 +185,4 @@ func swapCols(a *Matrix, j1, j2 int) {
 	for i := 0; i < a.rows; i++ {
 		a.data[i*a.cols+j1], a.data[i*a.cols+j2] = a.data[i*a.cols+j2], a.data[i*a.cols+j1]
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

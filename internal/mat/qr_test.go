@@ -14,7 +14,7 @@ func TestQRReconstructs(t *testing.T) {
 		n := rng.Intn(10) + 1
 		a := randomMatrix(rng, m, n)
 		f := QRDecompose(a)
-		qr := Mul(f.Q(), f.R())
+		qr := mul(f.Q(), f.R())
 		if !qr.Equal(a, 1e-10) {
 			t.Fatalf("Q*R != A for %dx%d", m, n)
 		}
@@ -49,67 +49,6 @@ func TestQRUpperTriangular(t *testing.T) {
 	}
 }
 
-func TestQRSolveVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	for trial := 0; trial < 10; trial++ {
-		n := rng.Intn(6) + 2
-		a := randomMatrix(rng, n+3, n)
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := MulVec(a, xTrue)
-		x, err := QRDecompose(a).SolveVec(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
-				t.Fatalf("solution mismatch at %d: %g vs %g", i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestQRSolveVecLeastSquares(t *testing.T) {
-	// Overdetermined inconsistent system: solution must satisfy the normal
-	// equations Aᵀ(Ax-b) = 0.
-	rng := rand.New(rand.NewSource(35))
-	a := randomMatrix(rng, 12, 4)
-	b := make([]float64, 12)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := QRDecompose(a).SolveVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := MulVec(a, x)
-	for i := range resid {
-		resid[i] -= b[i]
-	}
-	g := TMulVec(a, resid)
-	for i, v := range g {
-		if math.Abs(v) > 1e-8 {
-			t.Fatalf("normal equations violated at %d: %g", i, v)
-		}
-	}
-}
-
-func TestQRSolveRankDeficientErrors(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := QRDecompose(a).SolveVec([]float64{1, 2, 3}); err == nil {
-		t.Fatal("expected error for rank-deficient solve")
-	}
-}
-
-func TestQRSolveWideErrors(t *testing.T) {
-	a := New(2, 4)
-	if _, err := QRDecompose(a).SolveVec([]float64{1, 2}); err == nil {
-		t.Fatal("expected error for wide solve")
-	}
-}
-
 func TestPivotedQRReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 15; trial++ {
@@ -121,7 +60,7 @@ func TestPivotedQRReconstructs(t *testing.T) {
 		// the plain factorization of the permuted matrix.
 		ap := a.SelectCols(f.Pivot)
 		plain := QRDecompose(ap)
-		qr := Mul(plain.Q(), plain.R())
+		qr := mul(plain.Q(), plain.R())
 		if !qr.Equal(ap, 1e-10) {
 			t.Fatal("permuted reconstruction failed")
 		}
@@ -134,11 +73,11 @@ func TestPivotedQRDiagonalDecreases(t *testing.T) {
 		m := rng.Intn(8) + 2
 		n := rng.Intn(8) + 1
 		a := randomMatrix(rng, m, n)
-		d := QRPivoted(a).RDiag()
-		for i := 1; i < len(d); i++ {
+		qr := QRPivoted(a).qr
+		for i := 1; i < min(m, n); i++ {
 			// Businger-Golub guarantees non-increasing |r_kk| up to small
 			// numerical slack.
-			if d[i] > d[i-1]*(1+1e-8)+1e-12 {
+			if math.Abs(qr.At(i, i)) > math.Abs(qr.At(i-1, i-1))*(1+1e-8)+1e-12 {
 				return false
 			}
 		}
@@ -149,15 +88,19 @@ func TestPivotedQRDiagonalDecreases(t *testing.T) {
 	}
 }
 
+// TestPivotedQRRankRevealing checks that R's diagonal drops below
+// 1e-9·|r_00| exactly at the rank.
 func TestPivotedQRRankRevealing(t *testing.T) {
 	// Build an 8x10 matrix of rank 3.
 	rng := rand.New(rand.NewSource(38))
 	l := randomMatrix(rng, 8, 3)
 	r := randomMatrix(rng, 10, 3)
-	a := MulT(l, r)
-	f := QRPivoted(a)
-	if got := f.Rank(1e-9); got != 3 {
-		t.Fatalf("Rank = %d, want 3 (diag %v)", got, f.RDiag())
+	a := mul(l, r.T())
+	qr := QRPivoted(a).qr
+	for i := 0; i < 8; i++ {
+		if big := math.Abs(qr.At(i, i)) > 1e-9*math.Abs(qr.At(0, 0)); big != (i < 3) {
+			t.Fatalf("|r_%d%d| = %g against |r_00| = %g; want rank 3", i, i, qr.At(i, i), qr.At(0, 0))
+		}
 	}
 }
 
@@ -201,8 +144,10 @@ func TestLeadingPivotsClamped(t *testing.T) {
 }
 
 func TestPivotedQRZeroMatrix(t *testing.T) {
-	f := QRPivoted(New(4, 4))
-	if got := f.Rank(0); got != 0 {
-		t.Fatalf("rank of zero matrix = %d", got)
+	qr := QRPivoted(New(4, 4)).qr
+	for i := 0; i < 4; i++ {
+		if qr.At(i, i) != 0 {
+			t.Fatalf("zero matrix has r_%d%d = %g", i, i, qr.At(i, i))
+		}
 	}
 }

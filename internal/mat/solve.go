@@ -41,18 +41,6 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	return l, nil
 }
 
-// CholeskySolveVec solves A·x = b given the Cholesky factor L of A.
-func CholeskySolveVec(l *Matrix, b []float64) []float64 {
-	n := l.Rows()
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: CholeskySolveVec length %d != %d", len(b), n))
-	}
-	x := make([]float64, n)
-	copy(x, b)
-	cholSubst(l, x)
-	return x
-}
-
 // cholSubst overwrites v with the solution of L·Lᵀ·x = v: forward
 // substitution L·y = v, then backward substitution Lᵀ·x = y. Each pass
 // reads v[i] before it writes it and reads only entries it has already
@@ -107,9 +95,10 @@ func cholSubstCols(l, x *Matrix, col []float64) {
 // NewRidge factors AᵀA + mu·I once with Cholesky; every SolveInto reuses
 // the factor and allocates no matrix.
 //
-// This is the closed-form update for TafLoc's correlation matrix Z
-// (X̂ ≈ X_R·Z with A = X_R, B = X̂): X_R is fixed for a whole LoLi-IR
-// run, so the run factors it once.
+// It is the package's one ridge path. LoLi-IR's closed-form update of
+// the correlation matrix Z (X̂ ≈ X_R·Z with A = X_R, B = X̂) factors X_R
+// once per run, as X_R is fixed for the whole run; its initializer fits
+// each column's observed rows with one Ridge.
 type Ridge struct {
 	a   *Matrix
 	l   *Matrix   // Cholesky factor of AᵀA + mu·I
@@ -149,36 +138,6 @@ func (r *Ridge) SolveInto(x, b *Matrix) {
 	cholSubstCols(r.l, x, r.col)
 }
 
-// RidgeSolve solves the ridge-regression problem
-// min ‖A·X - B‖²_F + mu‖X‖²_F for one B; see Ridge.
-func RidgeSolve(a, b *Matrix, mu float64) (*Matrix, error) {
-	if a.Rows() != b.Rows() {
-		return nil, fmt.Errorf("mat: RidgeSolve rows mismatch %d vs %d", a.Rows(), b.Rows())
-	}
-	r, err := NewRidge(a, mu)
-	if err != nil {
-		return nil, err
-	}
-	x := TMul(a, b)
-	cholSubstCols(r.l, x, r.col)
-	return x, nil
-}
-
-// LinOp is a symmetric positive semi-definite linear operator on matrices,
-// used by the matrix-free conjugate-gradient solver. Implementations apply
-// the Hessian of one LoLi-IR subproblem without ever materializing it.
-type LinOp interface {
-	// Apply overwrites dst with the operator applied to x (dst has the
-	// shape of x and does not share its storage).
-	Apply(dst, x *Matrix)
-}
-
-// LinOpFunc adapts a function to the LinOp interface.
-type LinOpFunc func(dst, x *Matrix)
-
-// Apply implements LinOp.
-func (f LinOpFunc) Apply(dst, x *Matrix) { f(dst, x) }
-
 // CGResult reports how a conjugate-gradient solve terminated.
 type CGResult struct {
 	Iterations int
@@ -201,10 +160,13 @@ func NewCGWork(rows, cols int) *CGWork {
 
 // CG solves op(X) = B by conjugate gradients, in place: x holds the
 // starting iterate on entry and the solution on return, and w supplies
-// every buffer, so a solve allocates nothing. op must be symmetric
-// positive (semi-)definite. Iteration stops when the relative residual
-// drops below tol or maxIter is reached.
-func CG(op LinOp, b, x *Matrix, w *CGWork, tol float64, maxIter int) CGResult {
+// every buffer, so a solve allocates nothing. op overwrites dst with the
+// operator applied to x (dst has x's shape and does not share its
+// storage); it must be symmetric positive (semi-)definite, and is
+// applied matrix-free, so the Hessian of one LoLi-IR subproblem is never
+// materialized. Iteration stops when the relative residual drops below
+// tol or maxIter is reached.
+func CG(op func(dst, x *Matrix), b, x *Matrix, w *CGWork, tol float64, maxIter int) CGResult {
 	if tol <= 0 {
 		tol = 1e-8
 	}
@@ -219,7 +181,7 @@ func CG(op LinOp, b, x *Matrix, w *CGWork, tol float64, maxIter int) CGResult {
 		return CGResult{Converged: true}
 	}
 	r, p, ap := w.r, w.p, w.ap
-	op.Apply(ap, x)
+	op(ap, x)
 	SubInto(r, b, ap)
 	copy(p.data, r.data)
 	rs := FrobNorm2(r)
@@ -232,7 +194,7 @@ func CG(op LinOp, b, x *Matrix, w *CGWork, tol float64, maxIter int) CGResult {
 			res.Converged = true
 			return res
 		}
-		op.Apply(ap, p)
+		op(ap, p)
 		den := dotM(p, ap)
 		if den <= 0 {
 			// Operator lost definiteness numerically; stop with the best

@@ -26,7 +26,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !MulT(l, l).Equal(a, 1e-9) {
+		if !mul(l, l.T()).Equal(a, 1e-9) {
 			t.Fatal("L*Lt != A")
 		}
 	}
@@ -45,6 +45,8 @@ func TestCholeskyRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// TestCholeskySolveVec solves for one right-hand side vector, given to
+// CholeskySolve as a one-column matrix.
 func TestCholeskySolveVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	f := func(_ int64) bool {
@@ -54,12 +56,12 @@ func TestCholeskySolveVec(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, xTrue)
+		b := NewFromSlice(n, 1, MulVec(a, xTrue))
 		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
-		x := CholeskySolveVec(l, b)
+		x := CholeskySolve(l, b).Col(0)
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > 1e-7*math.Max(1, math.Abs(xTrue[i])) {
 				return false
@@ -77,7 +79,7 @@ func TestCholeskySolveMatrix(t *testing.T) {
 	n := 5
 	a := randomSPD(rng, n)
 	xTrue := randomMatrix(rng, n, 3)
-	b := Mul(a, xTrue)
+	b := mul(a, xTrue)
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +95,18 @@ func TestRidgeSolveMatchesNormalEquations(t *testing.T) {
 	a := randomMatrix(rng, 10, 4)
 	b := randomMatrix(rng, 10, 6)
 	mu := 0.3
-	z, err := RidgeSolve(a, b, mu)
+	r, err := NewRidge(a, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
+	z := New(4, 6)
+	r.SolveInto(z, b)
 	// Verify residual of normal equations: (AtA + mu I) Z = At B.
-	lhs := Mul(AddM(TMul(a, a), Scale(mu, Identity(4))), z)
-	rhs := TMul(a, b)
-	if !lhs.Equal(rhs, 1e-8) {
+	g := TMul(a, a)
+	for i := 0; i < 4; i++ {
+		g.Add(i, i, mu)
+	}
+	if !mul(g, z).Equal(TMul(a, b), 1e-8) {
 		t.Fatal("ridge normal equations violated")
 	}
 }
@@ -114,10 +120,12 @@ func TestRidgeSolveRankDeficientWithZeroMu(t *testing.T) {
 	a.SetCol(2, []float64{1, 0, 0, 0, 0, 0})
 	b := New(6, 1)
 	b.SetCol(0, col)
-	z, err := RidgeSolve(a, b, 0)
+	r, err := NewRidge(a, 0)
 	if err != nil {
-		t.Fatalf("RidgeSolve failed on rank-deficient input: %v", err)
+		t.Fatalf("NewRidge failed on rank-deficient input: %v", err)
 	}
+	z := New(3, 1)
+	r.SolveInto(z, b)
 	if !z.IsFinite() {
 		t.Fatal("non-finite solution")
 	}
@@ -127,22 +135,24 @@ func TestRidgeSolveShrinksWithMu(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	a := randomMatrix(rng, 12, 4)
 	b := randomMatrix(rng, 12, 2)
-	z1, err := RidgeSolve(a, b, 0.01)
-	if err != nil {
-		t.Fatal(err)
+	var norms [2]float64
+	for k, mu := range []float64{0.01, 100} {
+		r, err := NewRidge(a, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := New(4, 2)
+		r.SolveInto(z, b)
+		norms[k] = FrobNorm(z)
 	}
-	z2, err := RidgeSolve(a, b, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FrobNorm(z2) >= FrobNorm(z1) {
-		t.Fatalf("larger ridge should shrink solution: %g vs %g", FrobNorm(z2), FrobNorm(z1))
+	if norms[1] >= norms[0] {
+		t.Fatalf("larger ridge should shrink solution: %g vs %g", norms[1], norms[0])
 	}
 }
 
 // TestRidgeSolveIntoMatchesRidgeSolve checks that one factored Ridge
 // solves several right-hand sides into a reused destination with the
-// bits RidgeSolve gives for each alone.
+// bits a Ridge factored for each alone gives.
 func TestRidgeSolveIntoMatchesRidgeSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	a := randomMatrix(rng, 17, 6)
@@ -155,21 +165,30 @@ func TestRidgeSolveIntoMatchesRidgeSolve(t *testing.T) {
 		b := randomMatrix(rng, 17, 40)
 		x.Fill(math.NaN())
 		r.SolveInto(x, b)
-		want, err := RidgeSolve(a, b, 1e-2)
+		fresh, err := NewRidge(a, 1e-2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := New(6, 40)
+		fresh.SolveInto(want, b)
 		sameBits(t, "Ridge.SolveInto", x, want)
 	}
 }
 
 func TestRidgeSolveErrors(t *testing.T) {
-	if _, err := RidgeSolve(New(3, 2), New(4, 2), 1); err == nil {
-		t.Fatal("expected rows-mismatch error")
-	}
-	if _, err := RidgeSolve(New(3, 2), New(3, 2), -1); err == nil {
+	if _, err := NewRidge(New(3, 2), -1); err == nil {
 		t.Fatal("expected negative-mu error")
 	}
+	r, err := NewRidge(New(3, 2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a rows-mismatch panic")
+		}
+	}()
+	r.SolveInto(New(2, 2), New(4, 2))
 }
 
 func TestCGSolvesSPDSystem(t *testing.T) {
@@ -177,8 +196,8 @@ func TestCGSolvesSPDSystem(t *testing.T) {
 	n := 8
 	a := randomSPD(rng, n)
 	xTrue := randomMatrix(rng, n, 2)
-	b := Mul(a, xTrue)
-	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+	b := mul(a, xTrue)
+	op := func(dst, x *Matrix) { MulInto(dst, a, x) }
 	x := New(n, 2)
 	res := CG(op, b, x, NewCGWork(n, 2), 1e-10, 500)
 	if !res.Converged {
@@ -195,7 +214,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 		n := rng.Intn(6) + 2
 		a := randomSPD(rng, n)
 		b := randomMatrix(rng, n, 1)
-		op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+		op := func(dst, x *Matrix) { MulInto(dst, a, x) }
 		xcg := New(n, 1)
 		res := CG(op, b, xcg, NewCGWork(n, 1), 1e-12, 1000)
 		if !res.Converged {
@@ -205,9 +224,9 @@ func TestCGMatchesCholesky(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		xch := CholeskySolveVec(l, b.Col(0))
+		xch := CholeskySolve(l, b)
 		for i := 0; i < n; i++ {
-			if math.Abs(xcg.At(i, 0)-xch[i]) > 1e-6*math.Max(1, math.Abs(xch[i])) {
+			if math.Abs(xcg.At(i, 0)-xch.At(i, 0)) > 1e-6*math.Max(1, math.Abs(xch.At(i, 0))) {
 				return false
 			}
 		}
@@ -219,7 +238,7 @@ func TestCGMatchesCholesky(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	op := LinOpFunc(func(dst, x *Matrix) { copy(dst.Raw(), x.Raw()) })
+	op := func(dst, x *Matrix) { copy(dst.Raw(), x.Raw()) }
 	x := NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
 	res := CG(op, New(4, 2), x, NewCGWork(4, 2), 1e-8, 10)
 	if !res.Converged || FrobNorm(x) != 0 {
@@ -232,8 +251,8 @@ func TestCGWarmStart(t *testing.T) {
 	n := 6
 	a := randomSPD(rng, n)
 	xTrue := randomMatrix(rng, n, 1)
-	b := Mul(a, xTrue)
-	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+	b := mul(a, xTrue)
+	op := func(dst, x *Matrix) { MulInto(dst, a, x) }
 	// Warm start from the exact solution: should converge instantly.
 	res := CG(op, b, xTrue.Clone(), NewCGWork(n, 1), 1e-8, 100)
 	if res.Iterations > 1 {
@@ -246,11 +265,11 @@ func TestCGWarmStart(t *testing.T) {
 func TestCGAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	b := randomMatrix(rng, 30, 3)
-	op := LinOpFunc(func(dst, x *Matrix) {
+	op := func(dst, x *Matrix) {
 		for i, v := range x.data {
 			dst.data[i] = float64(1+i%7) * v
 		}
-	})
+	}
 	x, w := New(30, 3), NewCGWork(30, 3)
 	allocs := testing.AllocsPerRun(10, func() {
 		x.Fill(0)
@@ -267,7 +286,7 @@ func TestCGDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	a := randomSPD(rng, 4)
 	b := randomMatrix(rng, 4, 1)
-	op := LinOpFunc(func(dst, x *Matrix) { MulInto(dst, a, x) })
+	op := func(dst, x *Matrix) { MulInto(dst, a, x) }
 	// tol<=0 and maxIter<=0 must fall back to defaults and still work.
 	res := CG(op, b, New(4, 1), NewCGWork(4, 1), 0, 0)
 	if !res.Converged {

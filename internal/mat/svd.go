@@ -110,24 +110,6 @@ func SVDecompose(a *Matrix) *SVD {
 	return &SVD{U: u, S: sOut, V: vOut}
 }
 
-// Rank returns the numerical rank at relative tolerance tol (singular
-// values below tol*S[0] count as zero). tol <= 0 defaults to 1e-10.
-func (s *SVD) Rank(tol float64) int {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if len(s.S) == 0 || s.S[0] == 0 {
-		return 0
-	}
-	r := 0
-	for _, v := range s.S {
-		if v > tol*s.S[0] {
-			r++
-		}
-	}
-	return r
-}
-
 // EnergyRank returns the smallest k whose leading singular values capture
 // at least frac of the total squared spectral energy. This is the rank
 // estimator TafLoc uses to size the factorization and the reference set.
@@ -169,31 +151,4 @@ func (s *SVD) Truncate(r int) (l, rm *Matrix) {
 		}
 	}
 	return l, rm
-}
-
-// Reconstruct returns U·diag(S)·Vᵀ (rank limited to r if 0 < r < len(S)).
-func (s *SVD) Reconstruct(r int) *Matrix {
-	if r <= 0 || r > len(s.S) {
-		r = len(s.S)
-	}
-	m := s.U.Rows()
-	n := s.V.Rows()
-	out := New(m, n)
-	for k := 0; k < r; k++ {
-		sk := s.S[k]
-		if sk == 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			uik := s.U.At(i, k) * sk
-			if uik == 0 {
-				continue
-			}
-			oi := out.data[i*n:]
-			for j := 0; j < n; j++ {
-				oi[j] += uik * s.V.At(j, k)
-			}
-		}
-	}
-	return out
 }

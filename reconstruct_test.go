@@ -79,9 +79,15 @@ func reconstructionSum(rec *tafloc.Reconstruction) string {
 // 12 m room allocates. The solver's alternation writes into one workspace
 // sized once per update, so what remains is that workspace, the
 // initializer and the new Model; an operator apply that allocated its own
-// M x N products would allocate hundreds of MiB.
+// M x N products would allocate hundreds of MiB. At GOMAXPROCS 1, where
+// the count does not depend on the fan-out, it also bounds the number of
+// allocations (about 9.4k), so per-column garbage in the initializer
+// cannot creep back unnoticed.
 func TestReconstructAllocBudget(t *testing.T) {
-	const budget = 16 << 20
+	const (
+		budget       = 16 << 20
+		mallocBudget = 11000
+	)
 	dep, err := tafloc.NewDeployment(tafloc.SquareConfig(12))
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +98,20 @@ func TestReconstructAllocBudget(t *testing.T) {
 	}
 	refCols, _ := dep.SurveyCells(sys.References(), 45)
 	vacant := dep.VacantCapture(45, 100)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
-		t.Fatal(err)
+	update := func() (bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+	if got, _ := update(); got >= budget {
 		t.Fatalf("one update allocated %d bytes (%.1f MiB), budget %d MiB", got, float64(got)/(1<<20), budget>>20)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, got := update(); got >= mallocBudget {
+		t.Fatalf("one update at GOMAXPROCS 1 made %d allocations, budget %d", got, mallocBudget)
 	}
 }
