@@ -285,10 +285,12 @@ func (c *Client) RestoreZone(ctx context.Context, zone string, snapshot []byte) 
 //
 // By default a dropped connection ends the stream. A client built with
 // WithWatchRetry instead reconnects with capped exponential backoff and
-// resumes the channel (estimates already delivered are deduplicated by
-// sequence number); if the zone turns out to have been removed while
-// disconnected, a Final estimate is synthesized so the terminal
-// contract holds across reconnects.
+// resumes the channel (the reconnected stream's replay of the last
+// estimate delivered, with the same Seq and Time, is skipped; a lower
+// Seq is delivered, as a restarted server counts from 1 again); if the
+// zone turns out to have been removed while disconnected, a Final
+// estimate is synthesized so the terminal contract holds across
+// reconnects.
 func (c *Client) Watch(ctx context.Context, zone string) (<-chan Estimate, error) {
 	resp, err := c.watchConnect(ctx, zone)
 	if err != nil {
@@ -297,10 +299,10 @@ func (c *Client) Watch(ctx context.Context, zone string) (<-chan Estimate, error
 	ch := make(chan Estimate, 16)
 	go func() {
 		defer close(ch)
-		var lastSeq uint64
+		var last Estimate
 		first := true
 		for {
-			sawFinal, delivered := c.pumpSSE(ctx, resp.Body, ch, &lastSeq, first)
+			sawFinal, delivered := c.pumpSSE(ctx, resp.Body, ch, &last, first)
 			first = false
 			if sawFinal || ctx.Err() != nil || c.watchRetry == nil {
 				return
@@ -376,15 +378,17 @@ func (c *Client) watchReconnect(ctx context.Context, zone string, ch chan Estima
 	}
 }
 
-// pumpSSE consumes one SSE connection, delivering estimates to ch. The
-// initial snapshot estimate of a reconnect (or anything else already
-// seen) is deduplicated via lastSeq; initial is true on the first
-// connection, where the snapshot estimate is part of the contract.
-// It reports whether a Final estimate ended the stream, and whether any
-// estimate has ever been delivered.
-func (c *Client) pumpSSE(ctx context.Context, body io.ReadCloser, ch chan Estimate, lastSeq *uint64, initial bool) (sawFinal, delivered bool) {
+// pumpSSE consumes one SSE connection, delivering estimates to ch and
+// recording the last one delivered in last. On a reconnect (initial
+// false) it skips the stream's replay of last itself: the same Seq and
+// the same Time. A lower Seq is delivered, since the server's counter
+// starts again when its process restarts. On the first connection the
+// snapshot estimate is part of the contract. It reports whether a Final
+// estimate ended the stream, and whether any estimate has ever been
+// delivered.
+func (c *Client) pumpSSE(ctx context.Context, body io.ReadCloser, ch chan Estimate, last *Estimate, initial bool) (sawFinal, delivered bool) {
 	defer body.Close()
-	delivered = *lastSeq > 0
+	delivered = last.Seq > 0
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	var data string
@@ -399,15 +403,13 @@ func (c *Client) pumpSSE(ctx context.Context, body io.ReadCloser, ch chan Estima
 		case line == "" && data != "":
 			var e Estimate
 			if json.Unmarshal([]byte(data), &e) == nil {
-				if !initial && !e.Final && e.Seq <= *lastSeq {
+				if !initial && !e.Final && e.Seq == last.Seq && e.Time.Equal(last.Time) {
 					data = ""
 					continue // replayed snapshot estimate after a reconnect
 				}
-				if e.Seq > *lastSeq {
-					*lastSeq = e.Seq
-				}
 				select {
 				case ch <- e:
+					*last = e
 					delivered = true
 				case <-ctx.Done():
 					return false, delivered

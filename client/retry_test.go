@@ -208,6 +208,61 @@ func TestWatchRetryAgainstFlappingServer(t *testing.T) {
 	}
 }
 
+// TestWatchRetryAcrossServerRestart: a server's Seq counter starts
+// again at 1 when its process restarts, so a resumed watch must deliver
+// the new process's estimates although their Seqs are below the last
+// one delivered before the drop.
+func TestWatchRetryAcrossServerRestart(t *testing.T) {
+	var mu sync.Mutex
+	connects := 0
+	t0 := time.Unix(1_700_000_000, 0).UTC()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		connects++
+		n := connects
+		mu.Unlock()
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		writeEvent := func(e api.Estimate) {
+			data, _ := json.Marshal(e)
+			fmt.Fprintf(w, "event: estimate\ndata: %s\n\n", data)
+			w.(http.Flusher).Flush()
+		}
+		if n == 1 {
+			for seq := 5; seq <= 7; seq++ {
+				writeEvent(api.Estimate{Zone: "z", Seq: uint64(seq), Cell: seq, Time: t0.Add(time.Duration(seq) * time.Second)})
+			}
+			return // drop
+		}
+		// The restarted process counts from 1 again.
+		for seq := 1; seq <= 3; seq++ {
+			writeEvent(api.Estimate{Zone: "z", Seq: uint64(seq), Cell: seq, Time: t0.Add(time.Duration(10+seq) * time.Second)})
+		}
+		writeEvent(api.Estimate{Zone: "z", Seq: 4, Cell: -1, Final: true, Time: t0.Add(20 * time.Second)})
+	}))
+	defer srv.Close()
+
+	cli, err := New(srv.URL, WithWatchRetry(WatchRetry{Initial: time.Millisecond, Max: 5 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	ch, err := cli.Watch(ctx, "z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	var final bool
+	for e := range ch {
+		seqs = append(seqs, e.Seq)
+		final = e.Final
+	}
+	if want := []uint64{5, 6, 7, 1, 2, 3, 4}; fmt.Sprint(seqs) != fmt.Sprint(want) || !final {
+		t.Fatalf("delivered seqs %v (last Final %v), want %v ending in Final", seqs, final, want)
+	}
+}
+
 // TestWatchRetryTerminalOnZoneGone: when the zone disappears while the
 // watcher is disconnected, the resumed watch still honours the removal
 // contract — a Final estimate, then close.

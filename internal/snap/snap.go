@@ -17,7 +17,9 @@
 // length-prefixed with uint32 counts, floats are IEEE-754 bits, ints are
 // int64. Nothing in the format is self-describing — the version number
 // owns the layout, and a decoder that does not know the version refuses
-// the file (taflocerr.CodeSnapshotVersion) instead of guessing.
+// the file (taflocerr.CodeSnapshotVersion) instead of guessing. The
+// layout is written down once, as a walk over a Snapshot's fields in
+// format order; sizing, encoding and decoding all run that walk.
 //
 // Version 2 (current) appends the zone's trajectory-serving state to
 // the version-1 payload: the history depth, the trajectory filter
@@ -43,10 +45,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"tafloc/internal/core"
-	"tafloc/internal/geom"
 	"tafloc/internal/mat"
 	"tafloc/internal/track"
 	"tafloc/taflocerr"
@@ -129,105 +131,18 @@ func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"snap: cannot encode version %d (this build writes %d..%d)", version, VersionPrev, Version)
 	}
-	// One buffer holds the header, the payload and the CRC. It is sized
-	// once; the length field is written from the payload actually encoded.
-	size := payloadSize(s, version)
-	e := encoder{buf: make([]byte, headerSize, headerSize+size+4)}
-	copy(e.buf, magic[:])
-	binary.LittleEndian.PutUint32(e.buf[8:12], version)
-	e.str(s.Zone)
-	e.i64(s.SavedAt.UnixNano())
-	e.i64(int64(s.Config.Window))
-	e.f64(s.Config.DetectThresholdDB)
-	e.str(s.Config.Detector)
-
-	st := s.State
-	e.u32(uint32(len(st.Links)))
-	for _, l := range st.Links {
-		e.f64(l.A.X)
-		e.f64(l.A.Y)
-		e.f64(l.B.X)
-		e.f64(l.B.Y)
-	}
-	e.f64(st.GridWidth)
-	e.f64(st.GridHeight)
-	e.f64(st.GridCellSize)
-	e.f64(st.EllipseExcess)
-
-	e.i64(int64(st.LoLi.Rank))
-	e.f64(st.LoLi.Lambda)
-	e.f64(st.LoLi.Alpha)
-	e.f64(st.LoLi.Beta)
-	e.f64(st.LoLi.Gamma)
-	e.f64(st.LoLi.Mu)
-	e.i64(int64(st.LoLi.MaxIter))
-	e.f64(st.LoLi.Tol)
-	e.f64(st.LoLi.CGTol)
-	e.i64(int64(st.LoLi.CGMaxIter))
-
-	e.f64(st.Refs.EnergyFrac)
-	e.i64(int64(st.Refs.Min))
-	e.i64(int64(st.Refs.Max))
-	e.i64(int64(st.Refs.Count))
-
-	e.str(st.MatcherName)
-	e.f64(st.RecSigmaDB)
-	e.f64(st.MaskThresholdDB)
-
-	e.matrix(st.Mask)
-	e.matrix(st.X)
-	e.matrix(st.Observed)
-	e.f64s(st.Vacant)
-	e.ints(st.RefCells)
-
-	if version >= 2 {
-		e.i64(int64(s.Config.History))
-		e.trackOptions(s.Config.Track)
-		if s.Track == nil {
-			e.buf = append(e.buf, 0)
-		} else {
-			e.buf = append(e.buf, 1)
-			e.trackerState(s.Track)
-		}
-	}
-
-	payload := e.buf[headerSize:]
-	binary.LittleEndian.PutUint64(e.buf[12:headerSize], uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(e.buf, crc32.Checksum(payload, castagnoli)), nil
-}
-
-// Encoded sizes of the fixed-width parts of a payload.
-const (
-	trackOptionsSize = 4 * 8
-	// options, two flags, two int64s and twelve float64s
-	trackerStateSize = trackOptionsSize + 2 + 2*8 + 12*8
-)
-
-// payloadSize is the exact length EncodeVersion's payload will have, so
-// its buffer is allocated once.
-func payloadSize(s *Snapshot, version uint32) int {
-	st := s.State
-	n := 4 + len(s.Zone) + 3*8 + 4 + len(s.Config.Detector) // zone, SavedAt, window, threshold, detector
-	n += 4 + 4*8*len(st.Links) + 4*8                        // links, grid and ellipse excess
-	n += 10*8 + 4*8                                         // LoLi and reference options
-	n += 4 + len(st.MatcherName) + 2*8                      // matcher, RecSigmaDB, MaskThresholdDB
-	n += matrixSize(st.Mask) + matrixSize(st.X) + matrixSize(st.Observed)
-	n += 4 + 8*len(st.Vacant) + 4 + 8*len(st.RefCells)
-	if version >= 2 {
-		n += 8 + trackOptionsSize + 1 // history, track options, tracker presence flag
-		if s.Track != nil {
-			n += trackerStateSize
-		}
-	}
-	return n
-}
-
-// matrixSize is the encoded length of a (possibly nil) matrix.
-func matrixSize(m *mat.Matrix) int {
-	if m == nil {
-		return 1
-	}
-	return 1 + 2*4 + 8*m.Rows()*m.Cols()
+	// One buffer holds the header, the payload and the CRC. A sizing walk
+	// measures the payload first, so the buffer is allocated once; the
+	// length field is written from the payload actually encoded.
+	size := codec{mode: sizing}
+	s.walk(&size, version)
+	c := codec{mode: encoding, buf: make([]byte, headerSize, headerSize+size.n+4)}
+	copy(c.buf, magic[:])
+	binary.LittleEndian.PutUint32(c.buf[8:12], version)
+	s.walk(&c, version)
+	payload := c.buf[headerSize:]
+	binary.LittleEndian.PutUint64(c.buf[12:headerSize], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(c.buf, crc32.Checksum(payload, castagnoli)), nil
 }
 
 // Decode parses and validates a snapshot. Every failure carries a
@@ -259,347 +174,299 @@ func Decode(data []byte) (*Snapshot, error) {
 			"snap: CRC mismatch: %08x != %08x", got, want)
 	}
 
-	d := decoder{buf: payload}
+	c := codec{mode: decoding, buf: payload}
 	s := &Snapshot{State: &core.SystemState{}}
-	s.Zone = d.str()
-	s.SavedAt = time.Unix(0, d.i64()).UTC()
-	s.Config.Window = d.intv()
-	s.Config.DetectThresholdDB = d.f64()
-	s.Config.Detector = d.str()
-
-	st := s.State
-	nl := d.count()
-	// Pre-check the byte bound (4 coordinates per link) before the
-	// allocation, like every other slice decoder here — a tiny crafted
-	// file must not provoke a huge make.
-	if d.err == nil && nl*32 > len(d.buf)-d.pos {
-		d.fail("truncated link list of %d", nl)
+	s.walk(&c, version)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if d.err == nil {
-		st.Links = make([]geom.Segment, nl)
-		for i := range st.Links {
-			st.Links[i].A.X = d.f64()
-			st.Links[i].A.Y = d.f64()
-			st.Links[i].B.X = d.f64()
-			st.Links[i].B.Y = d.f64()
-		}
-	}
-	st.GridWidth = d.f64()
-	st.GridHeight = d.f64()
-	st.GridCellSize = d.f64()
-	st.EllipseExcess = d.f64()
-
-	st.LoLi.Rank = d.intv()
-	st.LoLi.Lambda = d.f64()
-	st.LoLi.Alpha = d.f64()
-	st.LoLi.Beta = d.f64()
-	st.LoLi.Gamma = d.f64()
-	st.LoLi.Mu = d.f64()
-	st.LoLi.MaxIter = d.intv()
-	st.LoLi.Tol = d.f64()
-	st.LoLi.CGTol = d.f64()
-	st.LoLi.CGMaxIter = d.intv()
-
-	st.Refs.EnergyFrac = d.f64()
-	st.Refs.Min = d.intv()
-	st.Refs.Max = d.intv()
-	st.Refs.Count = d.intv()
-
-	st.MatcherName = d.str()
-	st.RecSigmaDB = d.f64()
-	st.MaskThresholdDB = d.f64()
-
-	st.Mask = d.matrix()
-	st.X = d.matrix()
-	st.Observed = d.matrix()
-	st.Vacant = d.f64s()
-	st.RefCells = d.ints()
-
-	if version >= 2 {
-		s.Config.History = d.intv()
-		s.Config.Track = d.trackOptions()
-		if b := d.take(1); len(b) == 1 {
-			switch b[0] {
-			case 0:
-			case 1:
-				ts := d.trackerState()
-				s.Track = &ts
-			default:
-				d.fail("invalid tracker presence flag %d", b[0])
-			}
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(d.buf) {
+	if c.n != len(c.buf) {
 		return nil, taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt,
-			"snap: %d trailing payload bytes", len(d.buf)-d.pos)
+			"snap: %d trailing payload bytes", len(c.buf)-c.n)
 	}
 	return s, nil
 }
 
-// encoder appends little-endian primitives to a growing buffer.
-type encoder struct {
-	buf []byte
-}
+// walk visits every payload field of s in format order: it is the one
+// statement of the layout, which c runs to size, encode or decode the
+// payload. Sizing and encoding only read s; decoding fills it. A
+// version-1 payload ends after the reference cells.
+func (s *Snapshot) walk(c *codec, version uint32) {
+	c.str(&s.Zone)
+	c.time(&s.SavedAt)
+	c.int(&s.Config.Window)
+	c.f64(&s.Config.DetectThresholdDB)
+	c.str(&s.Config.Detector)
 
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) f64s(v []float64) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.f64(x)
+	st := s.State
+	walkLen(c, &st.Links, 4*8)
+	for i := range st.Links {
+		l := &st.Links[i]
+		c.f64(&l.A.X)
+		c.f64(&l.A.Y)
+		c.f64(&l.B.X)
+		c.f64(&l.B.Y)
 	}
-}
+	c.f64(&st.GridWidth)
+	c.f64(&st.GridHeight)
+	c.f64(&st.GridCellSize)
+	c.f64(&st.EllipseExcess)
 
-func (e *encoder) ints(v []int) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.i64(int64(x))
+	c.int(&st.LoLi.Rank)
+	c.f64(&st.LoLi.Lambda)
+	c.f64(&st.LoLi.Alpha)
+	c.f64(&st.LoLi.Beta)
+	c.f64(&st.LoLi.Gamma)
+	c.f64(&st.LoLi.Mu)
+	c.int(&st.LoLi.MaxIter)
+	c.f64(&st.LoLi.Tol)
+	c.f64(&st.LoLi.CGTol)
+	c.int(&st.LoLi.CGMaxIter)
+
+	c.f64(&st.Refs.EnergyFrac)
+	c.int(&st.Refs.Min)
+	c.int(&st.Refs.Max)
+	c.int(&st.Refs.Count)
+
+	c.str(&st.MatcherName)
+	c.f64(&st.RecSigmaDB)
+	c.f64(&st.MaskThresholdDB)
+
+	c.matrix(&st.Mask)
+	c.matrix(&st.X)
+	c.matrix(&st.Observed)
+	walkLen(c, &st.Vacant, 8)
+	c.floats(st.Vacant)
+	walkLen(c, &st.RefCells, 8)
+	for i := range st.RefCells {
+		c.int(&st.RefCells[i])
 	}
-}
-
-// trackOptions writes the trajectory filter options flat.
-func (e *encoder) trackOptions(o track.Options) {
-	e.f64(o.ProcessStd)
-	e.f64(o.MeasurementStd)
-	e.f64(o.GateSigma)
-	e.i64(int64(o.MaxCoast))
-}
-
-// trackerState writes the live trajectory-filter state flat (the
-// presence flag is the caller's).
-func (e *encoder) trackerState(ts *track.TrackerState) {
-	e.trackOptions(ts.Filter.Opts)
-	e.bool(ts.Filter.Initialized)
-	e.i64(int64(ts.Filter.Coasts))
-	e.f64(ts.Filter.X[0])
-	e.f64(ts.Filter.X[1])
-	e.f64(ts.Filter.Y[0])
-	e.f64(ts.Filter.Y[1])
-	for _, row := range [][2]float64{ts.Filter.PX[0], ts.Filter.PX[1], ts.Filter.PY[0], ts.Filter.PY[1]} {
-		e.f64(row[0])
-		e.f64(row[1])
-	}
-	e.bool(ts.HasFix)
-	e.i64(ts.LastFix.UnixNano())
-}
-
-func (e *encoder) bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
-// matrix writes a presence flag, dimensions, and the row-major data; a
-// nil matrix writes just the zero flag.
-func (e *encoder) matrix(m *mat.Matrix) {
-	if m == nil {
-		e.buf = append(e.buf, 0)
+	if version < 2 {
 		return
 	}
-	e.buf = append(e.buf, 1)
-	e.u32(uint32(m.Rows()))
-	e.u32(uint32(m.Cols()))
-	for _, x := range m.Raw() {
-		e.f64(x)
+
+	c.int(&s.Config.History)
+	trackOptions := func(o *track.Options) {
+		c.f64(&o.ProcessStd)
+		c.f64(&o.MeasurementStd)
+		c.f64(&o.GateSigma)
+		c.int(&o.MaxCoast)
+	}
+	trackOptions(&s.Config.Track)
+	hasTrack := s.Track != nil
+	c.flag(&hasTrack)
+	if !hasTrack {
+		return
+	}
+	if s.Track == nil {
+		s.Track = new(track.TrackerState)
+	}
+	f := &s.Track.Filter
+	trackOptions(&f.Opts)
+	c.flag(&f.Initialized)
+	c.int(&f.Coasts)
+	c.floats(f.X[:])
+	c.floats(f.Y[:])
+	c.floats(f.PX[0][:])
+	c.floats(f.PX[1][:])
+	c.floats(f.PY[0][:])
+	c.floats(f.PY[1][:])
+	c.flag(&s.Track.HasFix)
+	c.time(&s.Track.LastFix)
+}
+
+// Modes a codec runs Snapshot.walk in.
+const (
+	sizing = iota
+	encoding
+	decoding
+)
+
+// codec runs Snapshot.walk in one mode. Each field takes the next
+// window of the payload: sizing counts the windows' bytes in n,
+// encoding appends them to buf and fills them from the field, and
+// decoding reads buf from offset n into the field with strict bounds.
+// The first decoding failure latches into err; later fields read as
+// absent, so the walk stays linear and the caller checks err once.
+type codec struct {
+	mode int
+	buf  []byte
+	n    int
+	err  error
+}
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "snap: "+format, args...)
 	}
 }
 
-// decoder reads the payload back with strict bounds checking. The first
-// failure latches into err; subsequent reads return zero values, so call
-// sites stay linear and the caller checks err once.
-type decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "snap: "+format, args...)
+// next reserves the payload's next k bytes. Sizing counts them and
+// returns nil; encoding returns them to fill; decoding returns them to
+// read, or nil once the payload is too short.
+func (c *codec) next(k int) []byte {
+	switch c.mode {
+	case sizing:
+		c.n += k
+		return nil
+	case encoding:
+		c.buf = slices.Grow(c.buf, k)[:len(c.buf)+k]
+		return c.buf[len(c.buf)-k:]
 	}
-}
-
-// take reserves n payload bytes, or fails on truncation.
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
+	if c.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(d.buf)-d.pos {
-		d.fail("truncated payload at offset %d (need %d of %d bytes)", d.pos, n, len(d.buf)-d.pos)
+	if k < 0 || k > len(c.buf)-c.n {
+		c.fail("truncated payload at offset %d (need %d of %d bytes)", c.n, k, len(c.buf)-c.n)
 		return nil
 	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return b
+	c.n += k
+	return c.buf[c.n-k : c.n]
 }
 
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
+// u64 walks one 8-byte word: it writes v, or returns the word read.
+func (c *codec) u64(v uint64) uint64 {
+	b := c.next(8)
+	if b == nil {
+		return v
+	}
+	if c.mode == decoding {
+		return binary.LittleEndian.Uint64(b)
+	}
+	binary.LittleEndian.PutUint64(b, v)
+	return v
+}
+
+func (c *codec) f64(v *float64) {
+	if x := math.Float64frombits(c.u64(math.Float64bits(*v))); c.mode == decoding {
+		*v = x
+	}
+}
+
+// int walks an int as an int64; decoding refuses a value that overflows
+// the host int.
+func (c *codec) int(v *int) {
+	x := int64(c.u64(uint64(*v)))
+	if c.mode != decoding {
+		return
+	}
+	if int64(int(x)) != x {
+		c.fail("integer %d overflows host int", x)
+		return
+	}
+	*v = int(x)
+}
+
+// time walks an instant as int64 Unix nanoseconds; it decodes in UTC.
+func (c *codec) time(v *time.Time) {
+	if ns := int64(c.u64(uint64(v.UnixNano()))); c.mode == decoding {
+		*v = time.Unix(0, ns).UTC()
+	}
+}
+
+// flag walks a bool as one byte; decoding refuses any byte but 0 and 1.
+func (c *codec) flag(v *bool) {
+	b := c.next(1)
+	switch {
+	case b == nil:
+	case c.mode == encoding:
+		b[0] = 0
+		if *v {
+			b[0] = 1
+		}
+	case b[0] > 1:
+		c.fail("invalid flag byte %d", b[0])
+	default:
+		*v = b[0] == 1
+	}
+}
+
+// count walks a uint32 length prefix. Decoding refuses a count above
+// maxDim, or one whose elements, width bytes each, overrun the payload
+// left, so a corrupt count fails before anything is allocated for it.
+func (c *codec) count(n, width int) int {
+	b := c.next(4)
+	if c.mode != decoding {
+		if b != nil {
+			binary.LittleEndian.PutUint32(b, uint32(n))
+		}
+		return n
+	}
 	if b == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) i64() int64 {
-	b := d.take(8)
-	if b == nil {
+	v := binary.LittleEndian.Uint32(b)
+	if v > maxDim {
+		c.fail("implausible element count %d", v)
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-// intv decodes an int64 that must fit the host int.
-func (d *decoder) intv() int {
-	v := d.i64()
-	if int64(int(v)) != v {
-		d.fail("integer %d overflows host int", v)
+	if int(v)*width > len(c.buf)-c.n {
+		c.fail("truncated list of %d elements", v)
 		return 0
 	}
 	return int(v)
 }
 
-func (d *decoder) f64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// walkLen walks the length prefix of *v, whose elements encode to width
+// bytes each; decoding allocates *v once the count has passed count's
+// bounds.
+func walkLen[T any](c *codec, v *[]T, width int) {
+	if n := c.count(len(*v), width); c.mode == decoding && c.err == nil {
+		*v = make([]T, n)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// count decodes a slice length and sanity-bounds it before any
-// allocation happens.
-func (d *decoder) count() int {
-	n := d.u32()
-	if n > maxDim {
-		d.fail("implausible element count %d", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) str() string {
-	n := d.count()
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) f64s() []float64 {
-	n := d.count()
-	if d.err != nil {
-		return nil
-	}
-	if n*8 > len(d.buf)-d.pos {
-		d.fail("truncated float slice of %d", n)
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *decoder) ints() []int {
-	n := d.count()
-	if d.err != nil {
-		return nil
-	}
-	if n*8 > len(d.buf)-d.pos {
-		d.fail("truncated int slice of %d", n)
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.intv()
-	}
-	return out
-}
-
-func (d *decoder) bool() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	switch b[0] {
-	case 0:
-		return false
-	case 1:
-		return true
+func (c *codec) str(v *string) {
+	b := c.next(c.count(len(*v), 1))
+	switch {
+	case b == nil:
+	case c.mode == decoding:
+		*v = string(b)
 	default:
-		d.fail("invalid bool byte %d", b[0])
-		return false
+		copy(b, *v)
 	}
 }
 
-func (d *decoder) trackOptions() track.Options {
-	return track.Options{
-		ProcessStd:     d.f64(),
-		MeasurementStd: d.f64(),
-		GateSigma:      d.f64(),
-		MaxCoast:       d.intv(),
+// floats walks v as consecutive float64 words in one window: the bulk
+// path for float slices and matrix data.
+func (c *codec) floats(v []float64) {
+	b := c.next(8 * len(v))
+	switch {
+	case b == nil:
+	case c.mode == decoding:
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	default:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
 	}
 }
 
-func (d *decoder) trackerState() track.TrackerState {
-	var ts track.TrackerState
-	ts.Filter.Opts = d.trackOptions()
-	ts.Filter.Initialized = d.bool()
-	ts.Filter.Coasts = d.intv()
-	ts.Filter.X = [2]float64{d.f64(), d.f64()}
-	ts.Filter.Y = [2]float64{d.f64(), d.f64()}
-	ts.Filter.PX = [2][2]float64{{d.f64(), d.f64()}, {d.f64(), d.f64()}}
-	ts.Filter.PY = [2][2]float64{{d.f64(), d.f64()}, {d.f64(), d.f64()}}
-	ts.HasFix = d.bool()
-	ts.LastFix = time.Unix(0, d.i64()).UTC()
-	return ts
-}
-
-func (d *decoder) matrix() *mat.Matrix {
-	b := d.take(1)
-	if b == nil {
-		return nil
+// matrix walks a presence flag, then for a non-nil matrix its
+// dimensions and row-major data. Decoding allocates the matrix once its
+// size has passed the bounds.
+func (c *codec) matrix(m **mat.Matrix) {
+	present := *m != nil
+	c.flag(&present)
+	if !present {
+		return
 	}
-	if b[0] == 0 {
-		return nil
+	var r, k int
+	if *m != nil {
+		r, k = (*m).Dims()
 	}
-	if b[0] != 1 {
-		d.fail("invalid matrix presence flag %d", b[0])
-		return nil
+	r, k = c.count(r, 0), c.count(k, 0)
+	if c.mode == decoding {
+		if c.err != nil {
+			return
+		}
+		if r*k > maxDim || r*k*8 > len(c.buf)-c.n {
+			c.fail("truncated %dx%d matrix", r, k)
+			return
+		}
+		*m = mat.New(r, k)
 	}
-	r, c := d.count(), d.count()
-	if d.err != nil {
-		return nil
-	}
-	if r*c > maxDim || r*c*8 > len(d.buf)-d.pos {
-		d.fail("truncated %dx%d matrix", r, c)
-		return nil
-	}
-	m := mat.New(r, c)
-	data := m.Raw()
-	for i := range data {
-		data[i] = d.f64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return m
+	c.floats((*m).Raw())
 }

@@ -2,16 +2,21 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"tafloc/internal/core"
 	"tafloc/internal/geom"
 	"tafloc/internal/mat"
+	"tafloc/internal/testbed"
 	"tafloc/internal/track"
 	"tafloc/taflocerr"
 )
@@ -233,6 +238,92 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzRestore drives bytes through the snapshot door into the core:
+// Decode, then core.RestoreSystem, then a Locate of the restored vacant
+// baseline. No input may panic. Each must fail with a snapshot error at
+// Decode or RestoreSystem, or locate to a finite point in a grid cell.
+// The input's length field and CRC are rewritten to match its payload,
+// so mutated fields reach the walk and the core instead of stopping at
+// the CRC check, which FuzzDecode covers.
+func FuzzRestore(f *testing.F) {
+	for _, name := range []string{"golden_v2.snap", "golden_v2_bare.snap", "golden_v1.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	data, err := Encode(testSnapshot(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if n := len(b) - headerSize - 4; n >= 0 {
+			b = append([]byte(nil), b...)
+			binary.LittleEndian.PutUint64(b[12:headerSize], uint64(n))
+			binary.LittleEndian.PutUint32(b[headerSize+n:], crc32.Checksum(b[headerSize:headerSize+n], castagnoli))
+		}
+		sn, err := Decode(b)
+		if err != nil {
+			if !errors.Is(err, taflocerr.ErrSnapshotCorrupt) && !errors.Is(err, taflocerr.ErrSnapshotVersion) {
+				t.Fatalf("Decode error %v is not a snapshot error", err)
+			}
+			return
+		}
+		sys, err := core.RestoreSystem(sn.State)
+		if err != nil {
+			if !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
+				t.Fatalf("RestoreSystem error %v is not a snapshot error", err)
+			}
+			return
+		}
+		loc, err := sys.Locate(sys.Vacant())
+		if err != nil {
+			t.Fatalf("Locate of the restored vacant baseline: %v", err)
+		}
+		if p := loc.Point; math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			t.Fatalf("Locate returned a non-finite point %+v", p)
+		}
+		if n := sys.Layout().N(); loc.Cell < 0 || loc.Cell >= n {
+			t.Fatalf("Locate returned cell %d outside [0, %d)", loc.Cell, n)
+		}
+	})
+}
+
+// TestEncodeConcurrent encodes one Snapshot from two goroutines at once.
+// The sizing and encoding walks only read it, so under -race nothing is
+// reported, and both goroutines produce the same bytes.
+func TestEncodeConcurrent(t *testing.T) {
+	sn := testSnapshot(t)
+	want, err := Encode(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]byte
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				data, err := Encode(sn)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = data
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, data := range got {
+		if !bytes.Equal(data, want) {
+			t.Errorf("goroutine %d: concurrent encoding differs from a lone one", g)
+		}
+	}
+}
+
 // goldenSnapshot is a fixed snapshot built from literal values alone —
 // no survey, mask learning or reference selection runs — so its
 // encoding is the same on every platform. bare drops the optional
@@ -358,5 +449,62 @@ func TestEncodeGolden(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { _, _ = Decode(golden) }); n > 15 {
 		t.Errorf("Decode of golden_v2.snap made %v allocations, want at most 15", n)
+	}
+}
+
+// roomSnapshot is testSnapshot with its state swapped for a zone
+// calibrated at day 0 on a testbed room, as a service would snapshot it.
+func roomSnapshot(b *testing.B, cfg testbed.Config) *Snapshot {
+	dep, err := testbed.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
+	if err != nil {
+		b.Fatal(err)
+	}
+	survey, _ := dep.Survey(0)
+	sys, err := core.NewSystem(layout, survey, dep.VacantCapture(0, 100), core.DefaultSystemOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn := testSnapshot(b)
+	sn.State = sys.ExportState()
+	return sn
+}
+
+// BenchmarkSnapshotCodec times the codec alone: Encode of a calibrated
+// zone's snapshot and Decode of its bytes, with no store copy or
+// RestoreSystem around them. The paper room has 10 links over 96 cells;
+// the 12 m room has 17 links over 400 cells.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	for _, room := range []struct {
+		name string
+		cfg  testbed.Config
+	}{
+		{"paper", testbed.PaperConfig()},
+		{"12m", testbed.SquareConfig(12)},
+	} {
+		sn := roomSnapshot(b, room.cfg)
+		data, err := Encode(sn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(room.name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(sn); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(room.name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
