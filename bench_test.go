@@ -658,11 +658,15 @@ func BenchmarkServeThroughput(b *testing.B) {
 	svc.Wait()
 }
 
-// BenchmarkEvictRehydrate prices one full residency round trip per op:
-// checkpoint a zone's calibrated state into the snapshot store and drop
-// its Model, then restore it from the stored bytes. This is the tax a
-// service over its hot-zone cap pays when traffic returns to a cold
-// zone, measured against both production backends.
+// BenchmarkEvictRehydrate prices one residency round trip per op: evict
+// a zone (drop its Model), then restore it from the stored bytes. This
+// is the tax a service over its hot-zone cap pays when traffic returns
+// to a cold zone, measured against both production backends. The zone
+// never publishes, so after the first op the store already holds its
+// state and each eviction writes nothing: the rows price the clean
+// round trip, a Get, decode and restore. internal/serve's
+// BenchmarkEvictWrite prices the round trip with its export, encode and
+// Put.
 func BenchmarkEvictRehydrate(b *testing.B) {
 	cfg := tafloc.PaperConfig()
 	cfg.RoomW, cfg.RoomH = 3.6, 2.4

@@ -91,12 +91,14 @@ type ZoneStats struct {
 	QueueLen int `json:"queue_len"`
 	// Cold reports that the zone's Model is currently evicted to the
 	// snapshot store (tiered storage); the zone still serves — its next
-	// report, locate, track, or snapshot request rehydrates it. Hot
-	// zones omit the field, so services without a hot-zone cap keep
-	// their exact pre-tiering stats bodies.
+	// report batch, System call, snapshot export or forced rehydrate
+	// restores it, while position, watch, track and history reads
+	// never do. Hot zones omit the field, so services without a
+	// hot-zone cap keep their exact pre-tiering stats bodies.
 	Cold bool `json:"cold,omitempty"`
-	// Evictions counts hot→cold transitions (Model checkpointed to the
-	// store and dropped).
+	// Evictions counts hot→cold transitions (Model dropped, after a
+	// checkpoint to the store unless the store already held the zone's
+	// current state).
 	Evictions uint64 `json:"evictions,omitempty"`
 	// Rehydrates counts cold→hot transitions (Model restored from the
 	// store on demand).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tafloc/internal/mat"
 )
@@ -23,7 +24,19 @@ type Model struct {
 	vacant   []float64   // vacant baseline (detector reference), length M
 	refs     []int       // reference cell indices
 	matcher  Matcher     // resolved matcher; never nil
+	stamp    uint64      // install stamp (see Stamp); 0 for NewModel's
 }
+
+// installs numbers the Models Systems install, process-wide.
+var installs atomic.Uint64
+
+// Stamp returns the install stamp of m: nonzero and unique within the
+// process for every Model a System installed (NewSystem, UpdateContext,
+// Reselect, RestoreSystem), and 0 for a Model built by NewModel. Two
+// stamps are equal only for the same Model, so a caller can record
+// which Model it saw as a number, without keeping that Model reachable
+// and without trusting an address that may be reused.
+func Stamp(m *Model) uint64 { return m.stamp }
 
 // NewModel assembles an immutable Model from its parts. The Model takes
 // ownership of every argument — callers must not mutate x, observed,

@@ -149,7 +149,7 @@ func resolveMatcher(opts SystemOptions) (Matcher, error) {
 }
 
 // install publishes a new immutable Model assembled from freshly built
-// (never again mutated) parts.
+// (never again mutated) parts, under a fresh install stamp.
 func (s *System) install(x, observed *mat.Matrix, vacant []float64, refs []int) {
 	s.model.Store(&Model{
 		layout:   s.layout,
@@ -158,6 +158,7 @@ func (s *System) install(x, observed *mat.Matrix, vacant []float64, refs []int) 
 		vacant:   vacant,
 		refs:     refs,
 		matcher:  s.matcher,
+		stamp:    installs.Add(1),
 	})
 }
 

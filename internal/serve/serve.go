@@ -79,10 +79,11 @@ type Config struct {
 	// MaxHotZones caps how many zones may hold a resident Model at once
 	// (default 0 = unlimited, every zone stays hot; negative = 1, the
 	// smallest useful cache). When the service is over the cap, the
-	// least-recently-touched hot zone is checkpointed into Store and its
-	// Model dropped; the zone stays registered and rehydrates
-	// transparently on its next report, locate, track, or snapshot
-	// request.
+	// least-recently-touched hot zone is checkpointed into Store (unless
+	// Store already holds its current state) and its Model dropped; the
+	// zone stays registered and rehydrates transparently on its next
+	// Ingest (or the fold round it starts), System, snapshot export or
+	// RehydrateZone. Position, Watch, Track and History never rehydrate.
 	MaxHotZones int
 	// Store is the snapshot store behind eviction, rehydration, and the
 	// forced EvictZone/RehydrateZone transitions. Leaving it nil with a
@@ -205,6 +206,12 @@ type zone struct {
 	//tafloc:lock-order 20 zone residency lock; nests inside Service.mu
 	resMu     sync.Mutex
 	lastTouch atomic.Int64
+	// held records what the residency store holds for the zone, under
+	// resMu: model is the core.Stamp of the Model whose state the store
+	// last read or wrote for the zone (0 = none recorded; always 0 while
+	// the zone is cold), fixes the trajectory filter's fix count in
+	// those bytes. See storeHoldsLocked.
+	held struct{ model, fixes uint64 }
 
 	// per-link ring windows: win holds every sample (a vacant room is a
 	// valid live measurement); vwin holds only vacant-flagged samples and
@@ -273,8 +280,9 @@ type publication struct {
 	has      bool // latest holds a published estimate
 	watchers map[chan Estimate]struct{}
 	// The trajectory state; all three are nil when the zone's history
-	// is disabled.
+	// is disabled. fixes counts the fixes the tracker has folded.
 	tracker *track.Tracker
+	fixes   uint64
 	hist    *ring[Estimate]
 	trk     *ring[api.TrackPoint]
 }
@@ -295,6 +303,14 @@ func newPublication(zc zoneConfig, tracker *track.Tracker) *publication {
 		}
 	}
 	return p
+}
+
+// fixCount returns how many fixes the zone's trajectory filter has
+// folded.
+func (p *publication) fixCount() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fixes
 }
 
 // position returns the latest published estimate, if any.
@@ -470,7 +486,7 @@ func (z *zone) isStopped() bool {
 // stopped service rejects new zones — their reports could never be
 // processed.
 func (s *Service) AddZone(id string, sys *core.System) error {
-	return s.addZone(id, sys, s.defZC, nil)
+	return s.addZone(id, sys, s.defZC, nil, false)
 }
 
 // addZone is the one registration step behind every way a zone joins
@@ -480,7 +496,9 @@ func (s *Service) AddZone(id string, sys *core.System) error {
 // restore the snapshot's, along with the snapshot's trajectory-filter
 // state), then run the hot-cap pass. A fresh zone is hot by
 // construction, so registering it can put the service over its cap.
-func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) error {
+// held says the residency store already holds exactly what the new zone
+// would write to it, so the cap pass can drop the zone with no write.
+func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker, held bool) error {
 	if id == "" {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: empty zone id")
 	}
@@ -497,6 +515,9 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 		return err
 	}
 	z := s.newZone(id, sys, zc, newPublication(zc, tracker), new(counters))
+	if held {
+		z.held.model = core.Stamp(sys.Model())
+	}
 	s.touch(z)
 	s.zones[id] = z
 	s.hotAdd(z)
@@ -629,6 +650,14 @@ func (s *Service) Zones() []string {
 // fingerprint update needs somewhere to land. ok is false when the zone
 // is unknown or when it is cold and its rehydrate failed (the zone
 // stays registered; retry once the store heals).
+//
+// Hazard: nothing holds the zone hot while an update runs. When the hot
+// cap or EvictZone evicts the zone before the update installs its
+// Model, the update lands on a System the zone no longer serves: it
+// returns nil, but the zone rehydrates into the pre-update state. On a
+// service that evicts, call System again once the update returns: the
+// zone stayed hot throughout only if it returns the same System, and if
+// it returns another, the update may be lost, so run it on that one.
 func (s *Service) System(id string) (*core.System, bool) {
 	z, ok := s.lookup(id)
 	if !ok {

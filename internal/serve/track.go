@@ -77,6 +77,7 @@ func (p *publication) record(e Estimate) {
 		return
 	}
 	st, accepted := p.tracker.Observe(e.Point, e.Time)
+	p.fixes++
 	p.trk.push(api.TrackPoint{
 		Seq:      e.Seq,
 		Time:     e.Time,

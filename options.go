@@ -117,11 +117,15 @@ func WithZoneFactory(f ZoneFactory) ServiceOption {
 // WithMaxHotZones caps how many zones may hold a resident Model at
 // once. Over the cap, the least-recently-touched zone is checkpointed
 // into the snapshot store (WithSnapshotStore, defaulting to an
-// in-memory store) and its Model dropped; the zone stays registered and
-// rehydrates transparently on its next report, locate, track, or
-// snapshot request — a service can therefore register far more zones
-// than fit in memory. n <= 0 selects the minimum cache of one hot zone;
-// omit the option entirely for the default of no cap.
+// in-memory store), unless the store already holds its current state,
+// and its Model dropped; the zone stays registered and rehydrates
+// transparently when it is next needed: an ingested report batch (and
+// the fold round it starts), Service.System, a snapshot export, or
+// RehydrateZone. Position, Watch, Track and History read what the zone
+// has published and never rehydrate it. A service can therefore
+// register far more zones than fit in memory. n <= 0 selects the
+// minimum cache of one hot zone; omit the option entirely for the
+// default of no cap.
 func WithMaxHotZones(n int) ServiceOption {
 	if n <= 0 {
 		n = -1
