@@ -662,11 +662,11 @@ func BenchmarkServeThroughput(b *testing.B) {
 // a zone (drop its Model), then restore it from the stored bytes. This
 // is the tax a service over its hot-zone cap pays when traffic returns
 // to a cold zone, measured against both production backends. The zone
-// never publishes, so after the first op the store already holds its
-// state and each eviction writes nothing: the rows price the clean
-// round trip, a Get, decode and restore. internal/serve's
-// BenchmarkEvictWrite prices the round trip with its export, encode and
-// Put.
+// has trajectory history off and keeps its Model, so after the first op
+// the store already holds its state and each eviction writes nothing:
+// the rows price the clean round trip, a Get, decode and restore.
+// internal/serve's BenchmarkEvictWrite prices the round trip with its
+// export, encode and Put.
 func BenchmarkEvictRehydrate(b *testing.B) {
 	cfg := tafloc.PaperConfig()
 	cfg.RoomW, cfg.RoomH = 3.6, 2.4
@@ -689,7 +689,7 @@ func BenchmarkEvictRehydrate(b *testing.B) {
 	}
 	for _, backend := range backends {
 		b.Run(backend.name, func(b *testing.B) {
-			svc, err := tafloc.NewService(tafloc.WithSnapshotStore(backend.store))
+			svc, err := tafloc.NewService(tafloc.WithSnapshotStore(backend.store), tafloc.WithHistory(0))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,29 +8,17 @@ import (
 
 	"tafloc/internal/core"
 	"tafloc/internal/geom"
-	"tafloc/internal/snap"
 	"tafloc/internal/store"
 	"tafloc/internal/store/storetest"
-	"tafloc/internal/testbed"
 	"tafloc/internal/track"
 )
 
-// The residency write rule: an eviction, or a checkpoint into the
-// residency store, writes a zone only when its persistent state changed
-// since the store last held it — a new Model, or a fix folded by its
-// trajectory filter. These tests count the store's Puts to pin both
-// halves: a clean zone costs no write, and no change is ever dropped.
-
-// vacantBatch shapes an empty-room measurement, averaged like the
-// zone's vacant baseline, as a report batch.
-func vacantBatch(dep *testbed.Deployment) []Report {
-	y := dep.Channel.MeasureVacant(0, 50)
-	batch := make([]Report, len(y))
-	for i, v := range y {
-		batch[i] = Report{Link: i, RSS: v}
-	}
-	return batch
-}
+// The residency write rule (see residency.go): an eviction, or a
+// checkpoint into the residency store, skips a zone the store already
+// holds — one with no trajectory filter whose System still serves the
+// Model the store last read or wrote. These tests count the store's
+// Puts to pin both halves: a clean zone costs no write, and no change
+// is ever dropped.
 
 // requirePuts fails the test unless the store has seen want Puts.
 func requirePuts(t *testing.T, faults *storetest.FaultStore, want int, when string) {
@@ -141,11 +129,12 @@ func TestEvictionKeepsModelUpdates(t *testing.T) {
 	}
 }
 
-// TestTrackedEvictionWritesOnlyFixes: a tracked zone fed only absent
-// estimates stays clean, since absent estimates never reach its
-// trajectory filter. One present fix makes its next eviction write, and
-// a boot from that store restores the live filter state.
-func TestTrackedEvictionWritesOnlyFixes(t *testing.T) {
+// TestTrackedZoneIsAlwaysWritten: a zone with a trajectory filter
+// counts as changed whenever it is hot, since the filter may have
+// folded a fix, so each eviction and each checkpoint into the residency
+// store writes it, and a boot from that store restores the live filter
+// state.
+func TestTrackedZoneIsAlwaysWritten(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
 	svc := newTestService(t, Config{Window: 2, Store: faults})
@@ -156,21 +145,15 @@ func TestTrackedEvictionWritesOnlyFixes(t *testing.T) {
 	if err := svc.EvictZone("z"); err != nil {
 		t.Fatal(err)
 	}
-	requirePuts(t, faults, 1, "first eviction")
-
-	var absent [][]Report
-	for i := 0; i < 6; i++ {
-		absent = append(absent, vacantBatch(dep))
-	}
-	for i, e := range feedAndCollect(t, svc, "z", absent) {
-		if e.Present {
-			t.Fatalf("vacant batch %d published a present estimate: %+v", i, e)
-		}
-	}
-	if err := svc.EvictZone("z"); err != nil {
+	if err := svc.RehydrateZone("z"); err != nil {
 		t.Fatal(err)
 	}
-	requirePuts(t, faults, 1, "eviction after absent-only batches")
+	for i := 0; i < 2; i++ {
+		if err := svc.CheckpointStore(faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requirePuts(t, faults, 3, "two checkpoints after a rehydrate")
 
 	e := feedAndCollect(t, svc, "z", [][]Report{targetBatch(dep, geom.Point{X: 1.5, Y: 1.2})})[0]
 	if !e.Present || e.Cell < 0 {
@@ -179,7 +162,7 @@ func TestTrackedEvictionWritesOnlyFixes(t *testing.T) {
 	if err := svc.EvictZone("z"); err != nil {
 		t.Fatal(err)
 	}
-	requirePuts(t, faults, 2, "eviction after a present fix")
+	requirePuts(t, faults, 4, "eviction after a present fix")
 
 	live := zoneTracker(t, svc, "z")
 	boot := newTestService(t, Config{})
@@ -208,44 +191,19 @@ func zoneTracker(t *testing.T, svc *Service, id string) track.TrackerState {
 	return p.tracker.Export()
 }
 
-// TestFixFoldedWhileColdIsWritten: a locate in flight when its zone
-// goes cold still publishes, and its fix reaches the resident filter
-// after the store took the zone's bytes. The rehydrated zone must count
-// itself changed, so its next eviction writes that fix.
-func TestFixFoldedWhileColdIsWritten(t *testing.T) {
-	faults := storetest.New(store.NewMem())
-	svc := newTestService(t, Config{Window: 2, Store: faults})
-	if err := svc.AddZone("z", testSystem(t, testDeployment(t))); err != nil {
-		t.Fatal(err)
-	}
-	z, _ := svc.lookup("z")
-	if err := svc.EvictZone("z"); err != nil {
-		t.Fatal(err)
-	}
-	svc.publish(z, Estimate{Zone: "z", Present: true, Cell: 3, Point: geom.Point{X: 0.9, Y: 0.6}})
-	if err := svc.RehydrateZone("z"); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.EvictZone("z"); err != nil {
-		t.Fatal(err)
-	}
-	requirePuts(t, faults, 2, "eviction after a fix folded while cold")
-}
-
 // TestCheckpointIntoResidencyStoreWritesChanges: a checkpoint into the
 // residency store writes the hot zones it does not hold yet, then
-// nothing while no zone changes, then exactly the zone that folded a
-// fix, or the one that installed a new Model.
+// nothing while no zone changes, then exactly the zone that installed a
+// new Model.
 func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
-	svc := newTestService(t, Config{Window: 2, Store: faults})
+	svc := newTestService(t, Config{Window: 2, History: -1, Store: faults})
 	for _, id := range []string{"a", "b"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	startService(t, svc)
 	if err := svc.CheckpointStore(faults); err != nil {
 		t.Fatal(err)
 	}
@@ -253,18 +211,7 @@ func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 	if err := svc.CheckpointStore(faults); err != nil {
 		t.Fatal(err)
 	}
-	requirePuts(t, faults, 2, "second checkpoint, no traffic")
-
-	if e := feedAndCollect(t, svc, "a", [][]Report{targetBatch(dep, geom.Point{X: 0.9, Y: 0.9})})[0]; !e.Present || e.Cell < 0 {
-		t.Fatalf("target batch published %+v, want a present fix", e)
-	}
-	if err := svc.CheckpointStore(faults); err != nil {
-		t.Fatal(err)
-	}
-	requirePuts(t, faults, 3, "checkpoint after a present fix")
-	if got := faults.Calls(storetest.OpPut, "a"); got != 2 {
-		t.Errorf("zone a written %d times, want 2", got)
-	}
+	requirePuts(t, faults, 2, "second checkpoint, no change")
 
 	sys, _ := svc.System("b")
 	if _, err := sys.Reselect(); err != nil {
@@ -273,90 +220,17 @@ func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 	if err := svc.CheckpointStore(faults); err != nil {
 		t.Fatal(err)
 	}
-	requirePuts(t, faults, 4, "checkpoint after a reselect")
+	requirePuts(t, faults, 3, "checkpoint after a reselect")
 	if got := faults.Calls(storetest.OpPut, "b"); got != 2 {
 		t.Errorf("zone b written %d times, want 2", got)
 	}
 }
 
-// TestBootOverCapRewritesOnlyWhatDiffers: RestoreStore from the
-// residency store into a service capped below the zone count evicts the
-// surplus with no Put, as the store holds exactly what it restored. A
-// boot from another store, and a stored snapshot that predates a
-// configuration field, still write.
-func TestBootOverCapRewritesOnlyWhatDiffers(t *testing.T) {
-	dep := testDeployment(t)
-	seed := newTestService(t, Config{Window: 4})
-	ids := []string{"a", "b", "c", "d"}
-	for _, id := range ids {
-		if err := seed.AddZone(id, testSystem(t, dep)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mem := store.NewMem()
-	if err := seed.CheckpointStore(mem); err != nil {
-		t.Fatal(err)
-	}
-	copyStore := func(src store.Store) *storetest.FaultStore {
-		dst := storetest.New(store.NewMem())
-		for _, id := range ids {
-			data, err := src.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Put(id, data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dst
-	}
-
-	own := copyStore(mem)
-	base := own.Calls(storetest.OpPut, "")
-	svc := newTestService(t, Config{Window: 4, MaxHotZones: 1, Store: own})
-	if got, err := svc.RestoreStore(own); err != nil || !reflect.DeepEqual(got, ids) {
-		t.Fatalf("RestoreStore = %v, %v", got, err)
-	}
-	if svc.HotZones() != 1 {
-		t.Fatalf("HotZones = %d after boot, want 1", svc.HotZones())
-	}
-	requirePuts(t, own, base, "boot from the residency store")
-
-	foreign := newTestService(t, Config{Window: 4, MaxHotZones: 1, Store: copyStore(mem)})
-	faults := foreign.store.(*storetest.FaultStore)
-	base = faults.Calls(storetest.OpPut, "")
-	if _, err := foreign.RestoreStore(mem); err != nil {
-		t.Fatal(err)
-	}
-	requirePuts(t, faults, base+len(ids)-1, "boot from another store")
-
-	old := copyStore(mem)
-	sn, err := snap.ReadStore(mem, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := snap.EncodeVersion(sn, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Put("a", v1); err != nil {
-		t.Fatal(err)
-	}
-	base = old.Calls(storetest.OpPut, "a")
-	upgraded := newTestService(t, Config{Window: 4, MaxHotZones: 1, Store: old})
-	if _, err := upgraded.RestoreStore(old); err != nil {
-		t.Fatal(err)
-	}
-	if got := old.Calls(storetest.OpPut, "a"); got != base+1 {
-		t.Errorf("version-1 snapshot rewritten %d times on a boot over the cap, want 1", got-base)
-	}
-}
-
 // BenchmarkEvictWrite prices the residency round trip with its write:
-// the zone's record of what the store holds is cleared before every op,
-// so each eviction exports, encodes and Puts the snapshot, as for a zone
-// that changed since the store last held it. BenchmarkEvictRehydrate in
-// the root package prices the clean round trip of the same zone.
+// the zone keeps trajectory history (the default), so each eviction
+// exports, encodes and Puts the snapshot. BenchmarkEvictRehydrate in
+// the root package prices the clean round trip of a zone without
+// history.
 func BenchmarkEvictWrite(b *testing.B) {
 	sys := testSystem(b, testDeployment(b))
 	backends := []struct {
@@ -372,12 +246,8 @@ func BenchmarkEvictWrite(b *testing.B) {
 			if err := svc.AddZone("z", sys); err != nil {
 				b.Fatal(err)
 			}
-			z, _ := svc.lookup("z")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				z.resMu.Lock()
-				z.held.model = 0
-				z.resMu.Unlock()
 				if err := svc.EvictZone("z"); err != nil {
 					b.Fatal(err)
 				}

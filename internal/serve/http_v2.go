@@ -204,7 +204,7 @@ func (s *Service) handleSnapshotPut(w http.ResponseWriter, r *http.Request, id s
 			"serve: snapshot is for zone %q, not %q", sn.Zone, id))
 		return
 	}
-	if _, err := s.restoreSnapshot(sn, false); err != nil {
+	if _, err := s.restoreSnapshot(sn); err != nil {
 		errorV2(w, err)
 		return
 	}

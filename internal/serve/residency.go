@@ -26,18 +26,18 @@ package serve
 // The scan covers the hot set (Service.hot), the zones that hold a
 // System, so it costs O(MaxHotZones) however many zones are cold.
 //
-// Eviction writes only what changed. The residency store keeps what it
-// was last given until the service deletes the zone, and a zone's
-// persistent state changes only when a new Model is installed or its
-// trajectory filter folds a fix. So a hot zone records what the store
-// holds for it (zone.held): the core.Stamp of the Model whose state the
-// store last read or wrote, and the filter's fix count in those bytes.
-// A rehydrate, a checkpoint into the residency store, and a RestoreStore
-// from it set the record. A zone whose System still serves the recorded
-// Model, and whose filter has folded no fix since, is clean: evicting it
-// drops the System with no export, encode or Put, and a checkpoint into
-// the residency store skips it as it skips cold zones. The record holds
-// numbers, not Models, so it keeps no superseded Model reachable.
+// A clean zone is not rewritten. The residency store keeps what it was
+// last given until the service deletes the zone, and a zone without a
+// trajectory filter changes its persistent state only when its System
+// installs a new Model. So a hot zone records in zone.held the
+// core.Stamp of the Model whose state the store last read (a rehydrate)
+// or wrote (an eviction, or a checkpoint into the residency store). A
+// zone is clean when it has no trajectory filter and its System still
+// serves the recorded Model: evicting it drops the System with no
+// export, encode or Put, and a checkpoint into the residency store
+// skips it as it skips cold zones. A zone with a filter is written
+// every time, since the filter may have folded a fix. The record is a
+// number, not a Model, so it keeps no superseded Model reachable.
 
 import (
 	"errors"
@@ -114,22 +114,20 @@ func (s *Service) rehydrateLocked(z *zone) (*core.System, error) {
 			"stored snapshot has %d links, zone has %d", m, len(z.win)))
 	}
 	z.sys.Store(sys)
-	// The store holds the bytes just read; held.fixes already counts the
-	// fixes in them, whatever the filter folded while the zone was cold.
-	z.held.model = core.Stamp(sys.Model())
+	z.held = core.Stamp(sys.Model())
 	s.hotAdd(z)
 	z.cnt.rehydrates.Add(1)
 	return sys, nil
 }
 
-// evictZone demotes a zone to cold: checkpoint its persistent state
-// into the store unless the store already holds it, then drop the
-// System. The write happens first and gates the drop — on a store
-// failure the zone stays hot (EvictErrors counts it) and keeps serving,
-// which is the degradation contract: a broken store costs memory
-// headroom, never correctness. A clean zone needs no write, so its
-// eviction succeeds even while the store is down. Either way the System
-// is dropped only while it serves the Model the store holds: one
+// evictZone demotes a zone to cold: write its snapshot into the store
+// unless the zone is clean (see above), then drop the
+// System. The write gates the drop: on a store failure the zone stays
+// hot (EvictErrors counts it) and keeps serving, so a dirty zone costs
+// memory headroom, never availability, while the store is broken. A
+// clean zone needs no write, so it goes cold even then, and its next
+// request fails with rehydrate_failed until the store heals. Either way
+// the System is dropped only while it serves the recorded Model: one
 // installed by a concurrent UpdateContext or Reselect aborts the
 // eviction (the zone stays hot and a later pass re-evicts).
 func (s *Service) evictZone(z *zone) error {
@@ -152,41 +150,37 @@ func (s *Service) evictZone(z *zone) error {
 				"serve: evict zone %q: %w", z.id, err)
 		}
 	}
-	if core.Stamp(sys.Model()) != z.held.model {
+	if core.Stamp(sys.Model()) != z.held {
 		return taflocerr.Errorf(taflocerr.CodeInternal,
 			"serve: zone %q model updated during eviction; zone stays hot", z.id)
 	}
 	z.sys.Store(nil)
-	z.held.model = 0
+	z.held = 0
 	s.hotDrop(z)
 	z.cnt.evictions.Add(1)
 	return nil
 }
 
 // storeHoldsLocked reports whether the residency store already holds
-// the zone's persistent state: the zone is cold (sys is nil), or its
-// System serves the Model recorded in z.held and its trajectory filter
-// has folded no fix since. Absent estimates never reach the filter, so
-// an empty room stays clean. Caller holds z.resMu.
+// the zone's persistent state: the zone is cold (sys is nil), or it is
+// clean. Caller holds z.resMu.
 func (z *zone) storeHoldsLocked(sys *core.System) bool {
-	return sys == nil ||
-		core.Stamp(sys.Model()) == z.held.model && z.pub.fixCount() == z.held.fixes
+	return sys == nil || z.pub.tracker == nil && core.Stamp(sys.Model()) == z.held
 }
 
 // storeLocked writes the zone's snapshot into the residency store and
-// records what the store then holds. ExportState reads the Model
-// itself, so the record names the Model only when it is still the
-// current one after the write; otherwise the record stays empty and the
-// zone dirty. Caller holds z.resMu.
+// records the Model the written bytes came from: ExportState reads the
+// Model itself, so the record names it only when it is still current
+// after the write. Caller holds z.resMu.
 func (s *Service) storeLocked(z *zone, sys *core.System) error {
 	model := sys.Model()
-	sn, fixes := s.buildSnapshot(z, sys)
-	z.held.model = 0 // the store's bytes are unknown until the write succeeds
+	sn := s.buildSnapshot(z, sys)
+	z.held = 0 // the store's bytes are unknown until the write succeeds
 	if err := snap.WriteStore(s.store, sn); err != nil {
 		return err
 	}
 	if sys.Model() == model { //tafloc:reload deliberate staleness re-check: a Model installed during the export or write means the stored bytes may not be this Model's
-		z.held.model, z.held.fixes = core.Stamp(model), fixes
+		z.held = core.Stamp(model)
 	}
 	return nil
 }
@@ -263,13 +257,13 @@ func (s *Service) HotZones() int {
 
 // EvictZone forces a zone cold right now, regardless of the LRU order
 // or the hot cap: checkpoint to the snapshot store unless the store
-// already holds the zone's current state, then drop the resident
-// Model. The zone stays registered and rehydrates on its next Ingest
-// (or the fold round it starts), System, snapshot export or
-// RehydrateZone; Position, Watch, Track and History never rehydrate. It
-// fails with taflocerr.CodeUnsupported when the service has no snapshot
-// store, and with the store's error (zone left hot) when the checkpoint
-// write fails.
+// already holds the zone's current state, then drop the resident Model.
+// The zone stays registered and rehydrates on its next Ingest (or the
+// fold round it starts), System, snapshot export or RehydrateZone;
+// Position, Watch, Track and History never rehydrate. It fails with
+// taflocerr.CodeUnsupported when the service has no snapshot store, and
+// with the store's error (zone left hot) when the checkpoint write
+// fails.
 func (s *Service) EvictZone(id string) error {
 	if s.store == nil {
 		return taflocerr.Errorf(taflocerr.CodeUnsupported,

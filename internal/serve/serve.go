@@ -206,12 +206,10 @@ type zone struct {
 	//tafloc:lock-order 20 zone residency lock; nests inside Service.mu
 	resMu     sync.Mutex
 	lastTouch atomic.Int64
-	// held records what the residency store holds for the zone, under
-	// resMu: model is the core.Stamp of the Model whose state the store
-	// last read or wrote for the zone (0 = none recorded; always 0 while
-	// the zone is cold), fixes the trajectory filter's fix count in
-	// those bytes. See storeHoldsLocked.
-	held struct{ model, fixes uint64 }
+	// held is the core.Stamp of the Model whose state the residency
+	// store last read or wrote for the zone, under resMu (0 = none
+	// recorded; always 0 while the zone is cold). See residency.go.
+	held uint64
 
 	// per-link ring windows: win holds every sample (a vacant room is a
 	// valid live measurement); vwin holds only vacant-flagged samples and
@@ -280,9 +278,8 @@ type publication struct {
 	has      bool // latest holds a published estimate
 	watchers map[chan Estimate]struct{}
 	// The trajectory state; all three are nil when the zone's history
-	// is disabled. fixes counts the fixes the tracker has folded.
+	// is disabled.
 	tracker *track.Tracker
-	fixes   uint64
 	hist    *ring[Estimate]
 	trk     *ring[api.TrackPoint]
 }
@@ -303,14 +300,6 @@ func newPublication(zc zoneConfig, tracker *track.Tracker) *publication {
 		}
 	}
 	return p
-}
-
-// fixCount returns how many fixes the zone's trajectory filter has
-// folded.
-func (p *publication) fixCount() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fixes
 }
 
 // position returns the latest published estimate, if any.
@@ -486,7 +475,7 @@ func (z *zone) isStopped() bool {
 // stopped service rejects new zones — their reports could never be
 // processed.
 func (s *Service) AddZone(id string, sys *core.System) error {
-	return s.addZone(id, sys, s.defZC, nil, false)
+	return s.addZone(id, sys, s.defZC, nil)
 }
 
 // addZone is the one registration step behind every way a zone joins
@@ -496,9 +485,7 @@ func (s *Service) AddZone(id string, sys *core.System) error {
 // restore the snapshot's, along with the snapshot's trajectory-filter
 // state), then run the hot-cap pass. A fresh zone is hot by
 // construction, so registering it can put the service over its cap.
-// held says the residency store already holds exactly what the new zone
-// would write to it, so the cap pass can drop the zone with no write.
-func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker, held bool) error {
+func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) error {
 	if id == "" {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: empty zone id")
 	}
@@ -515,9 +502,6 @@ func (s *Service) addZone(id string, sys *core.System, zc zoneConfig, tracker *t
 		return err
 	}
 	z := s.newZone(id, sys, zc, newPublication(zc, tracker), new(counters))
-	if held {
-		z.held.model = core.Stamp(sys.Model())
-	}
 	s.touch(z)
 	s.zones[id] = z
 	s.hotAdd(z)

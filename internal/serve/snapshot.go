@@ -49,47 +49,39 @@ func (s *Service) snapshotZone(id string) (*snap.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn, _ := s.buildSnapshot(z, sys)
-	return sn, nil
+	return s.buildSnapshot(z, sys), nil
 }
 
 // buildSnapshot captures a zone's persistent state over an explicit
 // System: the calibrated state export plus the per-zone serving
-// configuration and the live trajectory filter, and returns it with the
-// filter's fix count at the export. Shared by the export, checkpoint,
-// and eviction paths, so every snapshot the service writes has
-// identical shape regardless of why it was written.
-func (s *Service) buildSnapshot(z *zone, sys *core.System) (*snap.Snapshot, uint64) {
+// configuration and the live trajectory filter. Shared by the export,
+// checkpoint, and eviction paths, so every snapshot the service writes
+// has identical shape regardless of why it was written.
+func (s *Service) buildSnapshot(z *zone, sys *core.System) *snap.Snapshot {
+	history := z.zc.history
+	if history == 0 {
+		history = -1 // explicitly disabled — distinct from v1's "not recorded"
+	}
 	sn := &snap.Snapshot{
 		Zone:    z.id,
 		SavedAt: time.Now(),
-		Config:  snapConfig(z.zc),
-		State:   sys.ExportState(),
+		Config: snap.ZoneConfig{
+			Window:            z.zc.window,
+			DetectThresholdDB: z.zc.thrDB,
+			Detector:          z.zc.detector,
+			History:           history,
+			Track:             z.zc.trk,
+		},
+		State: sys.ExportState(),
 	}
 	p := z.pub
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.tracker != nil {
 		ts := p.tracker.Export()
 		sn.Track = &ts
 	}
-	return sn, p.fixes
-}
-
-// snapConfig is the serving configuration a snapshot of a zone under zc
-// records.
-func snapConfig(zc zoneConfig) snap.ZoneConfig {
-	history := zc.history
-	if history == 0 {
-		history = -1 // explicitly disabled — distinct from v1's "not recorded"
-	}
-	return snap.ZoneConfig{
-		Window:            zc.window,
-		DetectThresholdDB: zc.thrDB,
-		Detector:          zc.detector,
-		History:           history,
-		Track:             zc.trk,
-	}
+	p.mu.Unlock()
+	return sn
 }
 
 // RestoreZone warm-starts a zone from an encoded snapshot: decode,
@@ -104,7 +96,7 @@ func (s *Service) RestoreZone(data []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.restoreSnapshot(sn, false)
+	return s.restoreSnapshot(sn)
 }
 
 // maxRestoreWindow bounds the per-link window length a snapshot may
@@ -117,12 +109,7 @@ const maxRestoreWindow = 1 << 16
 // snapshot may request.
 const maxRestoreHistory = 1 << 20
 
-// restoreSnapshot registers the zone sn describes. fromStore says sn was
-// read from the residency store under its own zone ID; the new zone then
-// records that the store holds its state, unless a snapshot of it would
-// differ from sn (one that predates a configuration field, say), so a
-// boot over the hot cap evicts without rewriting what it just read.
-func (s *Service) restoreSnapshot(sn *snap.Snapshot, fromStore bool) (string, error) {
+func (s *Service) restoreSnapshot(sn *snap.Snapshot) (string, error) {
 	if sn.Zone == "" {
 		return "", taflocerr.Errorf(taflocerr.CodeSnapshotCorrupt, "serve: snapshot has no zone id")
 	}
@@ -173,8 +160,7 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot, fromStore bool) (string, er
 				"serve: snapshot for zone %q: tracker state: %w", sn.Zone, err)
 		}
 	}
-	held := fromStore && sn.Config == snapConfig(zc) && (sn.Track != nil) == (zc.history > 0)
-	if err := s.addZone(sn.Zone, sys, zc, tracker, held); err != nil {
+	if err := s.addZone(sn.Zone, sys, zc, tracker); err != nil {
 		return "", err
 	}
 	return sn.Zone, nil
@@ -184,10 +170,9 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot, fromStore bool) (string, er
 // export their live state; cold zones copy their already-current bytes
 // straight from the residency store, so a checkpoint never rehydrates
 // the cold tier (the whole point of which is not being resident). Into
-// the residency store itself, a checkpoint writes only the zones whose
-// state the store does not already hold: hot zones that changed since
-// the store last read or wrote them (see residency.go). Zones removed
-// mid-walk are skipped. The first write error aborts the walk.
+// the residency store itself, a checkpoint skips cold and clean zones
+// (see residency.go). Zones removed mid-walk are skipped. The first
+// write error aborts the walk.
 //
 // The service owns the destination's snapshot namespace: after writing,
 // CheckpointStore prunes stored zones that are no longer registered, so
@@ -214,8 +199,7 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 				err = s.storeLocked(z, sys)
 			}
 		case sys != nil:
-			sn, _ := s.buildSnapshot(z, sys)
-			err = snap.WriteStore(dst, sn)
+			err = snap.WriteStore(dst, s.buildSnapshot(z, sys))
 		default:
 			var data []byte
 			if data, err = s.store.Get(id); err == nil {
@@ -249,9 +233,7 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 // returned error, so a boot can both serve the healthy zones and report
 // the damaged entries. When the service runs a hot-zone cap, restored
 // zones beyond it are evicted again as they register — a node can boot
-// a store holding far more zones than fit in memory. When src is the
-// residency store itself, those evictions write nothing: the store
-// already holds what was just read from it.
+// a store holding far more zones than fit in memory.
 func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 	zones, err := src.List()
 	if err != nil {
@@ -265,7 +247,7 @@ func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 			errs = append(errs, taflocerr.Errorf(taflocerr.CodeOf(err), "serve: restore %q: %w", zoneID, err))
 			continue
 		}
-		id, err := s.restoreSnapshot(sn, src == s.store)
+		id, err := s.restoreSnapshot(sn)
 		if err != nil {
 			errs = append(errs, taflocerr.Errorf(taflocerr.CodeOf(err), "serve: restore %q: %w", zoneID, err))
 			continue
@@ -280,9 +262,9 @@ func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 // cancelled (service shutdown, SIGTERM) it writes one final checkpoint
 // before exiting, so the stored state is at most one interval old in a
 // crash and fully current on a clean stop. Pass the residency store
-// itself (Config.Store) to checkpoint into it: cold zones, and hot
-// zones unchanged since the store last held them, are then left as
-// they are instead of being rewritten every interval.
+// itself (Config.Store) to checkpoint into it: cold and clean zones
+// (see CheckpointStore) are then left as they are instead of being
+// rewritten every interval.
 // Checkpoint errors are reported to onErr (may be nil) and do not stop
 // the loop. The goroutine is counted in Wait.
 func (s *Service) StartCheckpointer(ctx context.Context, dst store.Store, interval time.Duration, onErr func(error)) error {

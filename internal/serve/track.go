@@ -77,7 +77,6 @@ func (p *publication) record(e Estimate) {
 		return
 	}
 	st, accepted := p.tracker.Observe(e.Point, e.Time)
-	p.fixes++
 	p.trk.push(api.TrackPoint{
 		Seq:      e.Seq,
 		Time:     e.Time,
