@@ -514,11 +514,7 @@ func BenchmarkModelLocate(b *testing.B) {
 func BenchmarkManyZones(b *testing.B) {
 	const zones = 1000
 	const preparedBatches = 32
-	cfg := tafloc.PaperConfig()
-	cfg.RoomW, cfg.RoomH = 3.6, 2.4
-	cfg.Links = 6
-	cfg.SamplesPerCell = 5
-	dep, err := tafloc.NewDeployment(cfg)
+	dep, err := tafloc.NewDeployment(fleetRoom())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -661,18 +657,14 @@ func BenchmarkServeThroughput(b *testing.B) {
 // BenchmarkEvictRehydrate prices one residency round trip per op: evict
 // a zone (drop its Model), then restore it from the stored bytes. This
 // is the tax a service over its hot-zone cap pays when traffic returns
-// to a cold zone, measured against both production backends. The zone
+// to a cold zone, measured against both store backends. The zone
 // has trajectory history off and keeps its Model, so after the first op
 // the store already holds its state and each eviction writes nothing:
 // the rows price the clean round trip, a Get, decode and restore.
 // internal/serve's BenchmarkEvictWrite prices the round trip with its
 // export, encode and Put.
 func BenchmarkEvictRehydrate(b *testing.B) {
-	cfg := tafloc.PaperConfig()
-	cfg.RoomW, cfg.RoomH = 3.6, 2.4
-	cfg.Links = 6
-	cfg.SamplesPerCell = 5
-	dep, err := tafloc.NewDeployment(cfg)
+	dep, err := tafloc.NewDeployment(fleetRoom())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -709,12 +701,25 @@ func BenchmarkEvictRehydrate(b *testing.B) {
 	}
 }
 
+// fleetRoom is the small room of perfbench's fleet-cold workload:
+// 3.6 m x 2.4 m, 6 links.
+func fleetRoom() tafloc.TestbedConfig {
+	cfg := tafloc.PaperConfig()
+	cfg.RoomW, cfg.RoomH = 3.6, 2.4
+	cfg.Links = 6
+	cfg.SamplesPerCell = 5
+	return cfg
+}
+
 // BenchmarkManyZonesColdStart is the cold-start leg of
 // BenchmarkManyZones: the same thousand-zone parallel ingest, but with
 // the resident-Model cache capped at 64, so producers sweeping the zone
 // space continuously force evictions and rehydrations. The gap between
 // this bench's reports/s and BenchmarkManyZones' is the throughput cost
-// of running 1000 zones in the memory footprint of 64. rehydrates/op
+// of the cap. It evicts into a Mem store, as fleet-cold does, so it
+// prices the residency round trip, not a memory saving: a Mem store
+// keeps each cold zone's snapshot on the heap (see
+// BenchmarkZoneFootprint). rehydrates/op
 // is how many ingested batches found their zone cold; the loop is
 // closed, so it depends on how fast ingest runs relative to the folds
 // that publish (and so touch) each zone. allocs/op follows it, so
@@ -724,11 +729,7 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 	const zones = 1000
 	const hotCap = 64
 	const preparedBatches = 32
-	cfg := tafloc.PaperConfig()
-	cfg.RoomW, cfg.RoomH = 3.6, 2.4
-	cfg.Links = 6
-	cfg.SamplesPerCell = 5
-	dep, err := tafloc.NewDeployment(cfg)
+	dep, err := tafloc.NewDeployment(fleetRoom())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -742,6 +743,7 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 		tafloc.WithZoneQueue(64),
 		tafloc.WithHistory(0),
 		tafloc.WithMaxHotZones(hotCap),
+		tafloc.WithSnapshotStore(tafloc.NewMemStore()),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -797,4 +799,126 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 	}
 	cancel()
 	svc.Wait()
+}
+
+// BenchmarkZoneFootprint reports what a zone keeps on the heap, in KiB
+// per zone, with trajectory history off: hot, then cold once every zone
+// is evicted into each store backend, for fleet-cold's room (300 zones)
+// and the 12 m room (400 cells, 17 links; 30 zones). The system row
+// reports what one 12 m System holds fresh and after one LoLi-IR
+// update. Each figure is a HeapAlloc delta after forced GCs; ns/op
+// only times the setup.
+func BenchmarkZoneFootprint(b *testing.B) {
+	rooms := []struct {
+		name  string
+		cfg   tafloc.TestbedConfig
+		zones int
+	}{
+		{"fleet", fleetRoom(), 300},
+		{"12m", tafloc.SquareConfig(12), 30},
+	}
+	backends := []struct {
+		name string
+		open func(b *testing.B) tafloc.SnapshotStore
+	}{
+		{"mem", func(*testing.B) tafloc.SnapshotStore { return tafloc.NewMemStore() }},
+		{"dir", func(b *testing.B) tafloc.SnapshotStore { return tafloc.NewDirStore(b.TempDir()) }},
+	}
+	var dep12 *tafloc.Deployment
+	var sys12 *tafloc.System
+	for _, room := range rooms {
+		dep, err := tafloc.NewDeployment(room.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := tafloc.OpenDeployment(dep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if room.name == "12m" {
+			dep12, sys12 = dep, sys
+		}
+		for _, backend := range backends {
+			b.Run(room.name+"/"+backend.name, func(b *testing.B) {
+				var hot, cold float64
+				for i := 0; i < b.N; i++ {
+					h, c := zoneFootprint(b, sys, room.zones, backend.open(b))
+					hot += h
+					cold += c
+				}
+				b.ReportMetric(hot/float64(b.N), "hot-KiB/zone")
+				b.ReportMetric(cold/float64(b.N), "cold-KiB/zone")
+			})
+		}
+	}
+	b.Run("12m/system", func(b *testing.B) {
+		refCols, _ := dep12.SurveyCells(sys12.References(), 45)
+		vacant := dep12.VacantCapture(45, 100)
+		update := func(sys *tafloc.System) {
+			if _, err := sys.UpdateContext(context.Background(), refCols, vacant); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// A first update warms what the runtime keeps across calls (the
+		// descriptors of the goroutines the parallel kernels start), so
+		// the loop counts only the System.
+		update(copySystem(b, sys12))
+		var fresh, updated float64
+		for i := 0; i < b.N; i++ {
+			base := liveHeap()
+			sys := copySystem(b, sys12)
+			fresh += liveHeap() - base
+			update(sys)
+			updated += liveHeap() - base
+			runtime.KeepAlive(sys)
+		}
+		b.ReportMetric(fresh/1024/float64(b.N), "fresh-KiB/system")
+		b.ReportMetric(updated/1024/float64(b.N), "updated-KiB/system")
+	})
+}
+
+// zoneFootprint registers zones copies of tmpl in a service without
+// history, then evicts them all into st, and returns the heap per zone
+// in KiB while they are hot and once they are cold.
+func zoneFootprint(b *testing.B, tmpl *tafloc.System, zones int, st tafloc.SnapshotStore) (hot, cold float64) {
+	svc, err := tafloc.NewService(tafloc.WithHistory(0), tafloc.WithSnapshotStore(st))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := liveHeap()
+	for z := 0; z < zones; z++ {
+		if err := svc.AddZone(fmt.Sprintf("zone-%03d", z), copySystem(b, tmpl)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hotHeap := liveHeap()
+	for _, id := range svc.Zones() {
+		if err := svc.EvictZone(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	coldHeap := liveHeap()
+	runtime.KeepAlive(svc)
+	perZone := 1024 * float64(zones)
+	return (hotHeap - base) / perZone, (coldHeap - base) / perZone
+}
+
+// copySystem returns a System with its own copy of every matrix tmpl
+// holds, as a zone calibrated on its own would.
+func copySystem(b *testing.B, tmpl *tafloc.System) *tafloc.System {
+	sys, err := tafloc.RestoreSystem(tmpl.ExportState())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
+// liveHeap returns the bytes of live heap objects, after two GCs so
+// that garbage from earlier steps is gone.
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
 }

@@ -28,8 +28,10 @@
 // CRC-checked snapshot files — periodically (-checkpoint) and once more
 // on SIGINT/SIGTERM — and the next boot warm-starts every snapshot it
 // finds instead of recalibrating, so a deploy or crash costs seconds of
-// blindness, not minutes. See docs/PERSISTENCE.md for the format and
-// semantics.
+// blindness, not minutes. The directory is the service's one snapshot
+// store: -max-hot-zones evicts into it (and needs it), and removing a
+// zone over DELETE /v2/zones/{id} deletes its file. See
+// docs/PERSISTENCE.md for the format and semantics.
 //
 // Usage:
 //
@@ -40,7 +42,7 @@
 //	tafloc-serve -interval 20ms           # faster simulated reporting
 //	tafloc-serve -state-dir /var/lib/tafloc   # checkpoint + warm restart
 //	tafloc-serve -state-dir ./state -checkpoint 10s
-//	tafloc-serve -zones 64 -max-hot-zones 8   # tiered storage: at most 8 resident models
+//	tafloc-serve -zones 64 -max-hot-zones 8 -state-dir ./state   # at most 8 resident models
 package main
 
 import (
@@ -213,7 +215,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.BoolVar(&cfg.sim, "sim", true, "drive simulated targets through every zone via the client SDK")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "directory for deployment snapshots: checkpoint zones there and warm-restore them on boot")
 	fs.DurationVar(&cfg.checkpoint, "checkpoint", 30*time.Second, "checkpoint interval when -state-dir is set")
-	fs.IntVar(&cfg.maxHotZones, "max-hot-zones", 0, "cap on zones holding a resident model; over the cap the least-recently-used zone is checkpointed and dropped, rehydrating transparently on its next request (0 = no cap)")
+	fs.IntVar(&cfg.maxHotZones, "max-hot-zones", 0, "cap on zones holding a resident model; over the cap the least-recently-used zone is checkpointed into -state-dir and dropped, rehydrating transparently on its next request (0 = no cap; needs -state-dir)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -223,8 +225,7 @@ func parseFlags(args []string) (*config, error) {
 
 // validate rejects unusable flag values and combinations with
 // taxonomy-coded errors, and warns about legal-but-surprising
-// combinations (flags that will be silently ignored, or non-durable
-// defaults chosen implicitly).
+// combinations (flags that will be silently ignored).
 func (cfg *config) validate() error {
 	if cfg.zones < 1 {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest,
@@ -257,7 +258,8 @@ func (cfg *config) validate() error {
 			"-checkpoint: need a positive interval with -state-dir, got %v", cfg.checkpoint)
 	}
 	if cfg.maxHotZones > 0 && cfg.stateDir == "" {
-		log.Printf("warning: -max-hot-zones without -state-dir: evicted zones snapshot to the in-process memory store, so eviction saves model RAM but cold state does not survive a restart; set -state-dir for durable tiering")
+		return taflocerr.Errorf(taflocerr.CodeBadRequest,
+			"-max-hot-zones: needs -state-dir, the snapshot store evicted zones go to")
 	}
 	if cfg.set["checkpoint"] && cfg.stateDir == "" {
 		log.Printf("warning: -checkpoint is ignored without -state-dir; no periodic checkpoints will run")
@@ -266,15 +268,6 @@ func (cfg *config) validate() error {
 		log.Printf("warning: -interval is ignored with -sim=false; it only paces the built-in simulator")
 	}
 	return nil
-}
-
-// storeBackend names the effective snapshot store the tiering layer
-// will evict into, for the startup banner.
-func (cfg *config) storeBackend() string {
-	if cfg.stateDir != "" {
-		return "dir store " + cfg.stateDir
-	}
-	return "in-process memory store (non-durable)"
 }
 
 func main() {
@@ -295,27 +288,20 @@ func run(cfg *config) error {
 	}
 
 	factory := &zoneFactory{matcher: cfg.matcher, days: cfg.days, deps: make(map[string]*tafloc.Deployment)}
-	// One handle on the state directory serves restore, eviction, and the
-	// checkpointer: checkpointing into the residency store's own handle
-	// is what lets a checkpoint leave cold zones' files alone.
-	var state tafloc.SnapshotStore
-	if cfg.stateDir != "" {
-		state = tafloc.NewDirStore(cfg.stateDir)
-	}
 	opts := []tafloc.ServiceOption{
 		tafloc.WithWindow(cfg.window),
 		tafloc.WithDetectThreshold(cfg.threshold),
 		tafloc.WithDetector(cfg.detector),
 		tafloc.WithZoneFactory(factory.build),
 	}
+	if cfg.stateDir != "" {
+		// The state directory is the service's one snapshot store:
+		// restore, the checkpointer, eviction and zone removal all use
+		// it, so cold state doubles as crash-recovery state.
+		opts = append(opts, tafloc.WithSnapshotStore(tafloc.NewDirStore(cfg.stateDir)))
+	}
 	if cfg.maxHotZones > 0 {
 		opts = append(opts, tafloc.WithMaxHotZones(cfg.maxHotZones))
-		if state != nil {
-			// Evicted zones checkpoint into the same directory the
-			// periodic checkpointer uses, so cold state doubles as
-			// crash-recovery state.
-			opts = append(opts, tafloc.WithSnapshotStore(state))
-		}
 	}
 	svc, err := tafloc.NewService(opts...)
 	if err != nil {
@@ -330,8 +316,8 @@ func run(cfg *config) error {
 	// without recalibration — the calibrated radio map, mask, references,
 	// and per-zone serve config come straight off disk.
 	restored := make(map[string]bool)
-	if state != nil {
-		ids, err := svc.RestoreStore(state)
+	if cfg.stateDir != "" {
+		ids, err := svc.Restore()
 		if err != nil {
 			// Damaged snapshots are reported and skipped; the healthy
 			// zones (and freshly surveyed ones) still serve.
@@ -366,10 +352,10 @@ func run(cfg *config) error {
 	if err := svc.Start(ctx); err != nil {
 		return err
 	}
-	if state != nil {
+	if cfg.stateDir != "" {
 		// Interval checkpoints plus a final one when ctx is cancelled
 		// (SIGINT/SIGTERM), so a clean stop persists fully current state.
-		if err := svc.StartCheckpointer(ctx, state, cfg.checkpoint, func(err error) {
+		if err := svc.StartCheckpointer(ctx, cfg.checkpoint, func(err error) {
 			log.Printf("checkpoint: %v", err)
 		}); err != nil {
 			return err
@@ -378,7 +364,7 @@ func run(cfg *config) error {
 	}
 	if cfg.maxHotZones > 0 {
 		fmt.Printf("hot-zone cap: %d resident models, evicting LRU zones to %s\n",
-			cfg.maxHotZones, cfg.storeBackend())
+			cfg.maxHotZones, cfg.stateDir)
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)

@@ -30,6 +30,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"unknown matcher", []string{"-matcher", "nope"}, taflocerr.CodeUnsupported},
 		{"unknown detector", []string{"-detector", "nope"}, taflocerr.CodeUnsupported},
 		{"negative hot cap", []string{"-max-hot-zones", "-1"}, taflocerr.CodeBadRequest},
+		{"hot cap without state dir", []string{"-max-hot-zones", "2"}, taflocerr.CodeBadRequest},
 		{"bad checkpoint", []string{"-state-dir", "x", "-checkpoint", "0s"}, taflocerr.CodeBadRequest},
 	}
 	for _, tc := range cases {
@@ -53,23 +54,13 @@ func TestValidateAcceptsWarnOnlyCombos(t *testing.T) {
 	// they do not fail startup.
 	for _, args := range [][]string{
 		{},
-		{"-max-hot-zones", "2"}, // memory store fallback: warn only
-		{"-checkpoint", "5s"},   // ignored without -state-dir: warn only
+		{"-checkpoint", "5s"}, // ignored without -state-dir: warn only
 		{"-sim=false", "-interval", "5ms"},
 		{"-state-dir", "x", "-checkpoint", "5s", "-max-hot-zones", "2"},
 	} {
 		if err := parseForTest(t, args...).validate(); err != nil {
 			t.Errorf("validate(%v): unexpected error %v", args, err)
 		}
-	}
-}
-
-func TestStoreBackendBanner(t *testing.T) {
-	if got := parseForTest(t, "-max-hot-zones", "2").storeBackend(); got != "in-process memory store (non-durable)" {
-		t.Fatalf("default backend = %q", got)
-	}
-	if got := parseForTest(t, "-max-hot-zones", "2", "-state-dir", "/var/lib/tafloc").storeBackend(); got != "dir store /var/lib/tafloc" {
-		t.Fatalf("dir backend = %q", got)
 	}
 }
 

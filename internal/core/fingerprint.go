@@ -158,15 +158,19 @@ func NewSmootherFromMask(mask *mat.Matrix, grid *geom.Grid) *Smoother {
 		rowPairs: make([][]cellPair, m),
 		colPairs: make([][]linkPair, n),
 	}
+	// Pairs run from the lower cell: its right neighbour, then the one
+	// below. The order fixes LoLi-IR's floating-point sums.
+	nx, cells := grid.NX(), grid.Cells()
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			if !distorted(i, j) {
 				continue
 			}
-			for _, nb := range grid.Neighbors4(j) {
-				if nb > j && distorted(i, nb) {
-					s.rowPairs[i] = append(s.rowPairs[i], cellPair{j, nb})
-				}
+			if right := j + 1; right%nx != 0 && distorted(i, right) {
+				s.rowPairs[i] = append(s.rowPairs[i], cellPair{j, right})
+			}
+			if below := j + nx; below < cells && distorted(i, below) {
+				s.rowPairs[i] = append(s.rowPairs[i], cellPair{j, below})
 			}
 		}
 	}

@@ -135,7 +135,8 @@ type Reconstructor struct {
 }
 
 // NewReconstructorWithMask builds a Reconstructor over an explicit
-// undistorted-entry mask (1 = undistorted).
+// undistorted-entry mask (1 = undistorted). The Reconstructor keeps mask
+// without copying it, so the caller must not modify it afterwards.
 func NewReconstructorWithMask(l *Layout, mask *mat.Matrix, opts LoLiOptions) (*Reconstructor, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -146,7 +147,7 @@ func NewReconstructorWithMask(l *Layout, mask *mat.Matrix, opts LoLiOptions) (*R
 	return &Reconstructor{
 		layout:   l,
 		opts:     opts,
-		mask:     mask.Clone(),
+		mask:     mask,
 		smoother: NewSmootherFromMask(mask, l.Grid),
 	}, nil
 }

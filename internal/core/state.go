@@ -71,10 +71,9 @@ func (s *System) ExportState() *SystemState {
 }
 
 // RestoreSystem rebuilds a System from an exported state without any
-// recalibration: no survey, no mask learning, no reference selection,
-// and no LoLi-IR reconstructor until the first Update. Every
-// structural invariant is revalidated — a state decoded from an
-// untrusted or damaged snapshot fails closed with
+// recalibration: no survey, no mask learning, no reference selection
+// and no LoLi-IR. Every structural invariant is revalidated — a state
+// decoded from an untrusted or damaged snapshot fails closed with
 // taflocerr.CodeSnapshotCorrupt rather than producing a system that
 // panics later.
 //

@@ -45,21 +45,23 @@ func DefaultSystemOptions() SystemOptions {
 }
 
 // System is the end-to-end TafLoc pipeline, split into two planes. The
-// calibration plane (this struct) owns the undistorted-entry mask, the
-// LoLi-IR reconstructor and the construction options; it is the only
-// writer. The read plane is an immutable Model — radio map, geometry,
-// observed mask, matcher, and vacant baseline frozen together —
-// published through an atomic pointer. Locate never takes a lock: it
+// calibration plane (this struct) owns the undistorted-entry mask and
+// the construction options; it is the only writer. The read plane is an
+// immutable Model — radio map, geometry, observed mask, matcher, and
+// vacant baseline frozen together — published through an atomic
+// pointer. Locate never takes a lock: it
 // loads the current Model and matches against it, so any number of
 // goroutines can localize concurrently while Update reconstructs;
 // Update builds a complete new Model and swaps the pointer (RCU style),
 // leaving in-flight readers on the old one. Calibration writers
 // (Update, Reselect) serialize on an internal mutex.
 //
-// The reconstructor is built on the first Update, not at construction:
-// a System that only localizes (a zone restored from a snapshot, say)
-// never pays for it. Its inputs, the mask and the LoLi options, are
-// validated at construction, so the deferred build cannot fail on them.
+// Each Update builds its own LoLi-IR reconstructor and drops it when it
+// returns, so a System between updates holds no solver state: on the
+// 12 m room a reconstructor's pair lists take about as much heap as the
+// radio map, and building one takes about 0.2 ms of a half-second
+// update. Its inputs, the mask and the LoLi options, are validated at
+// construction, so the build cannot fail on them.
 type System struct {
 	layout  *Layout
 	opts    SystemOptions
@@ -67,8 +69,7 @@ type System struct {
 	matcher Matcher     // resolved once at construction; never nil
 
 	//tafloc:lock-order 60 calibration writer lock; innermost — never wraps a serve-layer lock
-	calMu sync.Mutex     // serializes calibration writers
-	recon *Reconstructor // built by the first Update; guarded by calMu
+	calMu sync.Mutex // serializes calibration writers
 	model atomic.Pointer[Model]
 }
 
@@ -202,16 +203,13 @@ func (s *System) UpdateContext(ctx context.Context, refCols *mat.Matrix, vacant 
 	}
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
-	if s.recon == nil {
-		rc, err := NewReconstructorWithMask(s.layout, s.mask, s.opts.LoLi)
-		if err != nil {
-			return nil, err
-		}
-		s.recon = rc
+	rc, err := NewReconstructorWithMask(s.layout, s.mask, s.opts.LoLi)
+	if err != nil {
+		return nil, err
 	}
 	refs := s.model.Load().refs
 
-	rec, err := s.recon.ReconstructContext(ctx, UpdateInput{
+	rec, err := rc.ReconstructContext(ctx, UpdateInput{
 		RefIdx:  refs,
 		RefCols: refCols,
 		Vacant:  vacant,

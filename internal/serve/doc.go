@@ -58,7 +58,7 @@
 //
 // Each serving job has one path. Every door that gives a zone a System
 // runs the hot-cap pass before it returns: each registration (AddZone,
-// POST /v2/zones/{id}, RestoreZone, RestoreStore, PUT
+// POST /v2/zones/{id}, RestoreZone, Restore, PUT
 // /v2/zones/{id}/snapshot) and UpdateZone, which can make a cold zone
 // hot. So no door can leave the service over MaxHotZones. The hot set,
 // the registered zones holding a System, is the one record of
@@ -105,12 +105,12 @@
 //
 // Zones persist across restarts: SnapshotZone/RestoreZone round-trip a
 // zone's calibrated deployment (and its per-zone serve config) through
-// the versioned, CRC-checked binary codec in internal/snap,
-// CheckpointStore and RestoreStore do it for every zone through an
-// internal/store.Store (store.Dir for a state directory), and
-// StartCheckpointer runs the background loop cmd/tafloc-serve exposes
-// as -state-dir — interval checkpoints plus a final one on shutdown. A restored zone publishes estimates identical
-// to the never-restarted one; see docs/PERSISTENCE.md.
+// the versioned, CRC-checked binary codec in internal/snap. Checkpoint,
+// Restore, the hot cap and RemoveZone all use the service's one store,
+// Config.Store, and StartCheckpointer runs the background loop
+// cmd/tafloc-serve exposes as -state-dir. A restored zone publishes
+// estimates identical to the never-restarted one; see
+// docs/PERSISTENCE.md.
 //
 // Package client is the typed SDK for the /v2 surface; the wire types
 // live in internal/api and the error taxonomy in tafloc/taflocerr.

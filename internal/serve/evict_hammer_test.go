@@ -183,7 +183,7 @@ func TestEvictRehydrateHammer(t *testing.T) {
 // cap.
 func TestManyZonesOverCapServeAll(t *testing.T) {
 	const zones, hotCap = 8, 2
-	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap, Store: store.NewMem()})
 	batches := make([][][]Report, zones)
 	for zi := 0; zi < zones; zi++ {
 		dep := testDeployment(t)

@@ -14,11 +14,10 @@ import (
 )
 
 // The residency write rule (see residency.go): an eviction, or a
-// checkpoint into the residency store, skips a zone the store already
-// holds — one with no trajectory filter whose System still serves the
-// Model the store last read or wrote. These tests count the store's
-// Puts to pin both halves: a clean zone costs no write, and no change
-// is ever dropped.
+// checkpoint, skips a zone the store already holds — one with no
+// trajectory filter whose System still serves the Model the store last
+// read or wrote. These tests count the store's Puts to pin both halves:
+// a clean zone costs no write, and no change is ever dropped.
 
 // requirePuts fails the test unless the store has seen want Puts.
 func requirePuts(t *testing.T, faults *storetest.FaultStore, want int, when string) {
@@ -131,9 +130,8 @@ func TestEvictionKeepsModelUpdates(t *testing.T) {
 
 // TestTrackedZoneIsAlwaysWritten: a zone with a trajectory filter
 // counts as changed whenever it is hot, since the filter may have
-// folded a fix, so each eviction and each checkpoint into the residency
-// store writes it, and a boot from that store restores the live filter
-// state.
+// folded a fix, so each eviction and each checkpoint writes it, and a
+// boot from the store restores the live filter state.
 func TestTrackedZoneIsAlwaysWritten(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
@@ -149,7 +147,7 @@ func TestTrackedZoneIsAlwaysWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := svc.CheckpointStore(faults); err != nil {
+		if err := svc.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,8 +163,8 @@ func TestTrackedZoneIsAlwaysWritten(t *testing.T) {
 	requirePuts(t, faults, 4, "eviction after a present fix")
 
 	live := zoneTracker(t, svc, "z")
-	boot := newTestService(t, Config{})
-	if _, err := boot.RestoreStore(faults); err != nil {
+	boot := newTestService(t, Config{Store: faults})
+	if _, err := boot.Restore(); err != nil {
 		t.Fatal(err)
 	}
 	got := zoneTracker(t, boot, "z")
@@ -191,10 +189,9 @@ func zoneTracker(t *testing.T, svc *Service, id string) track.TrackerState {
 	return p.tracker.Export()
 }
 
-// TestCheckpointIntoResidencyStoreWritesChanges: a checkpoint into the
-// residency store writes the hot zones it does not hold yet, then
-// nothing while no zone changes, then exactly the zone that installed a
-// new Model.
+// TestCheckpointIntoResidencyStoreWritesChanges: a checkpoint writes
+// the hot zones the store does not hold yet, then nothing while no zone
+// changes, then exactly the zone that installed a new Model.
 func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
@@ -204,11 +201,11 @@ func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := svc.CheckpointStore(faults); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	requirePuts(t, faults, 2, "first checkpoint")
-	if err := svc.CheckpointStore(faults); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	requirePuts(t, faults, 2, "second checkpoint, no change")
@@ -217,12 +214,47 @@ func TestCheckpointIntoResidencyStoreWritesChanges(t *testing.T) {
 	if _, err := sys.Reselect(); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.CheckpointStore(faults); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	requirePuts(t, faults, 3, "checkpoint after a reselect")
 	if got := faults.Calls(storetest.OpPut, "b"); got != 2 {
 		t.Errorf("zone b written %d times, want 2", got)
+	}
+}
+
+// TestCheckpointSkipsReplacedZone: a checkpoint that looked a zone up
+// before UpdateZone replaced it does not write the old System over the
+// snapshot of the replacement, which is all the replacement has once it
+// is cold.
+func TestCheckpointSkipsReplacedZone(t *testing.T) {
+	dep := testDeployment(t)
+	faults := storetest.New(store.NewMem())
+	svc := newTestService(t, Config{Window: 2, History: -1, Store: faults})
+	old, replacement := testSystem(t, dep), testSystem(t, dep)
+	if reflect.DeepEqual(old.Vacant(), replacement.Vacant()) {
+		t.Fatal("the two Systems have one vacant baseline; the test cannot tell them apart")
+	}
+	if err := svc.AddZone("z", old); err != nil {
+		t.Fatal(err)
+	}
+	stale, _ := svc.lookup("z")
+	if err := svc.UpdateZone("z", replacement); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.EvictZone("z"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.checkpointZone(stale); err != nil {
+		t.Fatal(err)
+	}
+	requirePuts(t, faults, 1, "eviction, then a checkpoint of the replaced zone")
+	sys, ok := svc.System("z")
+	if !ok {
+		t.Fatal("zone z did not rehydrate")
+	}
+	if !reflect.DeepEqual(sys.Vacant(), replacement.Vacant()) {
+		t.Error("zone z rehydrated the replaced System's state")
 	}
 }
 

@@ -449,7 +449,7 @@ func TestWaitOutlastsRunningGoroutines(t *testing.T) {
 		var releaseOnce sync.Once
 		release := func() { releaseOnce.Do(func() { close(gs.release) }) }
 		defer release()
-		svc := newTestService(t, Config{})
+		svc := newTestService(t, Config{Store: gs})
 		if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestWaitOutlastsRunningGoroutines(t *testing.T) {
 		}
 		// No tick falls due within the test, so the only Put is the
 		// final checkpoint that cancellation triggers.
-		if err := svc.StartCheckpointer(ctx, gs, time.Hour, nil); err != nil {
+		if err := svc.StartCheckpointer(ctx, time.Hour, nil); err != nil {
 			t.Fatal(err)
 		}
 		cancel()

@@ -1,19 +1,21 @@
 package serve
 
-// Tiered zone storage: the residency tier over internal/store. A
-// registered zone is either hot (its core.System — and therefore its
-// immutable Model, the dominant per-zone allocation — is resident) or
-// cold (the System pointer is nil and the zone's calibrated state lives
-// only as a snapshot in the service's store). Everything else a zone
-// owns — ingest queue, fold windows, counters, trajectory state —
-// stays resident across eviction, which is why an evicted-and-
-// rehydrated zone publishes bit-identical estimates to one that was
-// never evicted: eviction removes exactly the state that
-// ExportState/RestoreSystem round-trips losslessly, and nothing more.
+// Tiered zone storage: the residency tier over the service's one
+// snapshot store, Config.Store. A registered zone is either hot (its
+// core.System and immutable Model are resident) or cold (the System
+// pointer is nil and the zone's calibrated state lives only as a
+// snapshot in the store). Everything else a zone owns — ingest queue,
+// fold windows, counters, trajectory state — stays resident across
+// eviction, which is why an evicted-and-rehydrated zone publishes
+// bit-identical estimates to one that was never evicted: eviction
+// removes exactly the state that ExportState/RestoreSystem round-trips
+// losslessly, and nothing more.
 //
-// A rehydrate restores only the read plane: RestoreSystem takes the
-// decoded matrices as they are and builds no LoLi-IR reconstructor,
-// which a zone builds on its first fingerprint update, if ever.
+// What an eviction frees depends on the store. A snapshot holds the
+// same float64 matrices as the System and its Model, so a store that
+// keeps its bytes on the heap (store.Mem) frees next to nothing, while
+// one that keeps them off the heap (store.Dir) frees most of the zone:
+// BenchmarkZoneFootprint in the root package measures both.
 //
 // Transitions are guarded by the per-zone resMu. In-flight fold and
 // locate tasks are never quiesced for an eviction: each task carries
@@ -26,21 +28,19 @@ package serve
 // The scan covers the hot set (Service.hot), the zones that hold a
 // System, so it costs O(MaxHotZones) however many zones are cold.
 //
-// A clean zone is not rewritten. The residency store keeps what it was
-// last given until the service deletes the zone, and a zone without a
-// trajectory filter changes its persistent state only when its System
-// installs a new Model. So a hot zone records in zone.held the
-// core.Stamp of the Model whose state the store last read (a rehydrate)
-// or wrote (an eviction, or a checkpoint into the residency store). A
-// zone is clean when it has no trajectory filter and its System still
-// serves the recorded Model: evicting it drops the System with no
-// export, encode or Put, and a checkpoint into the residency store
+// A clean zone is not rewritten. The store keeps what it was last given
+// until the service deletes the zone, and a zone without a trajectory
+// filter changes its persistent state only when its System installs a
+// new Model. So a hot zone records in zone.held the core.Stamp of the
+// Model whose state the store last read (a rehydrate) or wrote (an
+// eviction or a checkpoint). A zone is clean when it has no trajectory
+// filter and its System still serves the recorded Model: evicting it
+// drops the System with no export, encode or Put, and a checkpoint
 // skips it as it skips cold zones. A zone with a filter is written
 // every time, since the filter may have folded a fix. The record is a
 // number, not a Model, so it keeps no superseded Model reachable.
 
 import (
-	"errors"
 	"slices"
 
 	"tafloc/internal/core"
@@ -93,11 +93,6 @@ func (s *Service) rehydrateLocked(z *zone) (*core.System, error) {
 		z.cnt.rehydrateErrors.Add(1)
 		return nil, taflocerr.Errorf(taflocerr.CodeRehydrateFailed,
 			"serve: rehydrate zone %q: %w", z.id, err)
-	}
-	if s.store == nil {
-		// Unreachable through eviction (zones only go cold via a store),
-		// but a direct construction bug should fail typed, not panic.
-		return fail(errors.New("no snapshot store configured"))
 	}
 	sn, err := snap.ReadStore(s.store, z.id)
 	if err != nil {
@@ -161,17 +156,17 @@ func (s *Service) evictZone(z *zone) error {
 	return nil
 }
 
-// storeHoldsLocked reports whether the residency store already holds
-// the zone's persistent state: the zone is cold (sys is nil), or it is
-// clean. Caller holds z.resMu.
+// storeHoldsLocked reports whether the store already holds the zone's
+// persistent state: the zone is cold (sys is nil), or it is clean.
+// Caller holds z.resMu.
 func (z *zone) storeHoldsLocked(sys *core.System) bool {
 	return sys == nil || z.pub.tracker == nil && core.Stamp(sys.Model()) == z.held
 }
 
-// storeLocked writes the zone's snapshot into the residency store and
-// records the Model the written bytes came from: ExportState reads the
-// Model itself, so the record names it only when it is still current
-// after the write. Caller holds z.resMu.
+// storeLocked writes the zone's snapshot into the store and records the
+// Model the written bytes came from: ExportState reads the Model
+// itself, so the record names it only when it is still current after
+// the write. Caller holds z.resMu.
 func (s *Service) storeLocked(z *zone, sys *core.System) error {
 	model := sys.Model()
 	sn := s.buildSnapshot(z, sys)
@@ -195,7 +190,7 @@ func (s *Service) storeLocked(z *zone, sys *core.System) error {
 // failure ends the pass — the next publish retries — so a wedged store
 // cannot spin a worker either.
 func (s *Service) enforceCap() {
-	if s.cfg.MaxHotZones <= 0 || s.store == nil {
+	if s.cfg.MaxHotZones <= 0 {
 		return
 	}
 	for {
@@ -265,15 +260,24 @@ func (s *Service) HotZones() int {
 // with the store's error (zone left hot) when the checkpoint write
 // fails.
 func (s *Service) EvictZone(id string) error {
-	if s.store == nil {
-		return taflocerr.Errorf(taflocerr.CodeUnsupported,
-			"serve: no snapshot store configured; set Config.Store or Config.MaxHotZones")
+	if err := s.needStore("evict"); err != nil {
+		return err
 	}
 	z, ok := s.lookup(id)
 	if !ok {
 		return ErrUnknownZone
 	}
 	return s.evictZone(z)
+}
+
+// needStore refuses op with taflocerr.CodeUnsupported when the service
+// has no snapshot store.
+func (s *Service) needStore(op string) error {
+	if s.store == nil {
+		return taflocerr.Errorf(taflocerr.CodeUnsupported,
+			"serve: %s: no snapshot store configured; set Config.Store", op)
+	}
+	return nil
 }
 
 // RehydrateZone forces a cold zone hot right now (a no-op on a hot

@@ -41,7 +41,7 @@ func waitForHotZones(t *testing.T, s *Service, want int) {
 // returns to them.
 func TestMaxHotZonesCapsResidentModels(t *testing.T) {
 	const zones, hotCap = 6, 2
-	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap, Store: store.NewMem()})
 	deps := make([]*struct {
 		batch []Report
 		pt    geom.Point
@@ -369,12 +369,11 @@ func TestEveryRegistrationRunsCapPass(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"RestoreStore", func(t *testing.T, svc *Service) {
-			st := store.NewMem()
-			if err := st.Put("b", data); err != nil {
+		{"Restore", func(t *testing.T, svc *Service) {
+			if err := svc.store.Put("b", data); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := svc.RestoreStore(st); err != nil {
+			if _, err := svc.Restore(); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -394,7 +393,7 @@ func TestEveryRegistrationRunsCapPass(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := newTestService(t, Config{MaxHotZones: 1, ZoneFactory: testFactory(t, dep)})
+			svc := newTestService(t, Config{MaxHotZones: 1, Store: store.NewMem(), ZoneFactory: testFactory(t, dep)})
 			if err := svc.AddZone("a", testSystem(t, dep)); err != nil {
 				t.Fatal(err)
 			}
@@ -683,9 +682,41 @@ func TestEvictWithoutStoreUnsupported(t *testing.T) {
 	}
 }
 
+// TestStoreOpsWithoutStoreUnsupported: Checkpoint, Restore and
+// StartCheckpointer work on the service's one snapshot store; without
+// one each is a typed refusal, as EvictZone is.
+func TestStoreOpsWithoutStoreUnsupported(t *testing.T) {
+	svc := newTestService(t, Config{Window: 4})
+	if err := svc.AddZone("z", testSystem(t, testDeployment(t))); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Checkpoint", svc.Checkpoint},
+		{"Restore", func() error { _, err := svc.Restore(); return err }},
+		{"StartCheckpointer", func() error { return svc.StartCheckpointer(context.Background(), time.Second, nil) }},
+	} {
+		if err := op.run(); taflocerr.CodeOf(err) != taflocerr.CodeUnsupported {
+			t.Errorf("%s without a store = %v, want code unsupported", op.name, err)
+		}
+	}
+}
+
+// TestHotCapNeedsStore: a hot cap with no store to evict into fails
+// NewService, whether the cap is set or selected by a negative value.
+func TestHotCapNeedsStore(t *testing.T) {
+	for _, hotCap := range []int{1, -1} {
+		_, err := NewService(Config{MaxHotZones: hotCap})
+		if taflocerr.CodeOf(err) != taflocerr.CodeBadRequest || !errors.Is(err, taflocerr.ErrBadRequest) {
+			t.Errorf("NewService(MaxHotZones: %d) with no store = %v, want code bad_request", hotCap, err)
+		}
+	}
+}
+
 // TestRemoveZoneDeletesFromStore: removing a zone deletes its snapshot
-// from the residency store, so a later RestoreStore boot cannot
-// resurrect it.
+// from the store at once, so a later Restore boot cannot resurrect it.
 func TestRemoveZoneDeletesFromStore(t *testing.T) {
 	dep := testDeployment(t)
 	mem := store.NewMem()
@@ -711,8 +742,8 @@ func TestRemoveZoneDeletesFromStore(t *testing.T) {
 	if _, err := mem.Get("z"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("snapshot survived RemoveZone: %v", err)
 	}
-	boot := newTestService(t, Config{Window: 4})
-	ids, err := boot.RestoreStore(mem)
+	boot := newTestService(t, Config{Window: 4, Store: mem})
+	ids, err := boot.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,20 +753,20 @@ func TestRemoveZoneDeletesFromStore(t *testing.T) {
 }
 
 // TestCheckpointStorePrunes covers checkpoint pruning through the Store
-// interface with the in-memory backend: a removed zone's entry is
-// deleted from the checkpoint target on the next pass, exactly as the
-// directory backend prunes .snap files.
+// interface with the in-memory backend: after a zone is removed, the
+// next checkpoint leaves only the live zones' entries, exactly as the
+// directory backend keeps only their .snap files.
 func TestCheckpointStorePrunes(t *testing.T) {
 	depA, depB := testDeployment(t), testDeployment(t)
-	svc := newTestService(t, Config{Window: 4})
+	dst := store.NewMem()
+	svc := newTestService(t, Config{Window: 4, Store: dst})
 	if err := svc.AddZone("a", testSystem(t, depA)); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.AddZone("b", testSystem(t, depB)); err != nil {
 		t.Fatal(err)
 	}
-	dst := store.NewMem()
-	if err := svc.CheckpointStore(dst); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if ids, _ := dst.List(); len(ids) != 2 {
@@ -744,7 +775,7 @@ func TestCheckpointStorePrunes(t *testing.T) {
 	if err := svc.RemoveZone("b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.CheckpointStore(dst); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := dst.List()
@@ -756,10 +787,52 @@ func TestCheckpointStorePrunes(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntoResidencyStore: checkpointing into the residency
-// store's own handle rewrites only the hot zone; cold zones' snapshots
-// are already current there (eviction wrote them), so the checkpoint
-// leaves them alone. A different destination still receives every zone.
+// TestCheckpointPrunesWhatRemoveZoneLeft: RemoveZone deletes a zone's
+// snapshot itself, but only as a best effort, so the checkpoint's prune
+// is what deletes an entry no registered zone owns: a removed zone's
+// whose Delete failed, and one for a zone that was never registered. A
+// Delete that fails during the prune fails the checkpoint.
+func TestCheckpointPrunesWhatRemoveZoneLeft(t *testing.T) {
+	dep := testDeployment(t)
+	faults := storetest.New(store.NewMem())
+	svc := newTestService(t, Config{Window: 4, Store: faults})
+	for _, id := range []string{"keep", "doomed"} {
+		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	faults.FailOp(storetest.OpDelete, "doomed", errors.New("disk busy"), 1)
+	if err := svc.RemoveZone("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := faults.Get("doomed")
+	if err != nil {
+		t.Fatalf("the failed Delete removed the snapshot: %v", err)
+	}
+	if err := faults.Put("ghost", data); err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("disk full")
+	faults.FailOp(storetest.OpDelete, "ghost", injected, 1)
+	if err := svc.Checkpoint(); !errors.Is(err, injected) {
+		t.Fatalf("checkpoint whose prune Delete failed = %v, want the store's error", err)
+	}
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := faults.List(); err != nil || !reflect.DeepEqual(ids, []string{"keep"}) {
+		t.Errorf("store after the prune holds %v (%v), want [keep]", ids, err)
+	}
+}
+
+// TestCheckpointIntoResidencyStore: a checkpoint under a hot cap
+// rewrites only the hot zone; cold zones' snapshots are already current
+// in the store (eviction wrote them), so the checkpoint leaves them
+// alone.
 func TestCheckpointIntoResidencyStore(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
@@ -779,7 +852,7 @@ func TestCheckpointIntoResidencyStore(t *testing.T) {
 		cold[id] = st.Cold
 		puts[id] = faults.Calls(storetest.OpPut, id)
 	}
-	if err := svc.CheckpointStore(faults); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -791,14 +864,6 @@ func TestCheckpointIntoResidencyStore(t *testing.T) {
 			t.Errorf("zone %s (cold %v): %d puts after checkpoint, want %d", id, cold[id], got, want)
 		}
 	}
-
-	other := store.NewMem()
-	if err := svc.CheckpointStore(other); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := other.List(); err != nil || !reflect.DeepEqual(got, ids) {
-		t.Errorf("checkpoint into another store holds %v (%v), want %v", got, err, ids)
-	}
 }
 
 // TestRestoreStoreSkipsDamagedEntries: one damaged entry in a backend
@@ -808,19 +873,19 @@ func TestCheckpointIntoResidencyStore(t *testing.T) {
 func TestRestoreStoreSkipsDamagedEntries(t *testing.T) {
 	dep := testDeployment(t)
 	src := store.NewMem()
-	seed := newTestService(t, Config{Window: 4})
+	seed := newTestService(t, Config{Window: 4, Store: src})
 	if err := seed.AddZone("good", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.CheckpointStore(src); err != nil {
+	if err := seed.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Put("bad", []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
 
-	boot := newTestService(t, Config{Window: 4})
-	ids, err := boot.RestoreStore(src)
+	boot := newTestService(t, Config{Window: 4, Store: src})
+	ids, err := boot.Restore()
 	if err == nil {
 		t.Fatal("damaged entry restored without error")
 	}

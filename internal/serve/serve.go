@@ -78,19 +78,19 @@ type Config struct {
 	ZoneFactory ZoneFactory
 	// MaxHotZones caps how many zones may hold a resident Model at once
 	// (default 0 = unlimited, every zone stays hot; negative = 1, the
-	// smallest useful cache). When the service is over the cap, the
-	// least-recently-touched hot zone is checkpointed into Store (unless
-	// Store already holds its current state) and its Model dropped; the
-	// zone stays registered and rehydrates transparently on its next
-	// Ingest (or the fold round it starts), System, snapshot export or
-	// RehydrateZone. Position, Watch, Track and History never rehydrate.
+	// smallest useful cache), and needs a Store. When the service is
+	// over the cap, the least-recently-touched hot zone is checkpointed
+	// into Store (unless Store already holds its current state) and its
+	// Model dropped; the zone stays registered and rehydrates on its
+	// next Ingest (or the fold round it starts), System, snapshot export
+	// or RehydrateZone. Position, Watch, Track and History never
+	// rehydrate. Only a Store that keeps snapshots off the heap
+	// (store.Dir) makes the cap save memory.
 	MaxHotZones int
-	// Store is the snapshot store behind eviction, rehydration, and the
-	// forced EvictZone/RehydrateZone transitions. Leaving it nil with a
-	// positive MaxHotZones selects an in-memory store (eviction then
-	// bounds resident Models without surviving the process); production
-	// deployments point it at the same directory store the checkpointer
-	// uses, so evicted state and crash-recovery state are one artifact.
+	// Store is the service's one snapshot store, for eviction,
+	// Checkpoint, Restore and RemoveZone. Without it, EvictZone,
+	// Checkpoint, Restore and StartCheckpointer fail with
+	// taflocerr.CodeUnsupported.
 	Store store.Store
 }
 
@@ -135,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxHotZones < 0 {
 		c.MaxHotZones = 1
-	}
-	if c.MaxHotZones > 0 && c.Store == nil {
-		c.Store = store.NewMem()
 	}
 	return c
 }
@@ -346,8 +343,8 @@ type Service struct {
 
 	exec *executor
 	// store/lruClock drive the residency tier (residency.go): the
-	// snapshot store zones evict into, and the logical clock behind the
-	// approximate LRU.
+	// service's one snapshot store (Config.Store), and the logical clock
+	// behind the approximate LRU.
 	store    store.Store
 	lruClock atomic.Int64
 	seq      atomic.Uint64
@@ -371,10 +368,14 @@ type Service struct {
 }
 
 // NewService builds an empty service with the given configuration. An
-// unknown Config.Detector name is surfaced as a taflocerr error
-// (matching taflocerr.ErrBadRequest) — the builder path never panics.
+// unknown Config.Detector name, or a MaxHotZones cap with no Store, is
+// a taflocerr error (matching taflocerr.ErrBadRequest), never a panic.
 func NewService(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MaxHotZones > 0 && cfg.Store == nil {
+		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
+			"serve: MaxHotZones %d needs a snapshot store to evict into; set Config.Store", cfg.MaxHotZones)
+	}
 	zc, err := newZoneConfig(cfg.Window, cfg.DetectThresholdDB, cfg.Detector, cfg.History, track.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -479,8 +480,8 @@ func (s *Service) AddZone(id string, sys *core.System) error {
 }
 
 // addZone is the one registration step behind every way a zone joins
-// the service (AddZone, POST /v2/zones/{id}, RestoreZone, RestoreStore
-// and PUT /v2/zones/{id}/snapshot): register the zone under an explicit
+// the service (AddZone, POST /v2/zones/{id}, RestoreZone, Restore and
+// PUT /v2/zones/{id}/snapshot): register the zone under an explicit
 // per-zone configuration (AddZone passes the service default, a
 // restore the snapshot's, along with the snapshot's trajectory-filter
 // state), then run the hot-cap pass. A fresh zone is hot by

@@ -7,7 +7,6 @@ import (
 
 	"tafloc/internal/core"
 	"tafloc/internal/snap"
-	"tafloc/internal/store"
 	"tafloc/internal/track"
 	"tafloc/taflocerr"
 )
@@ -20,12 +19,11 @@ import (
 // (window, detector, threshold) it was captured under even when the
 // restoring service was built with different defaults.
 //
-// Snapshots move through the internal/store.Store interface:
-// CheckpointStore and RestoreStore persist and warm-start every zone,
-// and the residency tier (residency.go) moves the same artifact through
-// the same interface when it evicts and rehydrates zones — tiered
-// storage and crash recovery share one format, one integrity check, and
-// one store abstraction.
+// A service has one snapshot store, Config.Store. Checkpoint and
+// Restore persist and warm-start every zone through it, and the
+// residency tier (residency.go) evicts and rehydrates zones through it
+// — tiered storage and crash recovery share one format, one integrity
+// check, one write rule and one copy of each zone's bytes.
 
 // SnapshotZone exports a zone's calibrated deployment as an encoded
 // snapshot. The export is a consistent deep copy — the zone keeps
@@ -166,52 +164,32 @@ func (s *Service) restoreSnapshot(sn *snap.Snapshot) (string, error) {
 	return sn.Zone, nil
 }
 
-// CheckpointStore snapshots every registered zone into dst. Hot zones
-// export their live state; cold zones copy their already-current bytes
-// straight from the residency store, so a checkpoint never rehydrates
-// the cold tier (the whole point of which is not being resident). Into
-// the residency store itself, a checkpoint skips cold and clean zones
-// (see residency.go). Zones removed mid-walk are skipped. The first
-// write error aborts the walk.
+// Checkpoint writes every registered zone into Config.Store under the
+// residency write rule (residency.go): cold and clean zones are left as
+// they are, and the cold tier is never rehydrated. Zones removed
+// mid-walk are skipped; the first write error aborts the walk.
 //
-// The service owns the destination's snapshot namespace: after writing,
-// CheckpointStore prunes stored zones that are no longer registered, so
-// a zone removed at runtime stays removed across restarts instead of
-// resurrecting from its stale snapshot on the next boot. Entries a
+// The service owns the store's snapshot namespace: Checkpoint then
+// prunes stored zones that are not registered, such as a removed zone
+// whose best-effort delete in RemoveZone failed, or an entry that
+// failed to restore, so neither resurrects on the next boot. Entries a
 // backend cannot attribute to this service (foreign files in a shared
 // directory, say) are never listed by the backend and thus never
-// pruned.
-func (s *Service) CheckpointStore(dst store.Store) error {
+// pruned. Without a store it fails with taflocerr.CodeUnsupported.
+func (s *Service) Checkpoint() error {
+	if err := s.needStore("checkpoint"); err != nil {
+		return err
+	}
 	for _, id := range s.Zones() {
 		z, ok := s.lookup(id)
 		if !ok {
 			continue // removed since Zones()
 		}
-		// Hold resMu across the copy-or-export decision so a concurrent
-		// eviction cannot drop the System between the load and the
-		// export, nor a rehydrate race the cold-bytes copy.
-		z.resMu.Lock()
-		var err error
-		sys := z.sys.Load()
-		switch {
-		case dst == s.store:
-			if !z.storeHoldsLocked(sys) {
-				err = s.storeLocked(z, sys)
-			}
-		case sys != nil:
-			err = snap.WriteStore(dst, s.buildSnapshot(z, sys))
-		default:
-			var data []byte
-			if data, err = s.store.Get(id); err == nil {
-				err = dst.Put(id, data)
-			}
-		}
-		z.resMu.Unlock()
-		if err != nil {
+		if err := s.checkpointZone(z); err != nil {
 			return err
 		}
 	}
-	stored, err := dst.List()
+	stored, err := s.store.List()
 	if err != nil {
 		return err
 	}
@@ -219,7 +197,7 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 		// Re-check liveness per entry rather than against the earlier
 		// Zones() slice, so a zone added mid-checkpoint is never pruned.
 		if _, live := s.lookup(id); !live {
-			if err := dst.Delete(id); err != nil {
+			if err := s.store.Delete(id); err != nil {
 				return err
 			}
 		}
@@ -227,22 +205,39 @@ func (s *Service) CheckpointStore(dst store.Store) error {
 	return nil
 }
 
-// RestoreStore warm-starts every zone stored in src, in sorted order,
-// and returns the IDs restored. Entries that fail to read, decode, or
-// restore do not stop the others; their errors are joined into the
-// returned error, so a boot can both serve the healthy zones and report
-// the damaged entries. When the service runs a hot-zone cap, restored
-// zones beyond it are evicted again as they register — a node can boot
-// a store holding far more zones than fit in memory.
-func (s *Service) RestoreStore(src store.Store) ([]string, error) {
-	zones, err := src.List()
+// checkpointZone writes z unless the store holds it, under resMu so an
+// eviction cannot drop the System mid-export. A zone stopped since the
+// caller's lookup (removed, or swapped out by UpdateZone) is skipped:
+// its bytes would overwrite the snapshot of the zone now under its id.
+func (s *Service) checkpointZone(z *zone) error {
+	z.resMu.Lock()
+	defer z.resMu.Unlock()
+	sys := z.sys.Load()
+	if z.isStopped() || z.storeHoldsLocked(sys) {
+		return nil
+	}
+	return s.storeLocked(z, sys)
+}
+
+// Restore warm-starts every zone stored in Config.Store, in sorted
+// order, and returns the IDs restored. Entries that fail to read,
+// decode, or restore do not stop the others; their errors are joined
+// into the returned error, so a boot can both serve the healthy zones
+// and report the damaged entries. When the service runs a hot-zone cap,
+// restored zones beyond it are evicted again as they register. Without
+// a store it fails with taflocerr.CodeUnsupported.
+func (s *Service) Restore() ([]string, error) {
+	if err := s.needStore("restore"); err != nil {
+		return nil, err
+	}
+	zones, err := s.store.List()
 	if err != nil {
 		return nil, err
 	}
 	var restored []string
 	var errs []error
 	for _, zoneID := range zones {
-		sn, err := snap.ReadStore(src, zoneID)
+		sn, err := snap.ReadStore(s.store, zoneID)
 		if err != nil {
 			errs = append(errs, taflocerr.Errorf(taflocerr.CodeOf(err), "serve: restore %q: %w", zoneID, err))
 			continue
@@ -258,16 +253,16 @@ func (s *Service) RestoreStore(src store.Store) ([]string, error) {
 }
 
 // StartCheckpointer runs a background checkpoint loop: every interval
-// it writes all zones to dst (see CheckpointStore), and when ctx is
-// cancelled (service shutdown, SIGTERM) it writes one final checkpoint
-// before exiting, so the stored state is at most one interval old in a
-// crash and fully current on a clean stop. Pass the residency store
-// itself (Config.Store) to checkpoint into it: cold and clean zones
-// (see CheckpointStore) are then left as they are instead of being
-// rewritten every interval.
-// Checkpoint errors are reported to onErr (may be nil) and do not stop
-// the loop. The goroutine is counted in Wait.
-func (s *Service) StartCheckpointer(ctx context.Context, dst store.Store, interval time.Duration, onErr func(error)) error {
+// it runs Checkpoint, and when ctx is cancelled (service shutdown,
+// SIGTERM) it runs one final Checkpoint before exiting, so the stored
+// state is at most one interval old in a crash and fully current on a
+// clean stop. Checkpoint errors are reported to onErr (may be nil) and
+// do not stop the loop. The goroutine is counted in Wait. Without a
+// store it fails with taflocerr.CodeUnsupported.
+func (s *Service) StartCheckpointer(ctx context.Context, interval time.Duration, onErr func(error)) error {
+	if err := s.needStore("checkpointer"); err != nil {
+		return err
+	}
 	if interval <= 0 {
 		return taflocerr.Errorf(taflocerr.CodeBadRequest,
 			"serve: checkpoint interval must be positive, got %v", interval)
@@ -285,10 +280,10 @@ func (s *Service) StartCheckpointer(ctx context.Context, dst store.Store, interv
 		for {
 			select {
 			case <-ctx.Done():
-				report(s.CheckpointStore(dst))
+				report(s.Checkpoint())
 				return
 			case <-ticker.C:
-				report(s.CheckpointStore(dst))
+				report(s.Checkpoint())
 			}
 		}
 	}()

@@ -157,14 +157,14 @@ func TestRestoreZoneRejectsDamage(t *testing.T) {
 // directory (store.Dir) and checks the per-zone config survives.
 func TestCheckpointRestoreDir(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
+	dir := t.TempDir()
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: store.NewDir(dir)})
 	for _, id := range []string{"a", "b", "zone/with slash"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dir := t.TempDir()
-	if err := svc.CheckpointStore(store.NewDir(dir)); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,10 +173,10 @@ func TestCheckpointRestoreDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := newTestService(t, Config{Window: 16})
-	ids, err := fresh.RestoreStore(store.NewDir(dir))
+	fresh := newTestService(t, Config{Window: 16, Store: store.NewDir(dir)})
+	ids, err := fresh.Restore()
 	if err == nil {
-		t.Error("RestoreStore swallowed the corrupt file")
+		t.Error("Restore swallowed the corrupt file")
 	}
 	if len(ids) != 3 {
 		t.Fatalf("restored %v, want 3 zones", ids)
@@ -204,7 +204,8 @@ func TestCheckpointRestoreDir(t *testing.T) {
 	}
 
 	// Missing directory: restores nothing, no error.
-	ids, err = fresh.RestoreStore(store.NewDir(filepath.Join(dir, "missing")))
+	empty := newTestService(t, Config{Store: store.NewDir(filepath.Join(dir, "missing"))})
+	ids, err = empty.Restore()
 	if err != nil || len(ids) != 0 {
 		t.Errorf("missing dir: %v, %v", ids, err)
 	}
@@ -214,15 +215,15 @@ func TestCheckpointRestoreDir(t *testing.T) {
 // resurrect from its stale snapshot file on the next boot.
 func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{})
+	dir := t.TempDir()
+	st := store.NewDir(dir)
+	svc := newTestService(t, Config{Store: st})
 	for _, id := range []string{"keep", "doomed"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dir := t.TempDir()
-	st := store.NewDir(dir)
-	if err := svc.CheckpointStore(st); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); err != nil {
@@ -231,14 +232,14 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	if err := svc.RemoveZone("doomed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.CheckpointStore(st); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("stale snapshot of removed zone survived the checkpoint: %v", err)
 	}
-	fresh := newTestService(t, Config{})
-	ids, err := fresh.RestoreStore(st)
+	fresh := newTestService(t, Config{Store: st})
+	ids, err := fresh.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("ours"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.CheckpointStore(st); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(foreign); err != nil {
@@ -378,21 +379,21 @@ func testFactory(t *testing.T, dep *testbed.Deployment) ZoneFactory {
 // produces files at the interval and once more on shutdown.
 func TestCheckpointerWritesAndFinalizes(t *testing.T) {
 	dep := testDeployment(t)
-	svc := newTestService(t, Config{})
+	dir := t.TempDir()
+	st := store.NewDir(dir)
+	svc := newTestService(t, Config{Store: st})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	st := store.NewDir(dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := svc.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var cpErr error
-	if err := svc.StartCheckpointer(ctx, st, 20*time.Millisecond, func(err error) { cpErr = err }); err != nil {
+	if err := svc.StartCheckpointer(ctx, 20*time.Millisecond, func(err error) { cpErr = err }); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.StartCheckpointer(ctx, st, 0, nil); err == nil {
+	if err := svc.StartCheckpointer(ctx, 0, nil); err == nil {
 		t.Error("zero interval accepted")
 	}
 

@@ -6,12 +6,10 @@ import (
 	"sync"
 )
 
-// Mem is the in-memory backend: a mutex-guarded map. It backs tests,
-// and cap-only production configurations where eviction exists to bound
-// resident Models rather than to survive restarts (an evicted zone's
-// snapshot must outlive its Model, not the process). Snapshots are
-// copied on both Put and Get, so callers can never alias the store's
-// internal buffers.
+// Mem is the in-memory backend: a mutex-guarded map, for tests. A
+// snapshot holds the same matrices as its Model, so evicting into Mem
+// frees next to nothing. Snapshots are copied on both Put and Get, so
+// callers can never alias the store's internal buffers.
 type Mem struct {
 	mu sync.Mutex
 	m  map[string][]byte

@@ -1,11 +1,11 @@
 // Package store is the snapshot-store abstraction behind tiered zone
 // storage: a small keyed blob interface over which the serving layer
 // checkpoints, evicts, and rehydrates zone snapshots without caring
-// where the bytes live. Two production backends ship with it — Dir, an
+// where the bytes live. Two backends ship with it — Dir, an
 // atomic-rename local directory (the -state-dir of cmd/tafloc-serve),
-// and Mem, an in-process map for tests and cap-only deployments — and
-// storetest adds a deterministic fault-injecting wrapper for pinning
-// the degradation contract.
+// and Mem, an in-process map that saves no memory — and storetest adds
+// a deterministic fault-injecting wrapper for pinning the degradation
+// contract.
 //
 // The interface is deliberately byte-oriented: the snapshot codec
 // (internal/snap) owns versioning and integrity, so a Store never

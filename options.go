@@ -115,17 +115,16 @@ func WithZoneFactory(f ZoneFactory) ServiceOption {
 }
 
 // WithMaxHotZones caps how many zones may hold a resident Model at
-// once. Over the cap, the least-recently-touched zone is checkpointed
-// into the snapshot store (WithSnapshotStore, defaulting to an
-// in-memory store), unless the store already holds its current state,
-// and its Model dropped; the zone stays registered and rehydrates
-// transparently when it is next needed: an ingested report batch (and
-// the fold round it starts), Service.System, a snapshot export, or
-// RehydrateZone. Position, Watch, Track and History read what the zone
-// has published and never rehydrate it. A service can therefore
-// register far more zones than fit in memory. n <= 0 selects the
-// minimum cache of one hot zone; omit the option entirely for the
-// default of no cap.
+// once; NewService rejects a cap without WithSnapshotStore. Over the
+// cap, the least-recently-touched zone is checkpointed into the store,
+// unless the store already holds its current state, and its Model
+// dropped; the zone stays registered and rehydrates transparently on an
+// ingested report batch (and the fold round it starts), Service.System,
+// a snapshot export, or RehydrateZone. Position, Watch, Track and
+// History never rehydrate it. With NewDirStore a service can register
+// far more zones than fit in memory; NewMemStore saves none. n <= 0
+// selects the minimum cache of one hot zone; omit the option entirely
+// for the default of no cap.
 func WithMaxHotZones(n int) ServiceOption {
 	if n <= 0 {
 		n = -1
@@ -133,12 +132,12 @@ func WithMaxHotZones(n int) ServiceOption {
 	return func(c *serve.Config) { c.MaxHotZones = n }
 }
 
-// WithSnapshotStore sets the snapshot store behind the residency tier:
-// where evicted zones' Models are checkpointed to and rehydrated from
-// (see WithMaxHotZones), and the target of Service.EvictZone. Use
-// NewDirStore to share the checkpointer's state directory, so evicted
-// state and crash-recovery state are one artifact; NewMemStore bounds
-// memory without touching disk.
+// WithSnapshotStore sets the service's one snapshot store, for
+// eviction (WithMaxHotZones, Service.EvictZone), Service.Checkpoint,
+// Service.Restore and Service.RemoveZone. NewDirStore makes evicted
+// state and crash-recovery state one artifact on disk; NewMemStore
+// keeps a cold zone's snapshot on the heap, about as large as its
+// Model.
 func WithSnapshotStore(st SnapshotStore) ServiceOption {
 	return func(c *serve.Config) { c.Store = st }
 }

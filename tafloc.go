@@ -375,23 +375,22 @@ type (
 	// ZoneTrackPoint is one sample of a zone's smoothed trajectory, as
 	// served by Service.Track and GET /v2/zones/{id}/track.
 	ZoneTrackPoint = serve.TrackPoint
-	// SnapshotStore is the pluggable snapshot store behind tiered zone
-	// storage: CheckpointStore/RestoreStore targets and the backing
-	// store of the hot-zone cap (WithMaxHotZones). Implement it to put zone
-	// snapshots anywhere that can round-trip opaque bytes under a zone
-	// ID; NewDirStore and NewMemStore are the built-in backends.
+	// SnapshotStore is a service's one snapshot store
+	// (WithSnapshotStore), behind tiered zone storage and persistence.
+	// Implement it to put zone snapshots anywhere that can round-trip
+	// opaque bytes under a zone ID; NewDirStore and NewMemStore are the
+	// built-in backends.
 	SnapshotStore = store.Store
 )
 
 // NewDirStore opens the local-directory snapshot store rooted at dir:
-// one atomically-replaced "<escaped-id>.snap" file per zone. Pass one
-// handle as both the residency store (WithSnapshotStore) and the
-// checkpoint target, so a checkpoint leaves cold zones' files alone.
+// one atomically-replaced "<escaped-id>.snap" file per zone, off the
+// heap, so with it a hot-zone cap bounds memory.
 func NewDirStore(dir string) SnapshotStore { return store.NewDir(dir) }
 
-// NewMemStore returns an in-memory snapshot store: eviction with it
-// bounds resident Models without touching disk (the snapshots do not
-// survive the process).
+// NewMemStore returns an in-memory snapshot store, for tests: its
+// snapshots do not survive the process, and evicting into it frees next
+// to nothing, as a snapshot holds the same matrices as its Model.
 func NewMemStore() SnapshotStore { return store.NewMem() }
 
 // ReportFromWire converts a decoded data-plane frame into a service
